@@ -27,33 +27,9 @@ from .errors import InputError, InternalConsistencyError
 from .repengine import RepCategory
 from .shiftcat import (ShiftedObject, check_object, check_pairwise_compatible,
                        compatible, is_valid_object, shifted_objects)
-from .wide import (PairCase, WideSubcat, ambient, classify_pair,
+from .wide import (PairCase, WideSubcat, ambient, classify_pair, congruent,
                    is_relatively_projective, mutate_pair, mutate_pair_inverse,
                    perp)
-
-
-def _is_multiple(w, t) -> bool:
-    s = None
-    for wi, ti in zip(w, t):
-        if ti == 0:
-            if wi != 0:
-                return False
-        else:
-            if wi % ti != 0:
-                return False
-            q = wi // ti
-            if s is None:
-                s = q
-            elif q != s:
-                return False
-    return True
-
-
-def _congruent(i: int, x, j: int, y, t) -> bool:
-    """(-1)^i x and (-1)^j y agree modulo integer multiples of t."""
-    si, sj = (-1) ** i, (-1) ** j
-    w = tuple(si * a - sj * b for a, b in zip(x, y))
-    return _is_multiple(w, t)
 
 
 def in_compatible_set(cat: RepCategory, m: int, scope: WideSubcat,
@@ -101,7 +77,7 @@ def transport(cat: RepCategory, m: int, t_obj: ShiftedObject, x_obj: ShiftedObje
         cong = x_obj
     else:
         y = mutate_pair(cat, x, t)
-        levels = [jj for jj in (j, j - 1) if 0 <= jj <= m and _congruent(j, x, jj, y, t)]
+        levels = [jj for jj in (j, j - 1) if 0 <= jj <= m and congruent(j, x, jj, y, t)]
         if len(levels) != 1:
             raise InternalConsistencyError(
                 f"congruence placement of {x_obj} over {t_obj} found levels {levels}")
@@ -132,7 +108,7 @@ def transport_inverse(cat: RepCategory, m: int, t_obj: ShiftedObject,
         result = y_obj
     else:
         x = mutate_pair_inverse(cat, y, t)
-        levels = [ii for ii in (j, j + 1) if 0 <= ii <= m and _congruent(ii, x, j, y, t)]
+        levels = [ii for ii in (j, j + 1) if 0 <= ii <= m and congruent(ii, x, j, y, t)]
         if len(levels) != 1:
             raise InternalConsistencyError(
                 f"inverse placement of {y_obj} under {t_obj} found levels {levels}")

@@ -68,7 +68,9 @@ def _resolve_tag_and_word(args, choices, flag_value, what: str):
 
 
 def _check_limits(diagram, m: int, rank_limit: int, m_limit: int, max_rank: int | None) -> None:
-    cap = min(rank_limit, max_rank) if max_rank else rank_limit
+    if max_rank is not None and max_rank < 1:
+        raise InputError(f"--max-rank must be at least 1, got {max_rank}")
+    cap = rank_limit if max_rank is None else min(rank_limit, max_rank)
     if diagram.rank > cap:
         raise InputError(f"rank {diagram.rank} exceeds the limit {cap} for this command")
     if not 0 <= m <= m_limit:

@@ -23,8 +23,8 @@ from .dynkin import Root, root_str
 from .errors import (InputError, InternalConsistencyError, VerificationError)
 from .repengine import RepCategory
 from .shiftcat import ShiftedObject, check_pairwise_compatible, compatible
-from .wide import (WideSubcat, ambient, is_exceptional_sequence, left_perp,
-                   mutate_pair_inverse, perp, relative_projectives)
+from .wide import (WideSubcat, ambient, congruent, is_exceptional_sequence,
+                   is_relatively_projective, left_perp, mutate_pair_inverse, perp)
 
 
 class SlopeVector(NamedTuple):
@@ -110,28 +110,6 @@ def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObj
     return out
 
 
-def _is_multiple(w, t) -> bool:
-    s = None
-    for wi, ti in zip(w, t):
-        if ti == 0:
-            if wi != 0:
-                return False
-        else:
-            if wi % ti != 0:
-                return False
-            q = wi // ti
-            if s is None:
-                s = q
-            elif q != s:
-                return False
-    return True
-
-
-def _congruent(i, x, j, y, t) -> bool:
-    si, sj = (-1) ** i, (-1) ** j
-    return _is_multiple(tuple(si * a - sj * b for a, b in zip(x, y)), t)
-
-
 def garside_configuration(cat: RepCategory, m: int, ordered,
                           scope: WideSubcat | None = None,
                           check: bool = True) -> tuple[ShiftedObject, ...]:
@@ -172,7 +150,7 @@ def _garside_rec(cat, m, ordered, scope):
             continue
         x = mutate_pair_inverse(cat, obj.root, t)
         levels = [ii for ii in (obj.level, obj.level + 1)
-                  if 0 <= ii <= m and _congruent(ii, x, obj.level, obj.root, t)]
+                  if 0 <= ii <= m and congruent(ii, x, obj.level, obj.root, t)]
         if len(levels) != 1:
             raise InternalConsistencyError(f"braid placement of {obj} over {t_obj} ambiguous")
         pulled.append(ShiftedObject(x, levels[0]))
@@ -261,9 +239,6 @@ class HorizontalSubcat:
     objects: tuple[Root, ...]
     rank: int
 
-    def signed_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sign * x for x in root) for root, sign in self.signed_modules)
-
 
 def _selected_at(m: int, comps, s: int) -> tuple[tuple[Root, int], ...]:
     sel = [(c.root, +1) for c in comps if m - c.level == s]
@@ -290,16 +265,14 @@ def horizontal_subcat(cat: RepCategory, m: int, comps, s: int) -> HorizontalSubc
             f"horizontal subcategory at slope {s} has rank {span.rank}, expected {len(sel)}")
     # intersection formula against every other slope window, including the
     # one-sided windows at -1 and m
-    conds_right = []
-    conds_left = []
+    rhs = ambient(cat).mask
     for t in range(s + 2, m + 1):
-        conds_right.extend(root for root, _ in _selected_at(m, comps, t))
+        for root, _ in _selected_at(m, comps, t):
+            rhs &= ~cat.right_nz[cat.root_id[root]]
     for r in range(-1, s - 1):
-        conds_left.extend(root for root, _ in _selected_at(m, comps, r))
-    rhs = tuple(x for x in cat.roots
-                if all(cat.hom(g, x) == 0 and cat.ext(g, x) == 0 for g in conds_right)
-                and all(cat.hom(x, g) == 0 and cat.ext(x, g) == 0 for g in conds_left))
-    if set(rhs) != set(span.objects):
+        for root, _ in _selected_at(m, comps, r):
+            rhs &= ~cat.left_nz[cat.root_id[root]]
+    if rhs != span.mask:
         raise VerificationError(
             f"horizontal subcategory at slope {s} fails the intersection identity")
     return HorizontalSubcat(s, sel, span.objects, span.rank)
@@ -401,7 +374,7 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     if len(choices) != 1:
         raise InternalConsistencyError(f"no slope placement for recovered entry {root}")
     new_obj = ShiftedObject(root, m - choices[0])
-    if new_obj.level == m and root not in relative_projectives(cat, ambient(cat)):
+    if new_obj.level == m and not is_relatively_projective(cat, root, ambient(cat)):
         raise InternalConsistencyError("recovered top-level entry is not projective")
     candidate = ordered[:k] + (new_obj,) + ordered[k + 1:]
     for i, o in enumerate(candidate):

@@ -34,13 +34,6 @@ class IntPoly:
     coeffs: tuple[int, ...]  # ascending powers
     var: str = "x"
 
-    @property
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
     def __call__(self, value) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):

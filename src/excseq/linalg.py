@@ -55,12 +55,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
         for row in a.rows))
 
 
-def apply(a: Mat, v: Sequence) -> Vector:
-    if len(v) != a.ncols:
-        raise ValueError("vector length mismatch")
-    return tuple(sum(x * Fraction(y) for x, y in zip(row, v)) for row in a.rows)
-
-
 def vstack(mats: Sequence[Mat]) -> Mat:
     if not mats:
         raise ValueError("vstack needs at least one matrix")

@@ -1,14 +1,20 @@
-"""Explicit rational representations of simply-laced Dynkin quivers.
+"""Exact Hom/Ext dimensions and explicit representations of Dynkin quivers.
 
-Every exceptional module is identified by its positive root.  The canonical
-indecomposable for a root is built with reflection functors: the root is
-reflected down to a unit vector through an admissible sink sequence, and the
-representation is rebuilt by applying the inverse functors from the simple
-module.  Hom spaces are computed exactly as the nullspace of the intertwining
-equations; Ext follows from the hereditary defect formula
-dim Ext(M, N) = dim Hom(M, N) - <dim M, dim N>.
+Every exceptional module is identified by its positive root, and the roots
+are interned as ids 0..N-1 in `roots` order.  A Dynkin quiver is
+representation-directed, so for indecomposables X and Y at most one of
+Hom(X, Y) and Ext(X, Y) is nonzero and both follow from the Euler form:
+dim Hom = max(<x, y>, 0) and dim Ext = max(-<x, y>, 0) (Happel 1988; Ringel,
+LNM 1099).  One Hom/Ext table over all root pairs is filled from this closed
+form when the category is built, and per-root bitmasks of the nonzero
+entries are derived from it for the wide-subcategory layer.
 
-Hom/Ext results are memoized per root pair; caches are write-once.
+The canonical indecomposable for a root is still built with reflection
+functors: the root is reflected down to a unit vector through an admissible
+sink sequence, and the representation is rebuilt by applying the inverse
+functors from the simple module.  That linear algebra is the oracle for the
+table (Schurian and rigid are checked on every built module) and the source
+of Hom bases and approximation maps.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
@@ -65,13 +72,14 @@ def _admissible_order(n: int, arrows: tuple[tuple[int, int], ...]) -> list[int]:
 
 
 class RepCategory:
-    """The module category of one quiver, with memoized exact invariants."""
+    """The module category of one quiver, with its Hom/Ext table."""
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
         self.n = quiver.diagram.rank
         self.roots = positive_roots(quiver.diagram)
         self.root_set = frozenset(self.roots)
+        self.root_id = {r: i for i, r in enumerate(self.roots)}
         self.E = euler_matrix(quiver)
         einv = linalg.inverse(linalg.mat(self.E))
         proj = []
@@ -83,20 +91,28 @@ class RepCategory:
         self.projective_roots = tuple(proj)
         self._adj = quiver.diagram.adjacency()
         self._reps: dict[Root, Representation] = {}
-        self._hom: dict[tuple[Root, Root], int] = {}
         self._hom_basis: dict[tuple[Root, Root], HomSpace] = {}
         self._approx: dict[tuple[Root, Root], Approximation] = {}
         self._verified: set[Root] = set()
         self._projective_check_done = False
-        # caches used by the layers above (wide subcategories, mutation search)
-        self.perp_cache: dict = {}
-        self.relproj_cache: dict = {}
-        self.pair_cache: dict = {}
-        self.pair_inv_cache: dict = {}
-        self.seq_cache: dict = {}
-        self.ambient_cache = None
-        self.cluster_cache: dict = {}
-        self.transport_cache: dict = {}
+        # the (dim Hom, dim Ext) table, and masks over root ids: right_nz[i]
+        # holds the Y with Hom or Ext(root i, Y) nonzero, left_nz[i] the X
+        # with Hom or Ext(X, root i) nonzero, ext_out[i] the Y with Ext nonzero
+        n, e, roots = self.n, self.E, self.roots
+        table: dict[tuple[Root, Root], tuple[int, int]] = {}
+        right_nz, left_nz, ext_out = [0] * len(roots), [0] * len(roots), [0] * len(roots)
+        for i, x in enumerate(roots):
+            xe = [sum(x[k] * e[k][j] for k in range(n)) for j in range(n)]
+            for j, y in enumerate(roots):
+                pairing = sum(map(mul, xe, y))
+                table[x, y] = (pairing, 0) if pairing >= 0 else (0, -pairing)
+                if pairing:
+                    right_nz[i] |= 1 << j
+                    left_nz[j] |= 1 << i
+                    if pairing < 0:
+                        ext_out[i] |= 1 << j
+        self._table = table
+        self.right_nz, self.left_nz, self.ext_out = right_nz, left_nz, ext_out
 
     # ----- basic data -----
 
@@ -190,28 +206,32 @@ class RepCategory:
         if beta in self._verified:
             return
         self._verified.add(beta)
-        if self.hom(beta, beta) != 1:
+        endo = self.hom_basis(beta, beta).dimension
+        if endo != 1:
             raise InternalConsistencyError(f"module at {beta} is not Schurian")
-        if self.ext(beta, beta) != 0:
+        if endo - self.euler(beta, beta) != 0:
             raise InternalConsistencyError(f"module at {beta} is not rigid")
 
     # ----- hom / ext -----
 
     def hom(self, a, b) -> int:
-        a, b = self.check_root(a), self.check_root(b)
-        key = (a, b)
-        if key not in self._hom:
-            self._hom[key] = self._hom_system(a, b, want_basis=False)
-        return self._hom[key]
+        try:
+            return self._table[a, b][0]
+        except (KeyError, TypeError):
+            return self._table[self.check_root(a), self.check_root(b)][0]
+
+    def ext(self, a, b) -> int:
+        try:
+            return self._table[a, b][1]
+        except (KeyError, TypeError):
+            return self._table[self.check_root(a), self.check_root(b)][1]
 
     def hom_basis(self, a, b) -> HomSpace:
+        """A basis of Hom(a, b), solved from the intertwining equations."""
         a, b = self.check_root(a), self.check_root(b)
         key = (a, b)
-        if key not in self._hom_basis:
-            self._hom_system(a, b, want_basis=True)
-        return self._hom_basis[key]
-
-    def _hom_system(self, a: Root, b: Root, want_basis: bool) -> int:
+        if key in self._hom_basis:
+            return self._hom_basis[key]
         m, nrep = self.rep(a), self.rep(b)
         md, nd = m.dims, nrep.dims
         offsets = []
@@ -230,29 +250,18 @@ class RepCategory:
                     for r in range(nd[s]):
                         row[offsets[s] + r * md[s] + j] -= na.rows[i][r]
                     rows.append(row)
-        system = Mat(len(rows), total, tuple(tuple(r) for r in rows))
-        if want_basis:
-            kernel = linalg.right_kernel(system)
-            basis = []
-            for vec in kernel:
-                mats = []
-                for v in range(self.n):
-                    entries = vec[offsets[v]:offsets[v] + md[v] * nd[v]]
-                    mats.append(Mat(nd[v], md[v], tuple(
-                        tuple(entries[i * md[v]:(i + 1) * md[v]]) for i in range(nd[v]))))
-                basis.append(tuple(mats))
-            space = HomSpace(a, b, len(kernel), tuple(basis))
-            self._hom_basis[(a, b)] = space
-            self._hom[(a, b)] = space.dimension
-            return space.dimension
-        return total - linalg.rank(system)
-
-    def ext(self, a, b) -> int:
-        a, b = self.check_root(a), self.check_root(b)
-        value = self.hom(a, b) - self.euler(a, b)
-        if value < 0:
-            raise InternalConsistencyError(f"negative Ext dimension for {a}, {b}")
-        return value
+        kernel = linalg.right_kernel(Mat(len(rows), total, tuple(tuple(r) for r in rows)))
+        basis = []
+        for vec in kernel:
+            mats = []
+            for v in range(self.n):
+                entries = vec[offsets[v]:offsets[v] + md[v] * nd[v]]
+                mats.append(Mat(nd[v], md[v], tuple(
+                    tuple(entries[i * md[v]:(i + 1) * md[v]]) for i in range(nd[v]))))
+            basis.append(tuple(mats))
+        space = HomSpace(a, b, len(kernel), tuple(basis))
+        self._hom_basis[key] = space
+        return space
 
     # ----- projectivity and approximations -----
 
@@ -260,8 +269,7 @@ class RepCategory:
         beta = self.check_root(beta)
         if not self._projective_check_done:
             by_table = set(self.projective_roots)
-            by_ext = {r for r in self.roots
-                      if all(self.ext(r, x) == 0 for x in self.roots)}
+            by_ext = {r for i, r in enumerate(self.roots) if not self.ext_out[i]}
             if by_table != by_ext:
                 raise InternalConsistencyError(
                     "projectives from the Euler matrix disagree with Ext vanishing")

@@ -28,9 +28,13 @@ def object_to_dict(obj: ShiftedObject) -> dict:
 
 def object_from_dict(data) -> ShiftedObject:
     try:
-        return ShiftedObject(tuple(int(x) for x in data["dim"]), int(data["level"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, level = tuple(data["dim"]), data["level"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed shifted object: {data!r}") from exc
+    # JSON integers only: floats and booleans are refused, not truncated
+    if any(type(v) is not int for v in (*dim, level)):
+        raise InputError(f"shifted object needs integer dim and level: {data!r}")
+    return ShiftedObject(dim, level)
 
 
 def cluster_to_dict(m: int, objects) -> dict:
@@ -40,10 +44,12 @@ def cluster_to_dict(m: int, objects) -> dict:
 def cluster_from_dict(cat: RepCategory, data, expect_m: int | None = None):
     """Parse and validate a cluster payload; returns (m, objects)."""
     try:
-        m = int(data["m"])
+        m = data["m"]
         raw = list(data["objects"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed cluster payload: {data!r}") from exc
+    if type(m) is not int:
+        raise InputError(f"cluster needs an integer m: {data!r}")
     if expect_m is not None and m != expect_m:
         raise InputError(f"cluster declares m={m}, command asked for m={expect_m}")
     objects = tuple(object_from_dict(o) for o in raw)

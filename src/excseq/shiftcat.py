@@ -78,10 +78,6 @@ def enumerate_clusters(cat: RepCategory, m: int,
                        scope: WideSubcat | None = None) -> tuple[tuple[ShiftedObject, ...], ...]:
     """All maximal pairwise compatible sets, each sorted, list sorted."""
     scope = scope if scope is not None else ambient(cat)
-    key = (scope.objects, m)
-    cached = cat.cluster_cache.get(key)
-    if cached is not None:
-        return cached
     objs = shifted_objects(cat, scope, m)
     n = len(objs)
     adj = [[False] * n for _ in range(n)]
@@ -108,9 +104,7 @@ def enumerate_clusters(cat: RepCategory, m: int,
                 found.append(cluster)
 
     extend([], 0)
-    result = tuple(sorted(found))
-    cat.cluster_cache[key] = result
-    return result
+    return tuple(sorted(found))
 
 
 def compatible_subsets(cat: RepCategory, m: int, k: int,

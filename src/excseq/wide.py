@@ -1,19 +1,23 @@
 """Wide subcategories, exceptional sequences, and exceptional-pair mutation.
 
-A wide subcategory is kept as an explicit list of exceptional modules (their
-roots); it is never re-quiverized.  An exceptional sequence "in W" is an
-ambient sequence whose terms all lie in W, and completeness means its length
-equals rank(W).  The mutation of an exceptional pair (X, T) -> (T, Y) is
-found by a filtered search: Y is the unique exceptional module such that
-(T, Y) is exceptional, dim Y = +-dim X + s*dim T for an integer s, and X, T
-and Y, T span the same rank-2 wide subcategory.  Uniqueness is asserted at
-runtime, which doubles as a structural check.
+A wide subcategory is a bitmask over root ids (`objects` lists its roots in
+id order); it is never re-quiverized.  A perpendicular ANDs the scope with
+per-root masks of the Hom/Ext table, once per (side, generators, scope)
+behind a single memo that also checks its span rank.  An exceptional
+sequence "in W" is an ambient sequence whose terms all lie in W, and
+completeness means its length equals rank(W).  The mutation of an
+exceptional pair (X, T) -> (T, Y) is found by a filtered search: Y is the
+unique exceptional module such that (T, Y) is exceptional, dim Y = +-dim X
++ s*dim T for an integer s, and X, T and Y, T span the same rank-2 wide
+subcategory.  Uniqueness is asserted once per distinct pair, which doubles
+as a structural check; the inverse move is the same search mirrored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from . import counting, linalg
 from .dynkin import Root
@@ -26,6 +30,7 @@ class WideSubcat:
     generators: tuple[Root, ...]
     objects: tuple[Root, ...]
     rank: int
+    mask: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -56,53 +61,50 @@ def _span_rank(vectors) -> int:
     return linalg.rank(linalg.mat(vectors))
 
 
+def _mask(cat: RepCategory, w: WideSubcat) -> int:
+    """The id mask of W, worked out from `objects` if W was built without one."""
+    if w.mask is not None:
+        return w.mask
+    return sum(1 << cat.root_id[cat.check_root(x)] for x in set(w.objects))
+
+
 def ambient(cat: RepCategory) -> WideSubcat:
-    if cat.ambient_cache is None:
-        cat.ambient_cache = WideSubcat((), cat.roots, cat.n)
-    return cat.ambient_cache
+    return WideSubcat((), cat.roots, cat.n, (1 << len(cat.roots)) - 1)
 
 
 def perp(cat: RepCategory, generators, within: WideSubcat | None = None) -> WideSubcat:
     """Right perpendicular: objects X in scope with Hom(G, X) = 0 = Ext(G, X)."""
-    scope = within if within is not None else ambient(cat)
-    gens = tuple(sorted({cat.check_root(g) for g in generators}))
-    if not gens:
-        return scope
-    key = ("R", gens, scope.objects)
-    cached = cat.perp_cache.get(key)
-    if cached is not None:
-        return cached
-    objs = tuple(x for x in scope.objects
-                 if all(cat.hom(g, x) == 0 and cat.ext(g, x) == 0 for g in gens))
-    result = WideSubcat(gens, objs, _checked_rank(cat, scope, gens, objs))
-    cat.perp_cache[key] = result
-    return result
+    return _perp_of(cat, generators, within, right=True)
 
 
 def left_perp(cat: RepCategory, generators, within: WideSubcat | None = None) -> WideSubcat:
     """Left perpendicular: objects X in scope with Hom(X, G) = 0 = Ext(X, G)."""
+    return _perp_of(cat, generators, within, right=False)
+
+
+def _perp_of(cat: RepCategory, generators, within: WideSubcat | None,
+             right: bool) -> WideSubcat:
     scope = within if within is not None else ambient(cat)
     gens = tuple(sorted({cat.check_root(g) for g in generators}))
     if not gens:
         return scope
-    key = ("L", gens, scope.objects)
-    cached = cat.perp_cache.get(key)
-    if cached is not None:
-        return cached
-    objs = tuple(x for x in scope.objects
-                 if all(cat.hom(x, g) == 0 and cat.ext(x, g) == 0 for g in gens))
-    result = WideSubcat(gens, objs, _checked_rank(cat, scope, gens, objs))
-    cat.perp_cache[key] = result
-    return result
+    return _perp(cat, right, gens, _mask(cat, scope), scope.rank)
 
 
-def _checked_rank(cat, scope, gens, objs) -> int:
+@lru_cache(maxsize=None)
+def _perp(cat: RepCategory, right: bool, gens: tuple[Root, ...], scope: int,
+          scope_rank: int) -> WideSubcat:
+    nonzero = cat.right_nz if right else cat.left_nz
+    mask = scope
+    for g in gens:
+        mask &= ~nonzero[cat.root_id[g]]
+    objs = tuple(r for i, r in enumerate(cat.roots) if mask >> i & 1)
     by_span = _span_rank(objs)
-    expected = scope.rank - _span_rank(gens)
+    expected = scope_rank - _span_rank(gens)
     if by_span != expected:
         raise InternalConsistencyError(
             f"perpendicular of {gens} has span rank {by_span}, expected {expected}")
-    return by_span
+    return WideSubcat(gens, objs, by_span, mask)
 
 
 def is_exceptional_sequence(cat: RepCategory, terms) -> bool:
@@ -116,17 +118,17 @@ def is_exceptional_sequence(cat: RepCategory, terms) -> bool:
 
 def relative_projectives(cat: RepCategory, w: WideSubcat) -> tuple[Root, ...]:
     """Objects of W with no extensions into anything in W."""
-    key = w.objects
-    cached = cat.relproj_cache.get(key)
-    if cached is None:
-        cached = tuple(x for x in w.objects
-                       if all(cat.ext(x, z) == 0 for z in w.objects))
-        cat.relproj_cache[key] = cached
-    return cached
+    mask = _mask(cat, w)
+    return tuple(x for x in w.objects if not cat.ext_out[cat.root_id[x]] & mask)
 
 
 def is_relatively_projective(cat: RepCategory, x: Root, w: WideSubcat) -> bool:
-    return x in relative_projectives(cat, w)
+    try:
+        i = cat.root_id[x]
+    except (KeyError, TypeError):
+        return False
+    mask = _mask(cat, w)
+    return bool(mask >> i & 1) and not cat.ext_out[i] & mask
 
 
 def mark_relative_projectives(cat: RepCategory, terms,
@@ -150,24 +152,30 @@ def mark_relative_projectives(cat: RepCategory, terms,
 
 
 def _sequences_with_flag_counts(cat: RepCategory, scope: WideSubcat):
-    key = scope.objects
-    cached = cat.seq_cache.get(key)
-    if cached is not None:
-        return cached
-    if scope.rank == 0:
-        if scope.objects:
-            raise InternalConsistencyError("rank-0 subcategory with objects")
-        result = (((), 0),)
-    else:
-        out = []
-        for last in scope.objects:
-            sub = perp(cat, (last,), scope)
-            flag = is_relatively_projective(cat, last, scope)
-            for prefix, k in _sequences_with_flag_counts(cat, sub):
-                out.append((prefix + (last,), k + (1 if flag else 0)))
-        result = tuple(out)
-    cat.seq_cache[key] = result
-    return result
+    """(sequence, number of relatively projective terms) for every complete
+    sequence of the scope, memoised per subcategory mask for this call only."""
+    memo: dict[int, tuple] = {}
+
+    def sequences(w: WideSubcat):
+        mask = _mask(cat, w)
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        if w.rank == 0:
+            if mask:
+                raise InternalConsistencyError("rank-0 subcategory with objects")
+            result = (((), 0),)
+        else:
+            out = []
+            for last in w.objects:
+                flag = 1 if is_relatively_projective(cat, last, w) else 0
+                for prefix, k in sequences(perp(cat, (last,), w)):
+                    out.append((prefix + (last,), k + flag))
+            result = tuple(out)
+        memo[mask] = result
+        return result
+
+    return sequences(scope)
 
 
 def complete_exc_sequences(cat: RepCategory,
@@ -188,14 +196,10 @@ def rel_proj_poly_enumerated(cat: RepCategory) -> counting.IntPoly:
     return counting.IntPoly(tuple(coeffs), "x")
 
 
-def _check_pair(cat: RepCategory, x: Root, t: Root) -> None:
-    if x == t or cat.hom(t, x) != 0 or cat.ext(t, x) != 0:
-        raise InputError(f"({x}, {t}) is not an exceptional pair")
-
-
 def classify_pair(cat: RepCategory, x, t) -> PairCase:
     x, t = cat.check_root(x), cat.check_root(t)
-    _check_pair(cat, x, t)
+    if x == t or cat.hom(t, x) != 0 or cat.ext(t, x) != 0:
+        raise InputError(f"({x}, {t}) is not an exceptional pair")
     if cat.ext(x, t) > 0:
         return PairCase.EXTENSION
     if cat.hom(x, t) > 0:
@@ -203,72 +207,60 @@ def classify_pair(cat: RepCategory, x, t) -> PairCase:
     return PairCase.ORTHOGONAL
 
 
-def _signed_translate(z: Root, x: Root, t: Root):
-    """Return (delta, s) with z = delta*x + s*t for delta = +-1, integer s."""
-    for delta in (1, -1):
-        w = [zi - delta * xi for zi, xi in zip(z, x)]
-        s = None
-        ok = True
-        for wi, ti in zip(w, t):
-            if ti == 0:
-                if wi != 0:
-                    ok = False
-                    break
-            else:
-                if wi % ti != 0:
-                    ok = False
-                    break
-                q = wi // ti
-                if s is None:
-                    s = q
-                elif s != q:
-                    ok = False
-                    break
-        if ok:
-            return delta, (s if s is not None else 0)
-    return None
+def is_multiple(w, t) -> bool:
+    """w is an integer multiple s*t (s = 0 allowed)."""
+    s = None
+    for wi, ti in zip(w, t):
+        if ti == 0:
+            if wi != 0:
+                return False
+        else:
+            if wi % ti != 0:
+                return False
+            q = wi // ti
+            if s is None:
+                s = q
+            elif q != s:
+                return False
+    return True
 
 
-def _pair_span_perp(cat: RepCategory, a: Root, b: Root) -> tuple[Root, ...]:
-    return perp(cat, (a, b)).objects
+def congruent(i: int, x, j: int, y, t) -> bool:
+    """(-1)^i x and (-1)^j y agree modulo integer multiples of t."""
+    si, sj = (-1) ** i, (-1) ** j
+    return is_multiple(tuple(si * a - sj * b for a, b in zip(x, y)), t)
 
 
 def mutate_pair(cat: RepCategory, x, t) -> Root:
     """The braid move (X, T) -> (T, Y) on exceptional pairs; returns Y."""
-    x, t = cat.check_root(x), cat.check_root(t)
-    key = (x, t)
-    cached = cat.pair_cache.get(key)
-    if cached is not None:
-        return cached
-    _check_pair(cat, x, t)
-    target_perp = _pair_span_perp(cat, x, t)
-    found = [z for z in cat.roots
-             if cat.hom(z, t) == 0 and cat.ext(z, t) == 0
-             and _signed_translate(z, x, t) is not None
-             and _pair_span_perp(cat, z, t) == target_perp]
-    if len(found) != 1:
-        raise InternalConsistencyError(
-            f"pair mutation of ({x}, {t}) found {len(found)} candidates")
-    cat.pair_cache[key] = found[0]
-    return found[0]
+    return _mutate_pair(cat, cat.check_root(x), cat.check_root(t), False)
 
 
 def mutate_pair_inverse(cat: RepCategory, y, t) -> Root:
     """The braid move (T, Y) -> (X, T) on exceptional pairs; returns X."""
-    y, t = cat.check_root(y), cat.check_root(t)
-    key = (y, t)
-    cached = cat.pair_inv_cache.get(key)
-    if cached is not None:
-        return cached
-    if y == t or cat.hom(y, t) != 0 or cat.ext(y, t) != 0:
-        raise InputError(f"({t}, {y}) is not an exceptional pair")
-    target_perp = _pair_span_perp(cat, y, t)
-    found = [z for z in cat.roots
-             if cat.hom(t, z) == 0 and cat.ext(t, z) == 0
-             and _signed_translate(z, y, t) is not None
-             and _pair_span_perp(cat, z, t) == target_perp]
+    return _mutate_pair(cat, cat.check_root(y), cat.check_root(t), True)
+
+
+@lru_cache(maxsize=None)
+def _mutate_pair(cat: RepCategory, x: Root, t: Root, inverse: bool) -> Root:
+    """Z with (x, t) -> (t, Z) forward or (t, x) -> (Z, t) inverse."""
+    before, after = (cat.left_nz, cat.right_nz) if inverse else (cat.right_nz, cat.left_nz)
+    xi, ti = cat.root_id[x], cat.root_id[t]
+    if xi == ti or before[ti] >> xi & 1:
+        pair = (t, x) if inverse else (x, t)
+        raise InputError(f"({pair[0]}, {pair[1]}) is not an exceptional pair")
+    scope = ambient(cat)
+
+    def pair_perp(z: Root) -> int:
+        return _perp(cat, True, tuple(sorted((z, t))), scope.mask, scope.rank).mask
+
+    target = pair_perp(x)
+    found = [z for i, z in enumerate(cat.roots)
+             if not after[ti] >> i & 1
+             and (congruent(0, z, 0, x, t) or congruent(0, z, 1, x, t))
+             and pair_perp(z) == target]
     if len(found) != 1:
+        name = "inverse pair mutation" if inverse else "pair mutation"
         raise InternalConsistencyError(
-            f"inverse pair mutation of ({y}, {t}) found {len(found)} candidates")
-    cat.pair_inv_cache[key] = found[0]
+            f"{name} of ({x}, {t}) found {len(found)} candidates")
     return found[0]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from excseq import category
+from excseq import InputError, category
 from excseq.cli import main
 from excseq.serialize import cluster_from_dict, dumps_canonical, object_from_dict
 
@@ -175,3 +175,35 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["count"] == 5
+
+
+def test_mutate_rejects_non_integer_json(capsys):
+    # floats and booleans used to be truncated by int() and accepted
+    payload = ('{"m":1,"objects":[{"dim":[1.9,0],"level":0.7},'
+               '{"dim":[true,1],"level":0}]}')
+    code, out, err = run(capsys, "mutate", "A2", "--m", "1", "--cluster", payload,
+                         "--k", "1", "--dir", "+")
+    assert code == 2 and out == ""
+    assert "integer" in err
+    for bad in ({"m": 1.0, "objects": []}, {"m": True, "objects": []}):
+        with pytest.raises(InputError):
+            cluster_from_dict(category("A2"), bad)
+    for bad in ({"dim": [1, 0], "level": 0.0}, {"dim": [1, False], "level": 0},
+                {"dim": [1, 0], "level": True}):
+        with pytest.raises(InputError):
+            object_from_dict(bad)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_rank_below_one_is_refused(capsys, value):
+    code, out, err = run(capsys, "enumerate", "A3", "--m", "1", "clusters",
+                         "--max-rank", value)
+    assert code == 2 and out == ""
+    assert "--max-rank" in err
+
+
+def test_max_rank_tightens_the_limit(capsys):
+    code, _, err = run(capsys, "enumerate", "A3", "--m", "1", "clusters", "--max-rank", "2")
+    assert code == 2 and "limit 2" in err
+    code, _, _ = run(capsys, "enumerate", "A3", "--m", "1", "clusters", "--max-rank", "3")
+    assert code == 0

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from excseq import InputError, build_diagram, build_quiver, category
@@ -133,3 +135,64 @@ def test_hom_respects_sink_reflection():
             if a == unit or b == unit:
                 continue
             assert cat.hom(a, b) == reflected.hom(reflect(a), reflect(b))
+
+
+COMPONENTS = ["E6", "D6", "D5", "D4"] + [f"A{n}" for n in range(6, 0, -1)]
+
+
+def _tags_up_to_rank(limit: int) -> list[str]:
+    """Every simply-laced tag of rank <= limit, one component order per multiset."""
+    out = []
+
+    def extend(parts, start, rank):
+        if parts:
+            out.append("x".join(parts))
+        for i in range(start, len(COMPONENTS)):
+            r = int(COMPONENTS[i][1:])
+            if rank + r <= limit:
+                extend(parts + [COMPONENTS[i]], i, rank + r)
+
+    extend([], 0, 0)
+    return out
+
+
+def _orientations(tag: str) -> list[tuple[tuple[int, int], ...]]:
+    edges = [(u, v) for u, v, _, _ in build_diagram(tag).edges]
+    return [tuple((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips))
+            for flips in product((False, True), repeat=len(edges))]
+
+
+TAGS_RANK6 = _tags_up_to_rank(6)
+ORACLE_CASES = ([(tag, None) for tag in TAGS_RANK6]
+                + [(tag, arrows) for tag in ("A2", "A3", "A4", "D4")
+                   for arrows in _orientations(tag)])
+
+
+def test_oracle_tag_set():
+    assert len(TAGS_RANK6) == 37 and len(set(TAGS_RANK6)) == 37
+    assert {"A1", "A1xA1xA1xA1xA1xA1", "D4xA2", "E6", "A3xA2xA1"} <= set(TAGS_RANK6)
+
+
+@pytest.mark.parametrize("tag,arrows", ORACLE_CASES,
+                         ids=[f"{t}-{a}" if a else t for t, a in ORACLE_CASES])
+def test_closed_form_table_matches_linear_algebra(tag, arrows):
+    # the table comes from the Euler form; hom_basis solves the intertwining
+    # equations of the explicit representations
+    if arrows is None:
+        cat = category(tag)
+    else:
+        cat = RepCategory(build_quiver(build_diagram(tag), arrows))
+    for a in cat.roots:
+        for b in cat.roots:
+            dim = cat.hom_basis(a, b).dimension
+            assert cat.hom(a, b) == dim, (a, b)
+            assert cat.ext(a, b) == dim - cat.euler(a, b), (a, b)
+    a, b = cat.roots[0], cat.roots[-1]
+    assert cat.hom(list(a), list(b)) == cat.hom(a, b)
+    assert cat.ext(list(b), list(a)) == cat.ext(b, a)
+    a2 = category("A2")
+    with pytest.raises(InputError):
+        a2.hom((2, 1), (1, 0))
+    with pytest.raises(InputError):
+        a2.ext((1, 0), (2, 1))
+    assert a2.hom([0, 1], [1, 1]) == 1 and a2.ext([1, 0], [0, 1]) == 1
