@@ -25,7 +25,7 @@ from .shiftcat import (ShiftedObject, compatible, enumerate_clusters,
 from .wide import (ExcSequence, PairCase, WideSubcat, ambient, classify_pair,
                    complete_exc_sequences, is_exceptional_sequence,
                    is_relatively_projective, left_perp, mark_relative_projectives,
-                   mutate_pair, mutate_pair_inverse, perp,
+                   marked_exc_sequences, mutate_pair, mutate_pair_inverse, perp,
                    rel_proj_poly_enumerated, relative_projectives)
 
 __version__ = "0.1.0"

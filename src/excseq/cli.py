@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import counting
@@ -29,7 +30,7 @@ from .serialize import (cluster_from_dict, cluster_to_dict, configuration_to_dic
                         dumps_canonical, exc_sequence_to_dict, sequence_to_dict)
 from .shiftcat import enumerate_clusters
 from .verify import SUITES
-from .wide import complete_exc_sequences, mark_relative_projectives
+from .wide import marked_exc_sequences
 from .bijection import m_exc_sequences
 
 M_LIMIT = 6
@@ -116,6 +117,10 @@ def cmd_count(args) -> int:
     return 0 if identity else 1
 
 
+def _spaced(objects) -> str:
+    return " ".join(map(str, objects))
+
+
 def cmd_enumerate(args) -> int:
     tag, what = _resolve_tag_and_word(
         args, {"clusters", "exc-seqs", "m-exc-seqs", "configs"}, None,
@@ -127,41 +132,42 @@ def cmd_enumerate(args) -> int:
     cat = category(diagram.type_tag)
     m = args.m
     g = counting.m_sequence_poly(diagram)
+    # each kind gives its items and how to write one as a JSON record or a text line
     if what == "clusters":
-        clusters = enumerate_clusters(cat, m)
-        records = [cluster_to_dict(m, c) for c in clusters]
-        texts = [" ".join(str(o) for o in c) for c in clusters]
+        items = enumerate_clusters(cat, m)
+        record, text = partial(cluster_to_dict, m), _spaced
         expected = int(g(m)) // math.factorial(cat.n)
     elif what == "exc-seqs":
-        seqs = complete_exc_sequences(cat)
-        marked = [mark_relative_projectives(cat, s) for s in seqs]
-        records = [exc_sequence_to_dict(s.terms, s.rel_proj_flags) for s in marked]
-        texts = [" ".join("(" + ",".join(map(str, t)) + ")" for t in s.terms)
-                 + "  rp=" + "".join("T" if b else "F" for b in s.rel_proj_flags)
-                 for s in marked]
+        items = marked_exc_sequences(cat)
+        label = {r: "(" + ",".join(map(str, r)) + ")" for r in cat.roots}
+
+        def record(s):
+            return exc_sequence_to_dict(s.terms, s.rel_proj_flags)
+
+        def text(s):
+            return (" ".join(label[t] for t in s.terms) + "  rp="
+                    + "".join("T" if b else "F" for b in s.rel_proj_flags))
+
         expected = counting.count_complete_exc_sequences(diagram)
     elif what == "m-exc-seqs":
-        seqs = m_exc_sequences(cat, m, cat.n)
-        records = [sequence_to_dict(m, s) for s in seqs]
-        texts = [" ".join(str(o) for o in s) for s in seqs]
+        items = m_exc_sequences(cat, m, cat.n)
+        record, text = partial(sequence_to_dict, m), _spaced
         expected = int(g(m))
     elif what == "configs":
-        clusters = enumerate_clusters(cat, m)
-        comps = [garside_configuration(cat, m, order_cluster(cat, m, c))
-                 for c in clusters]
-        records = [configuration_to_dict(m, c) for c in comps]
-        texts = [" ".join(str(o) for o in c) for c in comps]
+        items = [garside_configuration(cat, m, order_cluster(cat, m, c))
+                 for c in enumerate_clusters(cat, m)]
+        record, text = partial(configuration_to_dict, m), _spaced
         expected = int(g(m)) // math.factorial(cat.n)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown enumeration kind {what!r}")
-    count = len(records)
+    count = len(items)
     if args.format == "json":
         payload = {"type": diagram.type_tag, "m": m, "kind": what,
-                   "count": count, "records": records}
+                   "count": count, "records": [record(x) for x in items]}
         _write(dumps_canonical(payload), args.out)
     else:
         header = f"# {diagram.type_tag} m={m} {what} count={count}"
-        _write("\n".join([header] + texts) + "\n", args.out)
+        _write("\n".join([header] + [text(x) for x in items]) + "\n", args.out)
     if count != expected:
         print(f"count mismatch: enumerated {count}, formula predicts {expected}",
               file=sys.stderr)

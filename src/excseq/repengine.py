@@ -125,10 +125,23 @@ class RepCategory:
         return tuple(1 if j == i else 0 for j in range(self.n))
 
     def check_root(self, beta) -> Root:
-        beta = tuple(int(b) for b in beta)
-        if beta not in self.root_set:
-            raise InputError(f"{beta} is not a positive root of {self.quiver.diagram.type_tag}")
-        return beta
+        """beta as a tuple of ints, if it is a positive root; integral
+        non-int entries such as Fraction(1) are accepted, others refused."""
+        try:
+            # integral entries hash and compare like ints, so they hit here too
+            return self.roots[self.root_id[beta]]
+        except (KeyError, TypeError):
+            pass
+        try:
+            beta = tuple(beta)
+            root = tuple(int(b) for b in beta)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{beta!r} is not an integer vector") from exc
+        if root != beta:
+            raise InputError(f"{beta} has a non-integer entry")
+        if root not in self.root_set:
+            raise InputError(f"{root} is not a positive root of {self.quiver.diagram.type_tag}")
+        return root
 
     # ----- module construction -----
 

@@ -16,7 +16,7 @@ from .dynkin import build_diagram
 from .errors import VerificationError
 from .repengine import category
 from .shiftcat import enumerate_clusters, ordered_tuples, shifted_objects
-from .wide import complete_exc_sequences, rel_proj_poly_enumerated
+from .wide import marked_exc_sequences, rel_proj_poly_enumerated
 
 
 @dataclass
@@ -73,11 +73,11 @@ def verify_counting(tag: str) -> Report:
     report.add("real roots confined to [-1, 0)", counting.real_root_check(g))
     if diagram.is_simply_laced and diagram.rank <= 5:
         cat = category(tag)
-        seqs = complete_exc_sequences(cat)
+        seqs = marked_exc_sequences(cat)
         report.add("enumerated sequence count matches", len(seqs) == e_rec,
                    f"{len(seqs)} vs {e_rec}")
         report.add("enumerated refinement polynomial matches",
-                   rel_proj_poly_enumerated(cat).coeffs == f.coeffs)
+                   rel_proj_poly_enumerated(cat, seqs).coeffs == f.coeffs)
     return report
 
 

@@ -3,9 +3,13 @@
 A wide subcategory is a bitmask over root ids (`objects` lists its roots in
 id order); it is never re-quiverized.  A perpendicular ANDs the scope with
 per-root masks of the Hom/Ext table, once per (side, generators, scope)
-behind a single memo that also checks its span rank.  An exceptional
+behind a single memo that also checks its span rank; span ranks are taken
+on the integer root vectors by fraction-free elimination.  An exceptional
 sequence "in W" is an ambient sequence whose terms all lie in W, and
-completeness means its length equals rank(W).  The mutation of an
+completeness means its length equals rank(W).  The enumeration of complete
+sequences picks each term from the perpendicular of its later terms, so it
+flags the relatively projective terms as it goes; `mark_relative_projectives`
+derives the same flags for one given sequence.  The mutation of an
 exceptional pair (X, T) -> (T, Y) is found by a filtered search: Y is the
 unique exceptional module such that (T, Y) is exceptional, dim Y = +-dim X
 + s*dim T for an integer s, and X, T and Y, T span the same rank-2 wide
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from . import counting, linalg
+from . import counting
 from .dynkin import Root
 from .errors import InputError, InternalConsistencyError
 from .repengine import RepCategory
@@ -55,10 +59,28 @@ class PairCase(Enum):
 
 
 def _span_rank(vectors) -> int:
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    return linalg.rank(linalg.mat(vectors))
+    """Rank of integer vectors by fraction-free (Bareiss) elimination.
+
+    After each pivot step every remaining entry is a minor of the input, so
+    the division by the previous pivot is exact and nothing leaves Z.
+    """
+    rows = [list(v) for v in vectors if any(v)]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][c]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def _mask(cat: RepCategory, w: WideSubcat) -> int:
@@ -103,7 +125,8 @@ def _perp(cat: RepCategory, right: bool, gens: tuple[Root, ...], scope: int,
     expected = scope_rank - _span_rank(gens)
     if by_span != expected:
         raise InternalConsistencyError(
-            f"perpendicular of {gens} has span rank {by_span}, expected {expected}")
+            f"{cat.quiver.diagram.type_tag}: perpendicular of {gens} has span rank "
+            f"{by_span}, expected {expected}")
     return WideSubcat(gens, objs, by_span, mask)
 
 
@@ -147,13 +170,22 @@ def mark_relative_projectives(cat: RepCategory, terms,
         cur = perp(cat, (terms[j],), cur)
     if len(terms) == scope.rank and terms and not flags[0]:
         raise InternalConsistencyError(
-            "first term of a complete sequence must be relatively projective")
+            f"{cat.quiver.diagram.type_tag}: first term of a complete sequence "
+            "must be relatively projective")
     return ExcSequence(terms, tuple(flags))
 
 
-def _sequences_with_flag_counts(cat: RepCategory, scope: WideSubcat):
-    """(sequence, number of relatively projective terms) for every complete
-    sequence of the scope, memoised per subcategory mask for this call only."""
+def marked_exc_sequences(cat: RepCategory,
+                         within: WideSubcat | None = None) -> tuple[ExcSequence, ...]:
+    """All complete exceptional sequences of the scope, deterministically
+    ordered, each flagged as `mark_relative_projectives` would flag it.
+
+    A term is picked from the perpendicular of its later terms, which is the
+    subcategory its flag is decided in.  The (terms, flags) of each visited
+    subcategory are memoised by mask for this call only.
+    """
+    scope = within if within is not None else ambient(cat)
+    tag = cat.quiver.diagram.type_tag
     memo: dict[int, tuple] = {}
 
     def sequences(w: WideSubcat):
@@ -163,36 +195,40 @@ def _sequences_with_flag_counts(cat: RepCategory, scope: WideSubcat):
             return cached
         if w.rank == 0:
             if mask:
-                raise InternalConsistencyError("rank-0 subcategory with objects")
-            result = (((), 0),)
+                raise InternalConsistencyError(f"{tag}: rank-0 subcategory with objects")
+            result = (((), ()),)
         else:
             out = []
             for last in w.objects:
-                flag = 1 if is_relatively_projective(cat, last, w) else 0
-                for prefix, k in sequences(perp(cat, (last,), w)):
-                    out.append((prefix + (last,), k + flag))
+                flag = is_relatively_projective(cat, last, w)
+                if w.rank == 1 and not flag:
+                    # `last` is then the first term of a complete sequence
+                    raise InternalConsistencyError(
+                        f"{tag}: first term of a complete sequence must be "
+                        "relatively projective")
+                for terms, flags in sequences(perp(cat, (last,), w)):
+                    out.append((terms + (last,), flags + (flag,)))
             result = tuple(out)
         memo[mask] = result
         return result
 
-    return sequences(scope)
+    return tuple(ExcSequence(terms, flags) for terms, flags in sequences(scope))
 
 
 def complete_exc_sequences(cat: RepCategory,
                            within: WideSubcat | None = None) -> tuple[tuple[Root, ...], ...]:
     """All complete exceptional sequences of the scope, deterministically ordered."""
-    scope = within if within is not None else ambient(cat)
-    return tuple(seq for seq, _ in _sequences_with_flag_counts(cat, scope))
+    return tuple(s.terms for s in marked_exc_sequences(cat, within))
 
 
-def rel_proj_poly_enumerated(cat: RepCategory) -> counting.IntPoly:
-    """Generating polynomial of complete sequences by relatively projective terms."""
-    n = cat.n
-    coeffs = [0] * (n + 1)
-    for _, k in _sequences_with_flag_counts(cat, ambient(cat)):
-        coeffs[k] += 1
-    if coeffs[0] != 0:
-        raise InternalConsistencyError("a complete sequence had no relatively projective term")
+def rel_proj_poly_enumerated(cat: RepCategory, marked=None) -> counting.IntPoly:
+    """Generating polynomial of complete sequences by relatively projective terms.
+
+    `marked` is `marked_exc_sequences(cat)`, for a caller that already has it.
+    """
+    coeffs = [0] * (cat.n + 1)
+    for s in marked if marked is not None else marked_exc_sequences(cat):
+        coeffs[sum(s.rel_proj_flags)] += 1
     return counting.IntPoly(tuple(coeffs), "x")
 
 
@@ -262,5 +298,6 @@ def _mutate_pair(cat: RepCategory, x: Root, t: Root, inverse: bool) -> Root:
     if len(found) != 1:
         name = "inverse pair mutation" if inverse else "pair mutation"
         raise InternalConsistencyError(
-            f"{name} of ({x}, {t}) found {len(found)} candidates")
+            f"{cat.quiver.diagram.type_tag}: {name} of ({x}, {t}) found "
+            f"{len(found)} candidates")
     return found[0]

@@ -22,3 +22,22 @@ def d4():
 S1 = (1, 0)
 S2 = (0, 1)
 P1 = (1, 1)
+
+
+COMPONENTS = ["E6", "D6", "D5", "D4"] + [f"A{n}" for n in range(6, 0, -1)]
+
+
+def tags_up_to_rank(limit: int) -> list[str]:
+    """Every simply-laced tag of rank <= limit, one component order per multiset."""
+    out = []
+
+    def extend(parts, start, rank):
+        if parts:
+            out.append("x".join(parts))
+        for i in range(start, len(COMPONENTS)):
+            r = int(COMPONENTS[i][1:])
+            if rank + r <= limit:
+                extend(parts + [COMPONENTS[i]], i, rank + r)
+
+    extend([], 0, 0)
+    return out

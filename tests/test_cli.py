@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from excseq import InputError, category
+from excseq import InputError, category, mark_relative_projectives
 from excseq.cli import main
 from excseq.serialize import cluster_from_dict, dumps_canonical, object_from_dict
 
@@ -48,6 +48,25 @@ def test_count_rejects_bad_type(capsys):
 def test_count_rank_limit(capsys):
     code, _, err = run(capsys, "count", "A9")
     assert code == 2
+
+
+def test_enumerate_exc_seqs_json_and_text(capsys):
+    code, out, _ = run(capsys, "enumerate", "A3", "exc-seqs", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 16 and len(data["records"]) == 16
+    code, out, _ = run(capsys, "enumerate", "A3", "exc-seqs", "--format", "text")
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "# A3 m=1 exc-seqs count=16" and len(lines) == 16
+    cat = category("A3")
+    for record, line in zip(data["records"], lines):
+        text_flags = [c == "T" for c in line.split("  rp=")[1]]
+        assert text_flags == record["rel_proj"]
+        expected = mark_relative_projectives(cat, [tuple(t) for t in record["terms"]])
+        assert tuple(record["rel_proj"]) == expected.rel_proj_flags
+        assert line.split("  rp=")[0] == " ".join(
+            "(" + ",".join(map(str, t)) + ")" for t in expected.terms)
 
 
 def test_enumerate_clusters_json(capsys):

@@ -1,11 +1,12 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from excseq import InputError, build_diagram, build_quiver, category
+from excseq import InputError, build_diagram, build_quiver, category, perp
 from excseq.repengine import RepCategory
 
-from conftest import P1, S1, S2
+from conftest import P1, S1, S2, tags_up_to_rank
 
 
 def test_simple_module(a2):
@@ -30,6 +31,18 @@ def test_sincere_a3_module(a3):
 def test_rep_rejects_non_roots(a2):
     with pytest.raises(InputError):
         a2.rep((2, 1))
+
+
+def test_check_root_refuses_non_integral_entries(a2):
+    # int() would truncate these to (1, 0); integral Fraction entries stay accepted
+    with pytest.raises(InputError):
+        a2.check_root((1.9, 0))
+    with pytest.raises(InputError):
+        a2.hom((1.9, 0), (1, 1))
+    with pytest.raises(InputError):
+        perp(a2, [(1.5, 0)])
+    assert a2.check_root((Fraction(1), 0)) == (1, 0)
+    assert type(a2.check_root((Fraction(1), 0.0))[1]) is int
 
 
 def test_hom_values(a2):
@@ -137,32 +150,13 @@ def test_hom_respects_sink_reflection():
             assert cat.hom(a, b) == reflected.hom(reflect(a), reflect(b))
 
 
-COMPONENTS = ["E6", "D6", "D5", "D4"] + [f"A{n}" for n in range(6, 0, -1)]
-
-
-def _tags_up_to_rank(limit: int) -> list[str]:
-    """Every simply-laced tag of rank <= limit, one component order per multiset."""
-    out = []
-
-    def extend(parts, start, rank):
-        if parts:
-            out.append("x".join(parts))
-        for i in range(start, len(COMPONENTS)):
-            r = int(COMPONENTS[i][1:])
-            if rank + r <= limit:
-                extend(parts + [COMPONENTS[i]], i, rank + r)
-
-    extend([], 0, 0)
-    return out
-
-
 def _orientations(tag: str) -> list[tuple[tuple[int, int], ...]]:
     edges = [(u, v) for u, v, _, _ in build_diagram(tag).edges]
     return [tuple((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips))
             for flips in product((False, True), repeat=len(edges))]
 
 
-TAGS_RANK6 = _tags_up_to_rank(6)
+TAGS_RANK6 = tags_up_to_rank(6)
 ORACLE_CASES = ([(tag, None) for tag in TAGS_RANK6]
                 + [(tag, arrows) for tag in ("A2", "A3", "A4", "D4")
                    for arrows in _orientations(tag)])

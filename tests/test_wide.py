@@ -5,11 +5,13 @@ import pytest
 from excseq import (InputError, PairCase, ambient, category, classify_pair,
                     complete_exc_sequences, is_exceptional_sequence,
                     is_relatively_projective, left_perp,
-                    mark_relative_projectives, mutate_pair, mutate_pair_inverse,
-                    perp, rel_proj_poly_enumerated, relative_projectives)
+                    mark_relative_projectives, marked_exc_sequences, mutate_pair,
+                    mutate_pair_inverse, perp, rel_proj_poly_enumerated,
+                    relative_projectives)
 from excseq import linalg
+from excseq.wide import _span_rank
 
-from conftest import P1, S1, S2
+from conftest import P1, S1, S2, tags_up_to_rank
 
 
 def test_perp_examples(a2):
@@ -53,6 +55,36 @@ def test_first_flag_always_true(a3):
 def test_flags_need_exceptional_sequence(a2):
     with pytest.raises(InputError):
         mark_relative_projectives(a2, (P1, S2))
+
+
+TAGS_RANK5 = tags_up_to_rank(5)
+
+
+@pytest.mark.parametrize("tag", TAGS_RANK5)
+def test_enumerated_flags_match_mark_relative_projectives(tag):
+    # the enumeration decides each flag in the subcategory it picked the term
+    # from; mark_relative_projectives works it out again for the one sequence
+    cat = category(tag)
+    marked = marked_exc_sequences(cat)
+    for s in marked:
+        assert s.rel_proj_flags == mark_relative_projectives(cat, s.terms).rel_proj_flags
+    assert complete_exc_sequences(cat) == tuple(s.terms for s in marked)
+
+
+@pytest.mark.parametrize("tag", TAGS_RANK5)
+def test_span_rank_matches_rational_rank(tag):
+    # every perpendicular the enumeration meets: those of one object inside
+    # a subcategory met before, starting from the whole category
+    cat = category(tag)
+    seen, todo = set(), [ambient(cat)]
+    while todo:
+        w = todo.pop()
+        if w.objects in seen:
+            continue
+        seen.add(w.objects)
+        assert _span_rank(w.objects) == linalg.rank(linalg.mat(w.objects, cat.n))
+        todo.extend(perp(cat, (x,), w) for x in w.objects)
+    assert _span_rank([]) == 0
 
 
 def test_f_poly_enumerated(a2):
