@@ -1,9 +1,10 @@
 """The transport bijection and the tuple <-> shifted-sequence correspondence.
 
-For a fixed shifted object T[k], `transport` is a bijection from the shifted
-exceptional objects of T's perpendicular category onto the objects compatible
-with T[k].  It is evaluated along two independent routes and the answers are
-asserted equal:
+For a fixed shifted object T[k] of a scope, `transport` is a bijection from
+the shifted exceptional objects of T's perpendicular category onto the
+objects of the scope compatible with T[k].  It is built once per (m, T[k],
+scope mask) as a table whose every entry is computed along two independent
+routes that must agree:
 
   chart route      - below level k nothing moves; at level k an object moves
                      (by pair mutation) exactly when it has extensions into T;
@@ -14,22 +15,28 @@ asserted equal:
                      level j in {i, i-1} with (-1)^i dim X = (-1)^j dim Y
                      modulo dim T.
 
-Composing transports along the last tuple entry gives `tuple_to_sequence`,
-the bijection between ordered pairwise compatible tuples and shifted
-exceptional sequences, compatible with deletion of the first entry.
+Each image must be compatible with T[k], its inverse placement (the braid
+move back over T) must return the entry, and the table must be a bijection
+onto the compatible set.  Composing transports along the last tuple entry
+gives `tuple_to_sequence`, the bijection between ordered pairwise compatible
+tuples and shifted exceptional sequences, compatible with deletion of the
+first entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import InputError, InternalConsistencyError
+from .dynkin import Root
+from .errors import InputError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, check_object, check_pairwise_compatible,
-                       compatible, is_valid_object, shifted_objects)
-from .wide import (PairCase, WideSubcat, ambient, classify_pair, congruent,
-                   is_relatively_projective, mutate_pair, mutate_pair_inverse,
-                   perp)
+from .shiftcat import (ShiftedObject, _inconsistent, check_object,
+                       check_pairwise_compatible, compatible, is_valid_object,
+                       shifted_objects)
+from .wide import (PairCase, WideSubcat, _mask, ambient, classify_pair, congruent,
+                   is_relatively_projective, mutate_pair, mutate_pair_inverse, perp)
 
 
 def in_compatible_set(cat: RepCategory, m: int, scope: WideSubcat,
@@ -44,81 +51,108 @@ def compatible_set(cat: RepCategory, m: int, scope: WideSubcat,
                  if compatible(cat, o, t_obj))
 
 
+class _TransportTable(NamedTuple):
+    perp: WideSubcat  # T's perpendicular in the scope
+    forward: dict[ShiftedObject, ShiftedObject]  # in the order of its domain
+    inverse: dict[ShiftedObject, ShiftedObject]
+
+
+def _place(cat: RepCategory, m: int, t_obj: ShiftedObject, obj: ShiftedObject,
+           moved: Root, step: int) -> ShiftedObject:
+    """`moved`, the pair mutation of obj over T, at the unique level l in
+    {j, j + step} within 0..m with (-1)^j dim obj = (-1)^l dim moved mod dim T."""
+    j = obj.level
+    levels = [lv for lv in (j, j + step)
+              if 0 <= lv <= m and congruent(j, obj.root, lv, moved, t_obj.root)]
+    if len(levels) != 1:
+        raise _inconsistent(cat, m, f"placement of {obj} over {t_obj} found levels {levels}")
+    return ShiftedObject(moved, levels[0])
+
+
+def _chart(cat: RepCategory, m: int, t_obj: ShiftedObject,
+           x_obj: ShiftedObject) -> ShiftedObject:
+    (t, k), (x, j) = t_obj, x_obj
+    if j < k:
+        return x_obj
+    if j == k:
+        if cat.ext(x, t) > 0:
+            return ShiftedObject(mutate_pair(cat, x, t), k)
+        if k == m and classify_pair(cat, x, t) is PairCase.EPI:
+            raise _inconsistent(cat, m, "epi onto a relative projective at top level: "
+                                f"{x_obj} over {t_obj}")
+        return x_obj
+    case = classify_pair(cat, x, t)
+    return ShiftedObject(mutate_pair(cat, x, t), j - 1 if case is PairCase.MONO else j)
+
+
+def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
+                     scope: WideSubcat | None) -> tuple[ShiftedObject, _TransportTable]:
+    """t_obj checked against the scope, and its transport table."""
+    scope = scope if scope is not None else ambient(cat)
+    t_obj = check_object(cat, scope, m, t_obj)
+    return t_obj, _build_table(cat, m, t_obj, _mask(cat, scope), scope.rank)
+
+
+@lru_cache(maxsize=None)
+def _build_table(cat: RepCategory, m: int, t_obj: ShiftedObject, scope_mask: int,
+                 scope_rank: int) -> _TransportTable:
+    objs = tuple(r for i, r in enumerate(cat.roots) if scope_mask >> i & 1)
+    scope = WideSubcat((), objs, scope_rank, scope_mask)
+    t = t_obj.root
+    t_perp = perp(cat, (t,), scope)
+    forward, inverse = {}, {}
+    for x_obj in shifted_objects(cat, t_perp, m):
+        chart = _chart(cat, m, t_obj, x_obj)
+        cong = (x_obj if in_compatible_set(cat, m, scope, t_obj, x_obj)
+                else _place(cat, m, t_obj, x_obj, mutate_pair(cat, x_obj.root, t), -1))
+        if chart != cong:
+            raise _inconsistent(cat, m, f"chart answer {chart} disagrees with congruence "
+                                f"answer {cong} for {x_obj} over {t_obj}")
+        if not in_compatible_set(cat, m, scope, t_obj, chart):
+            raise _inconsistent(cat, m, f"transport output {chart} not compatible "
+                                f"with {t_obj}")
+        back = (chart if chart.root in t_perp.objects
+                else _place(cat, m, t_obj, chart, mutate_pair_inverse(cat, chart.root, t), 1))
+        if back != x_obj:
+            raise _inconsistent(cat, m, f"inverse placement of {chart} over {t_obj} "
+                                f"gives {back}, not {x_obj}")
+        forward[x_obj] = chart
+        inverse[chart] = x_obj
+    codomain = set(compatible_set(cat, m, scope, t_obj))
+    if len(inverse) != len(forward) or inverse.keys() != codomain:
+        raise _inconsistent(cat, m, f"transport over {t_obj} is not a bijection onto "
+                            "its compatible set")
+    return _TransportTable(t_perp, forward, inverse)
+
+
+def _images(cat: RepCategory, table: _TransportTable, t_obj: ShiftedObject, objs,
+            inverse: bool) -> tuple[ShiftedObject, ...]:
+    """Images of objs under one direction of the table; InputError names the
+    first object outside its domain."""
+    images = table.inverse if inverse else table.forward
+    objs = [ShiftedObject(cat.check_root(o.root), int(o.level)) for o in objs]
+    try:
+        return tuple([images[o] for o in objs])
+    except KeyError:
+        bad = next(o for o in objs if o not in images)
+        what = (f"compatible with {t_obj}" if inverse
+                else f"a shifted object of the perpendicular of {t_obj}")
+        raise InputError(f"{bad} is not {what}") from None
+
+
 def transport(cat: RepCategory, m: int, t_obj: ShiftedObject, x_obj: ShiftedObject,
               scope: WideSubcat | None = None) -> ShiftedObject:
     """Carry an object of T's perpendicular category to one compatible with T[k]."""
-    scope = scope if scope is not None else ambient(cat)
-    t_obj = check_object(cat, scope, m, t_obj)
-    t, k = t_obj
-    t_perp = perp(cat, (t,), scope)
-    x_obj = ShiftedObject(cat.check_root(x_obj.root), int(x_obj.level))
-    if not is_valid_object(cat, t_perp, m, x_obj):
-        raise InputError(f"{x_obj} is not a shifted object of the perpendicular of {t_obj}")
-    x, j = x_obj
-
-    # chart route
-    if j < k:
-        chart = x_obj
-    elif j == k:
-        if cat.ext(x, t) > 0:
-            chart = ShiftedObject(mutate_pair(cat, x, t), k)
-        else:
-            if k == m and classify_pair(cat, x, t) is PairCase.EPI:
-                raise InternalConsistencyError(
-                    f"epi onto a relative projective at top level: {x_obj} over {t_obj}")
-            chart = x_obj
-    else:
-        case = classify_pair(cat, x, t)
-        y = mutate_pair(cat, x, t)
-        chart = ShiftedObject(y, j - 1 if case is PairCase.MONO else j)
-
-    # congruence route
-    if in_compatible_set(cat, m, scope, t_obj, x_obj):
-        cong = x_obj
-    else:
-        y = mutate_pair(cat, x, t)
-        levels = [jj for jj in (j, j - 1) if 0 <= jj <= m and congruent(j, x, jj, y, t)]
-        if len(levels) != 1:
-            raise InternalConsistencyError(
-                f"congruence placement of {x_obj} over {t_obj} found levels {levels}")
-        cong = ShiftedObject(y, levels[0])
-
-    if chart != cong:
-        raise InternalConsistencyError(
-            f"chart answer {chart} disagrees with congruence answer {cong} "
-            f"for {x_obj} over {t_obj}")
-    if not in_compatible_set(cat, m, scope, t_obj, chart):
-        raise InternalConsistencyError(f"transport output {chart} not compatible with {t_obj}")
-    return chart
+    t_obj, table = _transport_table(cat, m, t_obj, scope)
+    return _images(cat, table, t_obj, (x_obj,), inverse=False)[0]
 
 
 def transport_inverse(cat: RepCategory, m: int, t_obj: ShiftedObject,
                       y_obj: ShiftedObject,
                       scope: WideSubcat | None = None) -> ShiftedObject:
-    """Inverse of `transport`, via the congruence placement plus a forward check."""
-    scope = scope if scope is not None else ambient(cat)
-    t_obj = check_object(cat, scope, m, t_obj)
-    t, k = t_obj
-    y_obj = ShiftedObject(cat.check_root(y_obj.root), int(y_obj.level))
-    if not in_compatible_set(cat, m, scope, t_obj, y_obj):
-        raise InputError(f"{y_obj} is not compatible with {t_obj}")
-    y, j = y_obj
-    t_perp = perp(cat, (t,), scope)
-    if y in t_perp.objects:
-        result = y_obj
-    else:
-        x = mutate_pair_inverse(cat, y, t)
-        levels = [ii for ii in (j, j + 1) if 0 <= ii <= m and congruent(ii, x, j, y, t)]
-        if len(levels) != 1:
-            raise InternalConsistencyError(
-                f"inverse placement of {y_obj} under {t_obj} found levels {levels}")
-        result = ShiftedObject(x, levels[0])
-    if not is_valid_object(cat, t_perp, m, result):
-        raise InternalConsistencyError(
-            f"inverse transport output {result} is not an object of the perpendicular")
-    if transport(cat, m, t_obj, result, scope) != y_obj:
-        raise InternalConsistencyError(f"transport round trip failed at {y_obj}")
-    return result
+    """Inverse of `transport`: the object of T's perpendicular it carries to y_obj."""
+    t_obj, table = _transport_table(cat, m, t_obj, scope)
+    return _images(cat, table, t_obj, (y_obj,), inverse=True)[0]
 
 
 def tuple_to_sequence(cat: RepCategory, m: int, tup,
@@ -133,11 +167,9 @@ def tuple_to_sequence(cat: RepCategory, m: int, tup,
         check_pairwise_compatible(cat, tup)
     if len(tup) <= 1:
         return tup
-    t_obj = tup[-1]
-    t_perp = perp(cat, (t_obj.root,), scope)
-    pulled = tuple(transport_inverse(cat, m, t_obj, o, scope) for o in tup[:-1])
-    prefix = tuple_to_sequence(cat, m, pulled, t_perp, validate=False)
-    return prefix + (t_obj,)
+    t_obj, table = _transport_table(cat, m, tup[-1], scope)
+    pulled = _images(cat, table, t_obj, tup[:-1], inverse=True)
+    return tuple_to_sequence(cat, m, pulled, table.perp, validate=False) + (t_obj,)
 
 
 def sequence_to_tuple(cat: RepCategory, m: int, terms,
@@ -150,25 +182,18 @@ def sequence_to_tuple(cat: RepCategory, m: int, terms,
         raise InputError("terms do not form a shifted exceptional sequence")
     if len(terms) <= 1:
         return terms
-    t_obj = terms[-1]
-    t_perp = perp(cat, (t_obj.root,), scope)
-    prefix_tuple = sequence_to_tuple(cat, m, terms[:-1], t_perp, validate=False)
-    pushed = tuple(transport(cat, m, t_obj, o, scope) for o in prefix_tuple)
-    return pushed + (t_obj,)
+    t_obj, table = _transport_table(cat, m, terms[-1], scope)
+    prefix = sequence_to_tuple(cat, m, terms[:-1], table.perp, validate=False)
+    return _images(cat, table, t_obj, prefix, inverse=False) + (t_obj,)
 
 
 def is_m_exc_sequence(cat: RepCategory, m: int, terms,
                       scope: WideSubcat | None = None) -> bool:
     """Levels within 0..m, underlying modules an exceptional sequence, and
     level-m terms relatively projective in the perpendicular of later terms."""
-    scope = scope if scope is not None else ambient(cat)
-    terms = tuple(terms)
-    cur = scope
-    for idx in reversed(range(len(terms))):
-        root, level = terms[idx]
-        if not 0 <= level <= m or root not in cur.objects:
-            return False
-        if level == m and not is_relatively_projective(cat, root, cur):
+    cur = scope if scope is not None else ambient(cat)
+    for root, level in reversed(tuple(terms)):
+        if not is_valid_object(cat, cur, m, ShiftedObject(root, level)):
             return False
         cur = perp(cat, (root,), cur)
     return True
@@ -208,24 +233,11 @@ class TransportReport:
 
 def check_transport(cat: RepCategory, m: int, t_obj: ShiftedObject,
                     scope: WideSubcat | None = None) -> TransportReport:
-    """Bijectivity plus compatibility preservation for one transport map."""
-    scope = scope if scope is not None else ambient(cat)
-    t_obj = check_object(cat, scope, m, t_obj)
-    t_perp = perp(cat, (t_obj.root,), scope)
-    domain = shifted_objects(cat, t_perp, m)
-    codomain = compatible_set(cat, m, scope, t_obj)
-    report = TransportReport(t_obj, m, len(domain), len(codomain))
-    images = {}
-    for x_obj in domain:
-        images[x_obj] = transport(cat, m, t_obj, x_obj, scope)
-    if len(set(images.values())) != len(domain):
-        report.violations.append("transport is not injective")
-    if set(images.values()) != set(codomain):
-        report.violations.append("transport image differs from the compatible set")
-    for x_obj, y_obj in images.items():
-        back = transport_inverse(cat, m, t_obj, y_obj, scope)
-        if back != x_obj:
-            report.violations.append(f"round trip failed at {x_obj}")
+    """Compatibility preservation for one transport map; its bijectivity and
+    round trip are asserted when its table is built."""
+    t_obj, table = _transport_table(cat, m, t_obj, scope)
+    images, domain = table.forward, tuple(table.forward)
+    report = TransportReport(t_obj, m, len(domain), len(table.inverse))
     for i, a in enumerate(domain):
         for b in domain[i + 1:]:
             before = compatible(cat, a, b)

@@ -20,11 +20,12 @@ from typing import NamedTuple
 from . import linalg
 from .bijection import tuple_to_sequence
 from .dynkin import Root, root_str
-from .errors import (InputError, InternalConsistencyError, VerificationError)
+from .errors import InputError, VerificationError
 from .repengine import RepCategory
-from .shiftcat import ShiftedObject, check_pairwise_compatible, compatible
-from .wide import (WideSubcat, ambient, congruent, is_exceptional_sequence,
-                   is_relatively_projective, left_perp, mutate_pair_inverse, perp)
+from .shiftcat import (ShiftedObject, _inconsistent, check_pairwise_compatible,
+                       compatible)
+from .wide import (WideSubcat, ambient, is_exceptional_sequence,
+                   is_relatively_projective, left_perp, perp)
 
 
 class SlopeVector(NamedTuple):
@@ -78,13 +79,13 @@ def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...
         avail = [i for i in range(len(objects))
                  if i not in placed_set and must_follow[i] <= placed_set]
         if not avail:
-            raise InternalConsistencyError("no exceptional ordering of the cluster exists")
+            raise _inconsistent(cat, m, "no exceptional ordering of the cluster exists")
         pick = min(avail, key=lambda i: (-objects[i].level, objects[i].root))
         placed.append(pick)
         placed_set.add(pick)
     ordered = tuple(objects[i] for i in placed)
     if not is_exceptional_sequence(cat, [o.root for o in reversed(ordered)]):
-        raise InternalConsistencyError("ordering failed to produce an exceptional sequence")
+        raise _inconsistent(cat, m, "ordering failed to produce an exceptional sequence")
     return ordered
 
 
@@ -111,50 +112,25 @@ def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObj
 
 
 def garside_configuration(cat: RepCategory, m: int, ordered,
-                          scope: WideSubcat | None = None,
-                          check: bool = True) -> tuple[ShiftedObject, ...]:
+                          scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
     """Dual configuration of an ordered cluster via iterated braid moves.
 
-    Computed with pair mutations and the congruence placement only, then
-    asserted equal to the transport-chart composition `tuple_to_sequence`.
+    The braid move over the last entry is the inverse transport over it, so
+    this is `tuple_to_sequence`, whose tables check every move both ways.  A
+    complete cluster whose reversal is exceptional is validated as a configuration.
     """
     scope = scope if scope is not None else ambient(cat)
     ordered = tuple(ordered)
-    comps = _garside_rec(cat, m, ordered, scope)
-    if check:
-        via_transport = tuple_to_sequence(cat, m, ordered, scope)
-        if comps != via_transport:
-            raise InternalConsistencyError(
-                "braid-move configuration disagrees with the transport composition")
-        brt_ordered = is_exceptional_sequence(cat, [o.root for o in reversed(ordered)])
-        if brt_ordered and len(ordered) == scope.rank:
-            # the configuration reading only applies to properly ordered clusters
-            validate_configuration(cat, m, comps, rank=scope.rank)
-            for t_entry, comp in zip(ordered, comps):
-                if comp.level not in (t_entry.level, t_entry.level + 1):
-                    raise InternalConsistencyError(
-                        f"component slope of {comp} strays from its cluster entry {t_entry}")
+    comps = tuple_to_sequence(cat, m, ordered, scope)
+    brt_ordered = is_exceptional_sequence(cat, [o.root for o in reversed(ordered)])
+    if brt_ordered and len(ordered) == scope.rank:
+        # the configuration reading only applies to properly ordered clusters
+        validate_configuration(cat, m, comps, rank=scope.rank)
+        for t_entry, comp in zip(ordered, comps):
+            if comp.level not in (t_entry.level, t_entry.level + 1):
+                raise _inconsistent(cat, m, f"component slope of {comp} strays from its "
+                                    f"cluster entry {t_entry}")
     return comps
-
-
-def _garside_rec(cat, m, ordered, scope):
-    if len(ordered) <= 1:
-        return tuple(ordered)
-    t_obj = ordered[-1]
-    t = t_obj.root
-    t_perp = perp(cat, (t,), scope)
-    pulled = []
-    for obj in ordered[:-1]:
-        if obj.root in t_perp.objects:
-            pulled.append(obj)
-            continue
-        x = mutate_pair_inverse(cat, obj.root, t)
-        levels = [ii for ii in (obj.level, obj.level + 1)
-                  if 0 <= ii <= m and congruent(ii, x, obj.level, obj.root, t)]
-        if len(levels) != 1:
-            raise InternalConsistencyError(f"braid placement of {obj} over {t_obj} ambiguous")
-        pulled.append(ShiftedObject(x, levels[0]))
-    return _garside_rec(cat, m, tuple(pulled), t_perp) + (t_obj,)
 
 
 def validate_configuration(cat: RepCategory, m: int, comps,
@@ -177,15 +153,12 @@ def validate_configuration(cat: RepCategory, m: int, comps,
             if b.level >= a.level + 1 and cat.ext(a.root, b.root) != 0:
                 raise VerificationError(f"forbidden extension {a} -> {b}")
     # the underlying modules must admit an exceptional ordering
-    mods = [c.root for c in comps]
-    remaining = set(range(len(mods)))
-    while remaining:
-        free = [i for i in remaining
-                if all(cat.hom(mods[i], mods[j]) == 0 and cat.ext(mods[i], mods[j]) == 0
-                       for j in remaining if j != i)]
+    must_follow, placed = _ordering_constraints(cat, comps), set()
+    while len(placed) < len(comps):
+        free = [i for i in must_follow if i not in placed and must_follow[i] <= placed]
         if not free:
             raise VerificationError("components admit no exceptional ordering")
-        remaining.discard(free[0])
+        placed.add(free[0])
 
 
 @dataclass(frozen=True)
@@ -286,15 +259,15 @@ def exchange_matrix(cat: RepCategory, m: int, comps) -> tuple[tuple[int, ...], .
                        for j in range(n)) for k in range(n))
 
 
-def _signed_root(cat: RepCategory, vec) -> tuple[Root, int]:
+def _signed_root(cat: RepCategory, m: int, vec) -> tuple[Root, int]:
     if all(x >= 0 for x in vec) and any(x > 0 for x in vec):
         root, eps = tuple(vec), +1
     elif all(x <= 0 for x in vec) and any(x < 0 for x in vec):
         root, eps = tuple(-x for x in vec), -1
     else:
-        raise InternalConsistencyError(f"mixed-sign vector {vec} is not a signed root")
+        raise _inconsistent(cat, m, f"mixed-sign vector {vec} is not a signed root")
     if root not in cat.root_set:
-        raise InternalConsistencyError(f"{root} is not a positive root")
+        raise _inconsistent(cat, m, f"{root} is not a positive root")
     return root, eps
 
 
@@ -335,16 +308,16 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
         if (direction == "+" and bkj <= 0) or (direction == "-" and bkj >= 0):
             continue
         updated = tuple(cj + abs(bkj) * ck for cj, ck in zip(cs[j], cs[k]))
-        root, eps = _signed_root(cat, updated)
+        root, eps = _signed_root(cat, m, updated)
         if not _in_lattice(window, root):
-            raise InternalConsistencyError(
-                f"mutated c-vector {root} escapes the slope-window lattice")
+            raise _inconsistent(cat, m, f"mutated c-vector {root} escapes the "
+                                "slope-window lattice")
         # place at the slope in {s, s+1} whose sign (-1)^slope matches the
         # updated vector; equivalently the window-local sign convention puts
         # positive updates at slope s and negative ones at slope s+1
         placements = [sigma for sigma in (s, s + 1) if (-1) ** sigma == eps]
         if len(placements) != 1:
-            raise InternalConsistencyError(f"ambiguous slope placement for {root}")
+            raise _inconsistent(cat, m, f"ambiguous slope placement for {root}")
         new[j] = ShiftedObject(root, m - placements[0])
     new[k] = ShiftedObject(comps[k].root, comps[k].level + (-1 if direction == "+" else 1))
     result = tuple(new)
@@ -363,30 +336,30 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     rhs = [Fraction(f_k if j == k else 0) for j in range(n)]
     v = linalg.solve(linalg.transpose(ec), rhs)
     if v is None:
-        raise InternalConsistencyError("tropical equations are inconsistent")
+        raise _inconsistent(cat, m, "tropical equations are inconsistent")
     if any(x.denominator != 1 for x in v):
-        raise InternalConsistencyError("tropical solution is not integral")
+        raise _inconsistent(cat, m, "tropical solution is not integral")
     vec = [int(x) for x in v]
-    root, eps = _signed_root(cat, vec)
+    root, eps = _signed_root(cat, m, vec)
     slope_c = m - new_comps[k].level
     choices = [st for st in (slope_c, slope_c + 1)
                if 0 <= st <= m and (-1) ** st == eps]
     if len(choices) != 1:
-        raise InternalConsistencyError(f"no slope placement for recovered entry {root}")
+        raise _inconsistent(cat, m, f"no slope placement for recovered entry {root}")
     new_obj = ShiftedObject(root, m - choices[0])
     if new_obj.level == m and not is_relatively_projective(cat, root, ambient(cat)):
-        raise InternalConsistencyError("recovered top-level entry is not projective")
+        raise _inconsistent(cat, m, "recovered top-level entry is not projective")
     candidate = ordered[:k] + (new_obj,) + ordered[k + 1:]
     for i, o in enumerate(candidate):
         if i != k and not compatible(cat, o, new_obj):
-            raise InternalConsistencyError(f"recovered entry {new_obj} clashes with {o}")
+            raise _inconsistent(cat, m, f"recovered entry {new_obj} clashes with {o}")
     duality_frame(cat, m, candidate, new_comps)
     # self-coefficient sanity: expressing the new signed column in the old
     # basis must give coefficient -1 at position k
     v_old = linalg.transpose(linalg.mat([signed_dim(m, o) for o in ordered]))
     coeffs = linalg.solve(v_old, [Fraction(x) for x in signed_dim(m, new_obj)])
     if coeffs is None or coeffs[k] != -1:
-        raise InternalConsistencyError("self-coefficient of the exchanged entry is not -1")
+        raise _inconsistent(cat, m, "self-coefficient of the exchanged entry is not -1")
     return candidate
 
 

@@ -71,6 +71,19 @@ def _admissible_order(n: int, arrows: tuple[tuple[int, int], ...]) -> list[int]:
     return order
 
 
+def _int_vector(v) -> tuple[int, ...]:
+    """v as a tuple of ints; integral non-int entries such as Fraction(1) are
+    accepted, non-integral ones refused rather than truncated."""
+    try:
+        v = tuple(v)
+        ints = tuple(map(int, v))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{v!r} is not an integer vector") from exc
+    if ints != v:
+        raise InputError(f"{v} has a non-integer entry")
+    return ints
+
+
 class RepCategory:
     """The module category of one quiver, with its Hom/Ext table."""
 
@@ -81,6 +94,7 @@ class RepCategory:
         self.root_set = frozenset(self.roots)
         self.root_id = {r: i for i, r in enumerate(self.roots)}
         self.E = euler_matrix(quiver)
+        self._e_cols = tuple(zip(*self.E))
         einv = linalg.inverse(linalg.mat(self.E))
         proj = []
         for row in einv.rows:
@@ -117,28 +131,23 @@ class RepCategory:
     # ----- basic data -----
 
     def euler(self, x, y) -> int:
-        e = self.E
-        return sum(int(x[i]) * e[i][j] * int(y[j])
-                   for i in range(self.n) for j in range(self.n))
+        """<x, y> = x^t E y for integer vectors of length n, roots or not."""
+        x, y = _int_vector(x), _int_vector(y)
+        if len(x) != self.n or len(y) != self.n:
+            raise InputError(f"{x} and {y} need {self.n} entries each")
+        return sum(map(mul, (sum(map(mul, x, col)) for col in self._e_cols), y))
 
     def simple(self, i: int) -> Root:
         return tuple(1 if j == i else 0 for j in range(self.n))
 
     def check_root(self, beta) -> Root:
-        """beta as a tuple of ints, if it is a positive root; integral
-        non-int entries such as Fraction(1) are accepted, others refused."""
+        """beta as a tuple of ints (see `_int_vector`), if it is a positive root."""
         try:
             # integral entries hash and compare like ints, so they hit here too
             return self.roots[self.root_id[beta]]
         except (KeyError, TypeError):
             pass
-        try:
-            beta = tuple(beta)
-            root = tuple(int(b) for b in beta)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"{beta!r} is not an integer vector") from exc
-        if root != beta:
-            raise InputError(f"{beta} has a non-integer entry")
+        root = _int_vector(beta)
         if root not in self.root_set:
             raise InputError(f"{root} is not a positive root of {self.quiver.diagram.type_tag}")
         return root

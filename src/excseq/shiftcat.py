@@ -26,6 +26,11 @@ class ShiftedObject(NamedTuple):
         return f"{root_str(self.root)}[{self.level}]"
 
 
+def _inconsistent(cat: RepCategory, m: int, message: str) -> InternalConsistencyError:
+    """An invariant failure whose message names the category and m."""
+    return InternalConsistencyError(f"{cat.quiver.diagram.type_tag}, m={m}: {message}")
+
+
 def slope(m: int, obj: ShiftedObject) -> int:
     return m - obj.level
 
@@ -99,8 +104,8 @@ def enumerate_clusters(cat: RepCategory, m: int,
             if not any(all(adj[v][c] for c in chosen) for v in range(n)):
                 cluster = tuple(objs[c] for c in chosen)
                 if len(cluster) != scope.rank:
-                    raise InternalConsistencyError(
-                        f"maximal compatible set of size {len(cluster)}, rank {scope.rank}")
+                    raise _inconsistent(cat, m, "maximal compatible set of size "
+                                        f"{len(cluster)}, rank {scope.rank}")
                 found.append(cluster)
 
     extend([], 0)

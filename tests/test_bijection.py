@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from excseq import InputError, category
+from excseq import InputError, InternalConsistencyError, bijection, category
 from excseq.bijection import (check_transport, is_m_exc_sequence,
                               m_exc_sequences, sequence_to_tuple, transport,
                               transport_inverse, tuple_to_sequence)
-from excseq.shiftcat import ShiftedObject, ordered_tuples, shifted_objects
-from excseq.wide import mark_relative_projectives
+from excseq.repengine import RepCategory
+from excseq.shiftcat import ShiftedObject, compatible, ordered_tuples, shifted_objects
+from excseq.wide import mark_relative_projectives, perp
 
 from conftest import P1, S1, S2
 
@@ -33,6 +34,20 @@ def test_transport_inverse_examples(a2):
     t = O(P1, 0)
     assert transport_inverse(a2, 1, t, O(S1, 0)) == O(S2, 1)
     assert transport_inverse(a2, 1, t, O(S2, 0)) == O(S2, 0)
+
+
+def test_transport_inverse_rejects_incompatible(a2):
+    with pytest.raises(InputError):
+        transport_inverse(a2, 1, O(P1, 0), O(S2, 1))  # S2[1] clashes with P1[0]
+
+
+def test_invariant_failure_names_the_category(a2, monkeypatch):
+    # a fresh category, so no transport table of A2 is reused from the memo
+    cat = RepCategory(a2.quiver)
+    monkeypatch.setattr(bijection, "congruent", lambda *args: False)
+    with pytest.raises(InternalConsistencyError) as info:
+        transport(cat, 1, O(P1, 0), O(S2, 1))
+    assert "A2" in str(info.value) and "m=1" in str(info.value)
 
 
 def test_tuple_to_sequence_examples(a2):
@@ -67,6 +82,11 @@ def test_transport_sweep(tag, m):
     cat = category(tag)
     for t_obj in shifted_objects(cat, None, m):
         assert check_transport(cat, m, t_obj).ok
+        for x_obj in shifted_objects(cat, perp(cat, [t_obj.root]), m):
+            assert transport_inverse(cat, m, t_obj, transport(cat, m, t_obj, x_obj)) == x_obj
+        for y_obj in shifted_objects(cat, None, m):
+            if compatible(cat, y_obj, t_obj):
+                assert transport(cat, m, t_obj, transport_inverse(cat, m, t_obj, y_obj)) == y_obj
 
 
 @pytest.mark.parametrize("tag", ["A2", "A3"])

@@ -60,12 +60,33 @@ def test_ext_values(a2):
         assert a2.ext(P1, r) == 0  # projective
 
 
-@pytest.mark.parametrize("tag", ["A2", "A3", "D4"])
+@pytest.mark.parametrize("tag", ["A2", "A3", "D4", "E6"])
 def test_euler_consistency(tag):
     cat = category(tag)
     for a in cat.roots:
         for b in cat.roots:
             assert cat.hom(a, b) - cat.ext(a, b) == cat.euler(a, b)
+
+
+def test_euler_matches_the_double_sum(d4):
+    # c-vectors are signed roots, so both signs of every root are paired
+    signed = [r for root in d4.roots for r in (root, tuple(-x for x in root))]
+    n, e = d4.n, d4.E
+    for x in signed:
+        for y in signed:
+            assert d4.euler(x, y) == sum(x[i] * e[i][j] * y[j]
+                                         for i in range(n) for j in range(n))
+
+
+def test_euler_refuses_non_integral_entries(a2):
+    # int() would truncate (1.9, 0) to (1, 0), whose pairing with (1, 0) is 1
+    with pytest.raises(InputError):
+        a2.euler((1.9, 0), (1, 0))
+    with pytest.raises(InputError):
+        a2.euler((1, 0), (0, Fraction(1, 2)))
+    with pytest.raises(InputError):
+        a2.euler((1, 0), (1, 0, 0))
+    assert a2.euler((Fraction(1), 0), (1, 0)) == 1
 
 
 def test_is_projective(a2):
