@@ -6,25 +6,27 @@ over all later entries and yields the dual configuration, component j paired
 with tuple entry j.  Tropical duality is the exact matrix identity
 V^t E C = D, where V holds the signed dimension vectors (-1)^(m-k) dim T of
 the cluster, C the c-vectors of the configuration, D the diagonal of
-endomorphism dimensions (the identity over the rationals) and E the Euler
-matrix.  Mutation acts on the slope vectors of the configuration; the
-mutated cluster is recovered by solving the duality equations.
+endomorphism dimensions (the identity over a quiver) and E the Euler
+matrix.  Mutation acts on the slope vectors of the configuration.  Only one
+cluster entry moves, and the old frame gives its new signed dimension vector
+as an integer combination of the old columns, with coefficients its Euler
+pairings against the new c-vectors; the new frame is then verified.  All of
+it is integer arithmetic on dimension vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-from . import linalg
 from .bijection import tuple_to_sequence
 from .dynkin import Root, root_str
 from .errors import InputError, VerificationError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _inconsistent, check_pairwise_compatible,
-                       compatible)
-from .wide import (WideSubcat, ambient, is_exceptional_sequence,
+from .shiftcat import (ShiftedObject, _inconsistent, canonical_cluster,
+                       check_pairwise_compatible, compatible, enumerate_clusters)
+from .wide import (WideSubcat, _span_rank, ambient, is_exceptional_sequence,
                    is_relatively_projective, left_perp, perp)
 
 
@@ -190,19 +192,21 @@ def duality_frame(cat: RepCategory, m: int, ordered, comps) -> DualityFrame:
 
 
 def g_vector_check(cat: RepCategory, frame: DualityFrame) -> bool:
-    """Rows of D E^{-1} are the projective dimension vectors, and the frame
-    identity restated through G^t := V^t E still gives D."""
-    einv = linalg.inverse(linalg.mat(frame.e_rows))
-    rows = {tuple(int(x) for x in row) for row in einv.rows}
-    if rows != set(cat.projective_roots):
-        return False
-    v = linalg.transpose(linalg.mat(frame.v_cols))  # columns -> matrix
-    g_t = linalg.matmul(linalg.transpose(v), linalg.mat(frame.e_rows))
-    c = linalg.transpose(linalg.mat(frame.c_cols))
-    prod = linalg.matmul(g_t, c)
+    """The projective dimension vectors, as rows P, satisfy P E = I (so they
+    are the rows of D E^{-1}), and the frame identity restated through
+    G^t := V^t E still gives D."""
+    e_cols = tuple(zip(*frame.e_rows))
+
+    def times(rows, cols):
+        return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
     n = len(frame.d_diag)
-    return all(prod.rows[i][j] == (frame.d_diag[i] if i == j else 0)
-               for i in range(n) for j in range(n))
+    if times(cat.projective_roots, e_cols) != [[int(i == j) for j in range(n)]
+                                                for i in range(n)]:
+        return False
+    prod = times(times(frame.v_cols, e_cols), frame.c_cols)
+    return prod == [[frame.d_diag[i] if i == j else 0 for j in range(n)]
+                    for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -271,13 +275,6 @@ def _signed_root(cat: RepCategory, m: int, vec) -> tuple[Root, int]:
     return root, eps
 
 
-def _in_lattice(basis_vectors, target) -> bool:
-    """Is target an integer combination of the (independent) basis vectors?"""
-    cols = linalg.transpose(linalg.mat(basis_vectors))
-    coeffs = linalg.solve(cols, [Fraction(x) for x in target])
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
-
-
 def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
                          direction: str) -> tuple[ShiftedObject, ...]:
     """Mutate the configuration at position k, raising (+) or lowering (-)
@@ -309,7 +306,9 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
             continue
         updated = tuple(cj + abs(bkj) * ck for cj, ck in zip(cs[j], cs[k]))
         root, eps = _signed_root(cat, m, updated)
-        if not _in_lattice(window, root):
+        # C is unimodular (V^t E C = I), so a vector in the rational span of
+        # some of its columns is an integer combination of them
+        if _span_rank(window + [root]) != _span_rank(window):
             raise _inconsistent(cat, m, f"mutated c-vector {root} escapes the "
                                 "slope-window lattice")
         # place at the slope in {s, s+1} whose sign (-1)^slope matches the
@@ -327,19 +326,19 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
 
 def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
                     k: int) -> tuple[ShiftedObject, ...]:
-    """Solve the duality equations for the one cluster entry that moved."""
+    """The cluster dual to new_comps, which differs from ordered only at k.
+
+    Only entry k moves, so G = V_old^t E C_new equals D off row k, and the
+    new signed column is sum_j G_kj v_j over the old signed columns v_j (all
+    f_j are 1 over a quiver), with self-coefficient G_kk = -f_k.  The frame
+    V^t E C = D of the result, checked by `duality_frame`, proves it.
+    """
     ordered, new_comps = tuple(ordered), tuple(new_comps)
-    n = len(ordered)
-    c_cols = [c_vector(sv) for sv in slope_vectors(m, new_comps)]
-    ec = linalg.matmul(linalg.mat(cat.E), linalg.transpose(linalg.mat(c_cols)))
-    f_k = cat.hom(ordered[k].root, ordered[k].root)
-    rhs = [Fraction(f_k if j == k else 0) for j in range(n)]
-    v = linalg.solve(linalg.transpose(ec), rhs)
-    if v is None:
-        raise _inconsistent(cat, m, "tropical equations are inconsistent")
-    if any(x.denominator != 1 for x in v):
-        raise _inconsistent(cat, m, "tropical solution is not integral")
-    vec = [int(x) for x in v]
+    v_old = [signed_dim(m, o) for o in ordered]
+    row = [cat.euler(v_old[k], c_vector(sv)) for sv in slope_vectors(m, new_comps)]
+    if row[k] != -cat.hom(ordered[k].root, ordered[k].root):
+        raise _inconsistent(cat, m, "self-coefficient of the exchanged entry is not -1")
+    vec = [sum(g * v[i] for g, v in zip(row, v_old)) for i in range(cat.n)]
     root, eps = _signed_root(cat, m, vec)
     slope_c = m - new_comps[k].level
     choices = [st for st in (slope_c, slope_c + 1)
@@ -354,12 +353,6 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
         if i != k and not compatible(cat, o, new_obj):
             raise _inconsistent(cat, m, f"recovered entry {new_obj} clashes with {o}")
     duality_frame(cat, m, candidate, new_comps)
-    # self-coefficient sanity: expressing the new signed column in the old
-    # basis must give coefficient -1 at position k
-    v_old = linalg.transpose(linalg.mat([signed_dim(m, o) for o in ordered]))
-    coeffs = linalg.solve(v_old, [Fraction(x) for x in signed_dim(m, new_obj)])
-    if coeffs is None or coeffs[k] != -1:
-        raise _inconsistent(cat, m, "self-coefficient of the exchanged entry is not -1")
     return candidate
 
 
@@ -378,24 +371,30 @@ def mutate(cat: RepCategory, m: int, ordered, k: int, direction: str) -> Mutatio
     return MutationResult(ordered, comps, new_ordered, new_comps)
 
 
+def mutation_moves(cat: RepCategory, m: int, ordered, comps):
+    """Every move of an ordered cluster whose configuration is comps that keeps
+    the slopes in 0..m, as (k, direction, mutated configuration, mutated
+    ordered cluster)."""
+    svs = slope_vectors(m, comps)
+    for k in range(len(ordered)):
+        for direction, step in (("+", 1), ("-", -1)):
+            if 0 <= svs[k].slope + step <= m:
+                new_comps = mutate_configuration(cat, m, comps, k, direction)
+                yield k, direction, new_comps, recover_cluster(cat, m, ordered, new_comps, k)
+
+
 def exchange_graph(cat: RepCategory, m: int):
     """Nodes: clusters in canonical order.  Edges: (i, j, k, dir) moves."""
-    from .shiftcat import canonical_cluster, enumerate_clusters
     clusters = enumerate_clusters(cat, m)
     index = {c: i for i, c in enumerate(clusters)}
     edges = []
     for i, cluster in enumerate(clusters):
         ordered = order_cluster(cat, m, cluster)
         comps = garside_configuration(cat, m, ordered)
-        svs = slope_vectors(m, comps)
-        for k in range(len(ordered)):
-            for direction in ("+", "-"):
-                if direction == "+" and svs[k].slope + 1 > m:
-                    continue
-                if direction == "-" and svs[k].slope - 1 < 0:
-                    continue
-                new_comps = mutate_configuration(cat, m, comps, k, direction)
-                new_ordered = recover_cluster(cat, m, ordered, new_comps, k)
-                target = canonical_cluster(new_ordered)
-                edges.append((i, index[target], k, direction))
+        for k, direction, _, new_ordered in mutation_moves(cat, m, ordered, comps):
+            j = index.get(canonical_cluster(new_ordered))
+            if j is None:
+                raise _inconsistent(cat, m, f"move k={k + 1},{direction} of "
+                                    f"{' '.join(map(str, ordered))} leaves the cluster set")
+            edges.append((i, j, k, direction))
     return clusters, tuple(sorted(edges))

@@ -7,14 +7,16 @@ Hom(X, Y) and Ext(X, Y) is nonzero and both follow from the Euler form:
 dim Hom = max(<x, y>, 0) and dim Ext = max(-<x, y>, 0) (Happel 1988; Ringel,
 LNM 1099).  One Hom/Ext table over all root pairs is filled from this closed
 form when the category is built, and per-root bitmasks of the nonzero
-entries are derived from it for the wide-subcategory layer.
+entries are derived from it for the wide-subcategory layer.  The projectives
+are the roots with no extensions out, checked to be the rows of E^{-1}.
 
-The canonical indecomposable for a root is still built with reflection
+The canonical indecomposable for a root can still be built with reflection
 functors: the root is reflected down to a unit vector through an admissible
 sink sequence, and the representation is rebuilt by applying the inverse
-functors from the simple module.  That linear algebra is the oracle for the
-table (Schurian and rigid are checked on every built module) and the source
-of Hom bases and approximation maps.
+functors from the simple module.  That rational linear algebra (`rep`,
+`hom_basis`, `approximation`) is only an oracle: the tests check the table
+and the closed forms built on it against it, and Schurian and rigid are
+checked on every built module.  Nothing else in the package calls it.
 """
 
 from __future__ import annotations
@@ -95,26 +97,18 @@ class RepCategory:
         self.root_id = {r: i for i, r in enumerate(self.roots)}
         self.E = euler_matrix(quiver)
         self._e_cols = tuple(zip(*self.E))
-        einv = linalg.inverse(linalg.mat(self.E))
-        proj = []
-        for row in einv.rows:
-            if any(x.denominator != 1 for x in row):
-                raise InternalConsistencyError("Euler matrix is not unimodular")
-            proj.append(tuple(int(x) for x in row))
-        # row i of E^{-1} is the dimension vector of the projective at vertex i
-        self.projective_roots = tuple(proj)
         self._adj = quiver.diagram.adjacency()
         self._reps: dict[Root, Representation] = {}
         self._hom_basis: dict[tuple[Root, Root], HomSpace] = {}
         self._approx: dict[tuple[Root, Root], Approximation] = {}
         self._verified: set[Root] = set()
-        self._projective_check_done = False
         # the (dim Hom, dim Ext) table, and masks over root ids: right_nz[i]
         # holds the Y with Hom or Ext(root i, Y) nonzero, left_nz[i] the X
         # with Hom or Ext(X, root i) nonzero, ext_out[i] the Y with Ext nonzero
         n, e, roots = self.n, self.E, self.roots
         table: dict[tuple[Root, Root], tuple[int, int]] = {}
         right_nz, left_nz, ext_out = [0] * len(roots), [0] * len(roots), [0] * len(roots)
+        proj: list[tuple[list[int], Root]] = []  # (<P, S_j> over j, P)
         for i, x in enumerate(roots):
             xe = [sum(x[k] * e[k][j] for k in range(n)) for j in range(n)]
             for j, y in enumerate(roots):
@@ -125,6 +119,16 @@ class RepCategory:
                     left_nz[j] |= 1 << i
                     if pairing < 0:
                         ext_out[i] |= 1 << j
+            if not ext_out[i]:
+                proj.append((xe, x))
+        # the projectives are the roots with no extensions out, and P_j has
+        # <P_j, S_l> = dim Hom(P_j, S_l) = delta_jl: ordered by j they invert E
+        proj.sort(reverse=True)
+        if [xe for xe, _ in proj] != [[int(i == j) for j in range(n)] for i in range(n)]:
+            raise InternalConsistencyError(
+                "projectives from Ext vanishing do not invert the Euler matrix")
+        # row j of E^{-1} is the dimension vector of the projective at vertex j
+        self.projective_roots = tuple(x for _, x in proj)
         self._table = table
         self.right_nz, self.left_nz, self.ext_out = right_nz, left_nz, ext_out
 
@@ -288,15 +292,7 @@ class RepCategory:
     # ----- projectivity and approximations -----
 
     def is_projective(self, beta) -> bool:
-        beta = self.check_root(beta)
-        if not self._projective_check_done:
-            by_table = set(self.projective_roots)
-            by_ext = {r for i, r in enumerate(self.roots) if not self.ext_out[i]}
-            if by_table != by_ext:
-                raise InternalConsistencyError(
-                    "projectives from the Euler matrix disagree with Ext vanishing")
-            self._projective_check_done = True
-        return beta in self.projective_roots
+        return self.check_root(beta) in self.projective_roots
 
     def approximation(self, x, t) -> Approximation:
         """Diagonal map X -> T^s on a hom basis; must be mono or epi."""

@@ -233,14 +233,27 @@ def rel_proj_poly_enumerated(cat: RepCategory, marked=None) -> counting.IntPoly:
 
 
 def classify_pair(cat: RepCategory, x, t) -> PairCase:
+    """How the exceptional pair (X, T) interacts, from the Hom/Ext table.
+
+    With s = dim Hom(X, T) > 0 the minimal left approximation X -> T^s is
+    mono exactly when s*t - x is a root (its cokernel) and epi exactly when
+    x - s*t is one (its kernel); exactly one of the two holds.
+    """
     x, t = cat.check_root(x), cat.check_root(t)
     if x == t or cat.hom(t, x) != 0 or cat.ext(t, x) != 0:
         raise InputError(f"({x}, {t}) is not an exceptional pair")
     if cat.ext(x, t) > 0:
         return PairCase.EXTENSION
-    if cat.hom(x, t) > 0:
-        return PairCase.MONO if cat.approximation(x, t).kind == "mono" else PairCase.EPI
-    return PairCase.ORTHOGONAL
+    s = cat.hom(x, t)
+    if not s:
+        return PairCase.ORTHOGONAL
+    mono = tuple(s * b - a for a, b in zip(x, t)) in cat.root_set
+    if mono == (tuple(a - s * b for a, b in zip(x, t)) in cat.root_set):
+        # the two vectors are opposite, so this means neither is a root
+        raise InternalConsistencyError(
+            f"{cat.quiver.diagram.type_tag}: approximation {x} -> {t}^{s} is "
+            "neither mono nor epi")
+    return PairCase.MONO if mono else PairCase.EPI
 
 
 def is_multiple(w, t) -> bool:

@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from excseq import InputError, category, mark_relative_projectives
+from excseq import InputError, RepCategory, category, linalg, mark_relative_projectives
 from excseq.cli import main
 from excseq.serialize import cluster_from_dict, dumps_canonical, object_from_dict
 
@@ -226,3 +227,39 @@ def test_max_rank_tightens_the_limit(capsys):
     assert code == 2 and "limit 2" in err
     code, _, _ = run(capsys, "enumerate", "A3", "--m", "1", "clusters", "--max-rank", "3")
     assert code == 0
+
+
+@pytest.fixture
+def no_rational_algebra(monkeypatch):
+    """Every public linalg function, linalg._rref and RepCategory.rep raise,
+    and categories (with the memos keyed by them) are built afresh."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational linear algebra on a CLI path")
+
+    names = [name for name, fn in vars(linalg).items()
+             if inspect.isfunction(fn) and fn.__module__ == linalg.__name__
+             and not name.startswith("_")] + ["_rref"]
+    assert {"solve", "inverse", "rank", "right_kernel", "_rref"} <= set(names)
+    for name in names:
+        monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(RepCategory, "rep", refuse)
+    category.cache_clear()
+    yield
+    category.cache_clear()
+
+
+A2_CLUSTER = json.dumps({"m": 1, "objects": [{"dim": [1, 0], "level": 0},
+                                             {"dim": [1, 1], "level": 0}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "D4", "--m", "1", "all"),
+    ("verify", "A3", "--m", "2", "all"),
+    ("graph", "A3", "--m", "1"),
+    ("enumerate", "A3", "--m", "2", "configs"),
+    ("mutate", "A2", "--m", "1", "--cluster", A2_CLUSTER, "--k", "2", "--dir", "-"),
+], ids=lambda argv: " ".join(argv[:4]))
+def test_cli_paths_need_no_rational_linear_algebra(capsys, no_rational_algebra, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out

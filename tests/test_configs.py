@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
-from excseq import InputError, category
-from excseq.configs import (all_valid_orders, duality_frame, exchange_graph,
+from excseq import InputError, InternalConsistencyError, category, configs, linalg, verify
+from excseq.cli import main
+from excseq.configs import (all_valid_orders, c_vector, duality_frame, exchange_graph,
                             exchange_matrix, garside_configuration,
                             g_vector_check, horizontal_subcat, mutate,
-                            mutate_configuration, order_cluster, recover_cluster,
-                            slope_vectors)
+                            mutate_configuration, mutation_moves, order_cluster,
+                            recover_cluster, signed_dim, slope_vectors)
 from excseq.errors import VerificationError
 from excseq.shiftcat import ShiftedObject, canonical_cluster, enumerate_clusters
 
@@ -40,6 +43,15 @@ def test_duality_frame_hand_values(a2):
     assert frame.c_cols == ((0, 1), (-1, -1))
     assert frame.d_diag == (1, 1)
     assert g_vector_check(a2, frame)
+
+
+def test_g_vector_check_fails_on_a_negated_c_column(a2):
+    ordered = (O(S1, 0), O(P1, 0))
+    frame = duality_frame(a2, 1, ordered, garside_configuration(a2, 1, ordered))
+    for j in range(2):
+        cols = list(frame.c_cols)
+        cols[j] = tuple(-x for x in cols[j])
+        assert not g_vector_check(a2, replace(frame, c_cols=tuple(cols)))
 
 
 def test_duality_frame_rejects_wrong_pairing(a2):
@@ -201,3 +213,48 @@ def test_mutation_at_zero_shift_impossible(a2):
         for direction in ("+", "-"):
             with pytest.raises(InputError):
                 mutate_configuration(a2, 0, comps, k, direction)
+
+
+@pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2)])
+def test_recover_cluster_matches_a_rational_solve(tag, m):
+    # the moved entry's signed dimension vector v solves (E C)^t v = f_k e_k
+    # for the new c-vectors C; the oracle solves it over the rationals
+    cat = category(tag)
+    e = linalg.mat(cat.E)
+    moves = 0
+    for cluster in enumerate_clusters(cat, m):
+        ordered = order_cluster(cat, m, cluster)
+        comps = garside_configuration(cat, m, ordered)
+        for k, _, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
+            c = linalg.transpose(linalg.mat(c_vector(sv) for sv in slope_vectors(m, new_comps)))
+            f_k = cat.hom(ordered[k].root, ordered[k].root)
+            rhs = [f_k if j == k else 0 for j in range(cat.n)]
+            assert linalg.solve(linalg.transpose(linalg.matmul(e, c)), rhs) == \
+                signed_dim(m, new_ordered[k])
+            assert new_ordered[:k] + new_ordered[k + 1:] == ordered[:k] + ordered[k + 1:]
+            moves += 1
+    assert moves > 0
+
+
+def test_exchange_graph_names_a_move_off_the_cluster_set(a2, monkeypatch, capsys):
+    def off_set(cat, m, ordered, comps):
+        yield 0, "+", comps, ordered[:1]
+
+    monkeypatch.setattr(configs, "mutation_moves", off_set)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^A2, m=1: move k=1,\+ of .* leaves the cluster set$"):
+        exchange_graph(a2, 1)
+    assert main(["graph", "A2", "--m", "1"]) == 1
+    assert "verification failure: A2, m=1: move k=1,+ of" in capsys.readouterr().err
+
+
+def test_mutation_suite_fails_a_move_off_the_cluster_set(monkeypatch):
+    def off_set(cat, m, ordered, comps):
+        for k, direction, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
+            yield k, direction, new_comps, new_ordered[:1]
+
+    monkeypatch.setattr(verify, "mutation_moves", off_set)
+    report = verify.verify_mutation("A2", 1)
+    assert not report.ok
+    assert report.checks[-1].label == "exchange graph closes on the cluster set"
+    assert not report.checks[-1].ok

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from excseq import InputError, build_diagram, build_quiver, category, perp
+from excseq import (InputError, PairCase, build_diagram, build_quiver, category,
+                    classify_pair, linalg, perp)
 from excseq.repengine import RepCategory
 
 from conftest import P1, S1, S2, tags_up_to_rank
@@ -188,15 +189,20 @@ def test_oracle_tag_set():
     assert {"A1", "A1xA1xA1xA1xA1xA1", "D4xA2", "E6", "A3xA2xA1"} <= set(TAGS_RANK6)
 
 
-@pytest.mark.parametrize("tag,arrows", ORACLE_CASES,
-                         ids=[f"{t}-{a}" if a else t for t, a in ORACLE_CASES])
+ORACLE_IDS = [f"{t}-{a}" if a else t for t, a in ORACLE_CASES]
+
+
+def _oracle_category(tag, arrows):
+    if arrows is None:
+        return category(tag)
+    return RepCategory(build_quiver(build_diagram(tag), arrows))
+
+
+@pytest.mark.parametrize("tag,arrows", ORACLE_CASES, ids=ORACLE_IDS)
 def test_closed_form_table_matches_linear_algebra(tag, arrows):
     # the table comes from the Euler form; hom_basis solves the intertwining
     # equations of the explicit representations
-    if arrows is None:
-        cat = category(tag)
-    else:
-        cat = RepCategory(build_quiver(build_diagram(tag), arrows))
+    cat = _oracle_category(tag, arrows)
     for a in cat.roots:
         for b in cat.roots:
             dim = cat.hom_basis(a, b).dimension
@@ -211,3 +217,28 @@ def test_closed_form_table_matches_linear_algebra(tag, arrows):
     with pytest.raises(InputError):
         a2.ext((1, 0), (2, 1))
     assert a2.hom([0, 1], [1, 1]) == 1 and a2.ext([1, 0], [0, 1]) == 1
+
+
+@pytest.mark.parametrize("tag,arrows", ORACLE_CASES, ids=ORACLE_IDS)
+def test_classify_pair_matches_the_approximation(tag, arrows):
+    # classify_pair reads mono/epi off the table: with s = dim Hom(x, t), the
+    # cokernel s*t - x or the kernel x - s*t must be a root; approximation
+    # ranks the explicit diagonal map x -> t^s vertex by vertex
+    cat = _oracle_category(tag, arrows)
+    for x in cat.roots:
+        for t in cat.roots:
+            if x == t or cat.hom(t, x) or cat.ext(t, x) or not cat.hom(x, t):
+                continue
+            s = cat.hom(x, t)
+            case = classify_pair(cat, x, t)
+            sign = 1 if case is PairCase.MONO else -1
+            complement = tuple(sign * (s * b - a) for a, b in zip(x, t))
+            assert cat.approximation(x, t) == (s, case.value, complement), (x, t)
+
+
+@pytest.mark.parametrize("tag,arrows", ORACLE_CASES, ids=ORACLE_IDS)
+def test_projective_roots_are_the_rows_of_the_inverse(tag, arrows):
+    cat = _oracle_category(tag, arrows)
+    einv = linalg.inverse(linalg.mat(cat.E))
+    assert cat.projective_roots == einv.rows
+    assert {r for r in cat.roots if cat.is_projective(r)} == set(einv.rows)
