@@ -21,6 +21,13 @@ onto the compatible set.  Composing transports along the last tuple entry
 gives `tuple_to_sequence`, the bijection between ordered pairwise compatible
 tuples and shifted exceptional sequences, compatible with deletion of the
 first entry.
+
+The public functions validate their arguments once: objects are parsed
+strictly (roots by `check_root`, levels by `check_level`), a tuple must be
+pairwise compatible and a sequence must pass `is_m_exc_sequence`.  The
+recursions behind them, `_tuple_to_sequence` and `_sequence_to_tuple`, trust
+their input and only index the verified tables; the bijection suite calls
+them directly on the tuples it enumerated and on their images.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import NamedTuple
 from .dynkin import Root
 from .errors import InputError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _inconsistent, check_object,
+from .shiftcat import (ShiftedObject, _inconsistent, check_level, check_object,
                        check_pairwise_compatible, compatible, is_valid_object,
                        shifted_objects)
 from .wide import (PairCase, WideSubcat, _mask, ambient, classify_pair, congruent,
@@ -130,7 +137,7 @@ def _images(cat: RepCategory, table: _TransportTable, t_obj: ShiftedObject, objs
     """Images of objs under one direction of the table; InputError names the
     first object outside its domain."""
     images = table.inverse if inverse else table.forward
-    objs = [ShiftedObject(cat.check_root(o.root), int(o.level)) for o in objs]
+    objs = [ShiftedObject(cat.check_root(o.root), check_level(o.level)) for o in objs]
     try:
         return tuple([images[o] for o in objs])
     except KeyError:
@@ -156,35 +163,74 @@ def transport_inverse(cat: RepCategory, m: int, t_obj: ShiftedObject,
 
 
 def tuple_to_sequence(cat: RepCategory, m: int, tup,
-                      scope: WideSubcat | None = None,
-                      validate: bool = True) -> tuple[ShiftedObject, ...]:
-    """Ordered compatible tuple -> shifted exceptional sequence of equal length."""
+                      scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
+    """Ordered compatible tuple -> shifted exceptional sequence of equal length.
+
+    The tuple is validated once (every entry a valid object of the scope, the
+    entries pairwise compatible); `_tuple_to_sequence` then trusts it."""
     scope = scope if scope is not None else ambient(cat)
     tup = tuple(tup)
-    if validate:
-        for o in tup:
-            check_object(cat, scope, m, o)
-        check_pairwise_compatible(cat, tup)
-    if len(tup) <= 1:
-        return tup
-    t_obj, table = _transport_table(cat, m, tup[-1], scope)
-    pulled = _images(cat, table, t_obj, tup[:-1], inverse=True)
-    return tuple_to_sequence(cat, m, pulled, table.perp, validate=False) + (t_obj,)
+    checked = tuple([check_object(cat, scope, m, o) for o in tup])
+    check_pairwise_compatible(cat, tup)
+    return _tuple_to_sequence(cat, m, checked, _mask(cat, scope), scope.rank, {})
 
 
 def sequence_to_tuple(cat: RepCategory, m: int, terms,
-                      scope: WideSubcat | None = None,
-                      validate: bool = True) -> tuple[ShiftedObject, ...]:
-    """Shifted exceptional sequence -> ordered compatible tuple (inverse map)."""
+                      scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
+    """Shifted exceptional sequence -> ordered compatible tuple (inverse map).
+
+    The terms are validated once (integral levels, `is_m_exc_sequence`);
+    `_sequence_to_tuple` then trusts them."""
     scope = scope if scope is not None else ambient(cat)
-    terms = tuple(terms)
-    if validate and not is_m_exc_sequence(cat, m, terms, scope):
+    terms = tuple([ShiftedObject(root, check_level(level)) for root, level in terms])
+    if not is_m_exc_sequence(cat, m, terms, scope):
         raise InputError("terms do not form a shifted exceptional sequence")
+    terms = tuple([ShiftedObject(cat.check_root(o.root), o.level) for o in terms])
+    return _sequence_to_tuple(cat, m, terms, _mask(cat, scope), scope.rank, {})
+
+
+def _tuple_to_sequence(cat: RepCategory, m: int, tup: tuple[ShiftedObject, ...],
+                       scope_mask: int, scope_rank: int, memo: dict) -> tuple[ShiftedObject, ...]:
+    """`tuple_to_sequence` of a tuple known to be a valid compatible tuple of
+    the scope, with no per-level checks.  Pull the other entries back over the
+    last one and recurse in its perpendicular; memo keeps the results of the
+    recursive calls under (scope mask, tuple)."""
+    if len(tup) <= 1:
+        return tup
+    table = _build_table(cat, m, tup[-1], scope_mask, scope_rank)
+    pulled = _lookup(cat, m, table.inverse, tup[:-1], tup[-1])
+    key = (table.perp.mask, pulled)
+    seq = memo.get(key)
+    if seq is None:
+        seq = memo[key] = _tuple_to_sequence(cat, m, pulled, table.perp.mask,
+                                             table.perp.rank, memo)
+    return seq + tup[-1:]
+
+
+def _sequence_to_tuple(cat: RepCategory, m: int, terms: tuple[ShiftedObject, ...],
+                       scope_mask: int, scope_rank: int, memo: dict) -> tuple[ShiftedObject, ...]:
+    """`sequence_to_tuple` of terms known to form a shifted exceptional
+    sequence of the scope, unchecked and memoised like `_tuple_to_sequence`.
+    Map the prefix in the last term's perpendicular, then carry it over."""
     if len(terms) <= 1:
         return terms
-    t_obj, table = _transport_table(cat, m, terms[-1], scope)
-    prefix = sequence_to_tuple(cat, m, terms[:-1], table.perp, validate=False)
-    return _images(cat, table, t_obj, prefix, inverse=False) + (t_obj,)
+    table = _build_table(cat, m, terms[-1], scope_mask, scope_rank)
+    key = (table.perp.mask, terms[:-1])
+    prefix = memo.get(key)
+    if prefix is None:
+        prefix = memo[key] = _sequence_to_tuple(cat, m, terms[:-1], table.perp.mask,
+                                                table.perp.rank, memo)
+    return _lookup(cat, m, table.forward, prefix, terms[-1]) + terms[-1:]
+
+
+def _lookup(cat: RepCategory, m: int, images: dict[ShiftedObject, ShiftedObject],
+            objs, t_obj: ShiftedObject) -> tuple[ShiftedObject, ...]:
+    """Images of objs that validated input guarantees to be in the table."""
+    try:
+        return tuple([images[o] for o in objs])
+    except KeyError as exc:
+        raise _inconsistent(cat, m, f"{exc.args[0]} is outside the transport table "
+                            f"of {t_obj}") from None
 
 
 def is_m_exc_sequence(cat: RepCategory, m: int, terms,

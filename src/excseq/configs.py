@@ -12,6 +12,13 @@ cluster entry moves, and the old frame gives its new signed dimension vector
 as an integer combination of the old columns, with coefficients its Euler
 pairings against the new c-vectors; the new frame is then verified.  All of
 it is integer arithmetic on dimension vectors.
+
+The public functions keep the strict checks of `RepCategory.euler`, which
+validates its arguments on every call, but run them once per vector:
+`duality_frame` and `mutate_configuration` check each vector with one strict
+pairing and then take the rest as products with the row x^t E from
+`_euler_row`, which trusts its input.  `recover_cluster` needs only the n
+pairings of one row, so they stay strict and double as its check.
 """
 
 from __future__ import annotations
@@ -178,9 +185,19 @@ def duality_frame(cat: RepCategory, m: int, ordered, comps) -> DualityFrame:
     v_cols = tuple(signed_dim(m, o) for o in ordered)
     c_cols = tuple(c_vector(sv) for sv in slope_vectors(m, comps))
     d_diag = tuple(cat.hom(o.root, o.root) for o in ordered)  # all 1 over the rationals
+    if n:
+        # the strict pairing checks each vector once, with the message the
+        # first pairing of the double loop below would give it
+        for c in c_cols[:n]:
+            cat.euler(v_cols[0], c)
+        for v in v_cols[1:]:
+            cat.euler(v, c_cols[0])
+    # int copies keep the sums ints for integral Fraction or float entries
+    c_ints = tuple(tuple(map(int, c)) for c in c_cols[:n])
     for i in range(n):
+        row = _euler_row(cat, tuple(map(int, v_cols[i])))
         for j in range(n):
-            value = cat.euler(v_cols[i], c_cols[j])
+            value = sum(map(mul, row, c_ints[j]))
             want = d_diag[i] if i == j else 0
             if value != want:
                 raise VerificationError(
@@ -263,6 +280,21 @@ def exchange_matrix(cat: RepCategory, m: int, comps) -> tuple[tuple[int, ...], .
                        for j in range(n)) for k in range(n))
 
 
+def _euler_row(cat: RepCategory, x) -> tuple[int, ...]:
+    """The row x^t E, so that <x, y> = sum(map(mul, _euler_row(cat, x), y)).
+    Unlike `RepCategory.euler` it does not re-validate x: callers pass
+    integer vectors of length n that they built or checked."""
+    return tuple(sum(map(mul, x, col)) for col in cat._e_cols)
+
+
+def _exchange_row(cat: RepCategory, cs, k: int) -> tuple[int, ...]:
+    """Row k of `exchange_matrix` on the checked c-vectors cs:
+    b[k][j] = <c_j, c_k> - <c_k, c_j>."""
+    row_k = _euler_row(cat, cs[k])
+    return tuple(sum(map(mul, _euler_row(cat, c), cs[k])) - sum(map(mul, row_k, c))
+                 for c in cs)
+
+
 def _signed_root(cat: RepCategory, m: int, vec) -> tuple[Root, int]:
     if all(x >= 0 for x in vec) and any(x > 0 for x in vec):
         root, eps = tuple(vec), +1
@@ -280,6 +312,8 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
     """Mutate the configuration at position k, raising (+) or lowering (-)
     the slope of its slope vector by one and updating the coupled entries."""
     comps = tuple(comps)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InputError(f"position {k!r} is not an integer")
     if not 0 <= k < len(comps):
         raise InputError(f"position {k} out of range")
     if direction not in ("+", "-"):
@@ -294,14 +328,18 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
         if sk - 1 < 0:
             raise InputError(f"slope {sk} cannot mutate downward")
         s = sk - 1
-    window = [c_vector(svs[i]) for i in range(len(comps)) if svs[i].slope in (s, s + 1)]
-    b = exchange_matrix(cat, m, comps)
     cs = [c_vector(sv) for sv in svs]
+    # the strict pairing checks each c-vector once, with the message the first
+    # row of `exchange_matrix` would give it; row k below trusts them
+    for c in cs:
+        cat.euler(c, cs[0])
+    window = [cs[i] for i in range(len(comps)) if svs[i].slope in (s, s + 1)]
+    b_k = _exchange_row(cat, [tuple(map(int, c)) for c in cs], k)
     new = list(comps)
     for j in range(len(comps)):
         if j == k or svs[j].slope not in (s, s + 1):
             continue
-        bkj = b[k][j]
+        bkj = b_k[j]
         if (direction == "+" and bkj <= 0) or (direction == "-" and bkj >= 0):
             continue
         updated = tuple(cj + abs(bkj) * ck for cj, ck in zip(cs[j], cs[k]))

@@ -58,9 +58,21 @@ def is_valid_object(cat: RepCategory, scope: WideSubcat | None, m: int,
     return obj.level < m or is_relatively_projective(cat, obj.root, scope)
 
 
+def check_level(level) -> int:
+    """level as an int; integral non-int values such as Fraction(1) are
+    accepted, non-integral or non-numeric ones refused rather than truncated."""
+    try:
+        j = int(level)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"level {level!r} is not an integer") from exc
+    if j != level:
+        raise InputError(f"level {level!r} is not an integer")
+    return j
+
+
 def check_object(cat: RepCategory, scope: WideSubcat | None, m: int,
                  obj: ShiftedObject) -> ShiftedObject:
-    obj = ShiftedObject(cat.check_root(obj.root), int(obj.level))
+    obj = ShiftedObject(cat.check_root(obj.root), check_level(obj.level))
     if not is_valid_object(cat, scope, m, obj):
         raise InputError(f"{obj} is not a valid shifted object here (m={m})")
     return obj

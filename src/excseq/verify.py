@@ -1,4 +1,11 @@
-"""Named verification sweeps, shared by the CLI and the test suite."""
+"""Named verification sweeps, shared by the CLI and the test suite.
+
+The suites feed the library objects they enumerated themselves.  The
+bijection suite maps its tuples and their images along the internal paths
+of `bijection`, which trust their input; the other suites call the public,
+validating functions of `configs`.  Every table a suite reads is checked
+when it is built.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import counting
-from .bijection import (check_transport, m_exc_sequences, sequence_to_tuple,
-                        tuple_to_sequence)
+from .bijection import (_sequence_to_tuple, _tuple_to_sequence, check_transport,
+                        m_exc_sequences)
 from .configs import (all_valid_orders, duality_frame, exchange_matrix,
                       garside_configuration, g_vector_check, horizontal_subcat,
                       mutate_configuration, mutation_moves, order_cluster)
@@ -16,7 +23,7 @@ from .errors import VerificationError
 from .repengine import category
 from .shiftcat import (canonical_cluster, enumerate_clusters, ordered_tuples,
                        shifted_objects)
-from .wide import marked_exc_sequences, rel_proj_poly_enumerated
+from .wide import ambient, marked_exc_sequences, rel_proj_poly_enumerated
 
 
 @dataclass
@@ -77,21 +84,29 @@ def verify_bijection(tag: str, m: int) -> Report:
     report = Report(f"bijection suite for {tag}, m={m}")
     cat = category(tag)
     diagram = cat.quiver.diagram
+    mask = ambient(cat).mask
+    # the suite enumerates its own tuples and takes the sequences from the
+    # tables, so it maps them along the unchecked, memoised internal paths
+    last: dict = {}
     for k in range(1, cat.n + 1):
+        # a memo entry of rank r and length j is only reused while n - k = r - j
+        to_seq, to_tup = {}, {}
         tuples = ordered_tuples(cat, m, k)
         seqs = m_exc_sequences(cat, m, k)
-        images = [tuple_to_sequence(cat, m, t) for t in tuples]
+        images = [_tuple_to_sequence(cat, m, t, mask, cat.n, to_seq) for t in tuples]
         report.add(f"k={k}: counts agree", len(tuples) == len(seqs),
                    f"{len(tuples)} tuples vs {len(seqs)} sequences")
         report.add(f"k={k}: injective", len(set(images)) == len(images))
         report.add(f"k={k}: image is the sequence set", set(images) == set(seqs))
         report.add(f"k={k}: inverse round trips",
-                   all(sequence_to_tuple(cat, m, img) == t
+                   all(_sequence_to_tuple(cat, m, img, mask, cat.n, to_tup) == t
                        for t, img in zip(tuples, images)))
         if k >= 2:
-            deletion_ok = all(tuple_to_sequence(cat, m, t[1:]) == img[1:]
-                              for t, img in zip(tuples, images))
+            # t[1:] ran through the same map in the last round
+            deletion_ok = all(last.get(t[1:]) == img[1:] for t, img in zip(tuples, images))
             report.add(f"k={k}: compatible with deleting the first entry", deletion_ok)
+        if k < cat.n:
+            last = dict(zip(tuples, images))
     g = counting.m_sequence_poly(diagram)
     # the last k above is n, so `tuples` holds the complete tuples
     report.add("complete tuple count matches the polynomial",

@@ -3,12 +3,12 @@ import math
 import pytest
 
 from excseq import InputError, InternalConsistencyError, bijection, category
-from excseq.bijection import (check_transport, is_m_exc_sequence,
-                              m_exc_sequences, sequence_to_tuple, transport,
-                              transport_inverse, tuple_to_sequence)
+from excseq.bijection import (_sequence_to_tuple, _tuple_to_sequence, check_transport,
+                              is_m_exc_sequence, m_exc_sequences, sequence_to_tuple,
+                              transport, transport_inverse, tuple_to_sequence)
 from excseq.repengine import RepCategory
 from excseq.shiftcat import ShiftedObject, compatible, ordered_tuples, shifted_objects
-from excseq.wide import mark_relative_projectives, perp
+from excseq.wide import ambient, mark_relative_projectives, perp
 
 from conftest import P1, S1, S2
 
@@ -59,6 +59,18 @@ def test_tuple_to_sequence_examples(a2):
 def test_tuple_to_sequence_validates(a2):
     with pytest.raises(InputError):
         tuple_to_sequence(a2, 1, (O(S2, 1), O(P1, 0)))  # not compatible
+
+
+def test_non_integral_levels_are_refused(a2):
+    # int() would truncate each 0.5 or 0.7 below to 0
+    for call in (lambda: transport(a2, 1, O(P1, 0), O(S2, 0.7)),
+                 lambda: transport_inverse(a2, 1, O(P1, 0), O(S2, "x")),
+                 lambda: transport(a2, 1, O(P1, 0.5), O(S2, 0)),
+                 lambda: tuple_to_sequence(a2, 1, (O(S1, 0), O(P1, 0.5))),
+                 lambda: sequence_to_tuple(a2, 1, (O(S2, 1), O(P1, 0.5))),
+                 lambda: sequence_to_tuple(a2, 1, (O(S2, "1"), O(P1, 0)))):
+        with pytest.raises(InputError, match="is not an integer"):
+            call()
 
 
 def test_is_m_exc_sequence(a2):
@@ -123,3 +135,35 @@ def test_sequence_enumeration_counts(a2):
     g = m_sequence_poly(a2.quiver.diagram)
     for m in (0, 1, 2, 3):
         assert len(m_exc_sequences(a2, m, 2)) == g(m)
+
+
+def _reference_sequence(cat, m, tup, scope=None):
+    """tuple_to_sequence composed from the public, validating transport_inverse."""
+    if len(tup) <= 1:
+        return tuple(tup)
+    t_obj = tup[-1]
+    pulled = [transport_inverse(cat, m, t_obj, o, scope) for o in tup[:-1]]
+    return _reference_sequence(cat, m, pulled, perp(cat, [t_obj.root], scope)) + (t_obj,)
+
+
+def _reference_tuple(cat, m, terms, scope=None):
+    """sequence_to_tuple composed from the public, validating transport."""
+    if len(terms) <= 1:
+        return tuple(terms)
+    t_obj = terms[-1]
+    prefix = _reference_tuple(cat, m, terms[:-1], perp(cat, [t_obj.root], scope))
+    return tuple(transport(cat, m, t_obj, o, scope) for o in prefix) + (t_obj,)
+
+
+@pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2)])
+def test_internal_bijection_paths_match_the_public_ones(tag, m):
+    # one memo per direction across all k, as the bijection suite shares them
+    cat = category(tag)
+    mask = ambient(cat).mask
+    to_seq, to_tup = {}, {}
+    for k in range(1, cat.n + 1):
+        for t in ordered_tuples(cat, m, k):
+            seq = _tuple_to_sequence(cat, m, t, mask, cat.n, to_seq)
+            assert seq == tuple_to_sequence(cat, m, t) == _reference_sequence(cat, m, t)
+            assert _sequence_to_tuple(cat, m, seq, mask, cat.n, to_tup) == t
+            assert sequence_to_tuple(cat, m, seq) == _reference_tuple(cat, m, seq) == t

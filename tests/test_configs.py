@@ -1,4 +1,5 @@
 from dataclasses import replace
+from operator import mul
 
 import pytest
 
@@ -258,3 +259,47 @@ def test_mutation_suite_fails_a_move_off_the_cluster_set(monkeypatch):
     assert not report.ok
     assert report.checks[-1].label == "exchange graph closes on the cluster set"
     assert not report.checks[-1].ok
+
+
+def test_mutate_configuration_refuses_a_non_integer_position(a2):
+    # 1.5, "1" and None escaped as TypeError, and True was read as position 1
+    comps = garside_configuration(a2, 1, (O(S1, 0), O(P1, 0)))
+    for k in (1.5, "1", True, None):
+        with pytest.raises(InputError, match="is not an integer"):
+            mutate_configuration(a2, 1, comps, k, "-")
+
+
+def test_configuration_pairings_keep_their_strict_checks(a2):
+    # c-vectors and signed columns are checked once by the strict Euler
+    # pairing before the unchecked row products run
+    ordered = (O(S1, 0), O(P1, 0))
+    for comps in ((O(S2, 1), O((1.5, 1), 0)), (O(S2, 1), O((1, 1, 0), 0))):
+        with pytest.raises(InputError, match="non-integer entry|need 2 entries each"):
+            mutate_configuration(a2, 1, comps, 0, "+")
+        with pytest.raises(InputError, match="non-integer entry|need 2 entries each"):
+            duality_frame(a2, 1, ordered, comps)
+    with pytest.raises(InputError, match="non-integer entry"):
+        duality_frame(a2, 1, (O(S1, 0), O((1, 0.5), 0)), (O(S2, 1), O(P1, 0)))
+
+
+def test_euler_row_matches_the_strict_pairing(d4):
+    signed = [r for root in d4.roots for r in (root, tuple(-x for x in root))]
+    for x in signed:
+        row = configs._euler_row(d4, x)
+        for y in signed:
+            assert sum(map(mul, row, y)) == d4.euler(x, y)
+
+
+@pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2)])
+def test_exchange_row_matches_the_exchange_matrix(tag, m):
+    cat = category(tag)
+    moves = 0
+    for cluster in enumerate_clusters(cat, m):
+        ordered = order_cluster(cat, m, cluster)
+        comps = garside_configuration(cat, m, ordered)
+        for k, _, new_comps, _ in mutation_moves(cat, m, ordered, comps):
+            for c in (comps, new_comps):
+                cs = [c_vector(sv) for sv in slope_vectors(m, c)]
+                assert configs._exchange_row(cat, cs, k) == exchange_matrix(cat, m, c)[k]
+            moves += 1
+    assert moves > 0

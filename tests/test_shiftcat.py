@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from excseq import build_diagram, category, m_sequence_poly
-from excseq.shiftcat import (ShiftedObject, compatible, enumerate_clusters,
+from excseq import InputError, build_diagram, category, m_sequence_poly
+from excseq.shiftcat import (ShiftedObject, check_object, compatible, enumerate_clusters,
                              ordered_tuples, shifted_objects)
 from excseq.wide import ambient, perp, relative_projectives
 
@@ -35,6 +36,15 @@ def test_object_count_formula(tag, m):
         objs = shifted_objects(cat, scope, m)
         assert len(relative_projectives(cat, scope)) == scope.rank
         assert len(objs) == len(scope.objects) * m + scope.rank
+
+
+def test_check_object_refuses_non_integral_levels(a2):
+    # int() would truncate 0.7 to 0 and let "1" through as 1
+    for level in (0.7, "x", "1", None, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="is not an integer"):
+            check_object(a2, None, 1, ShiftedObject(S1, level))
+    obj = check_object(a2, None, 1, ShiftedObject(S1, Fraction(0)))
+    assert obj == ShiftedObject(S1, 0) and type(obj.level) is int
 
 
 def test_compatibility_cases(a2):
