@@ -18,8 +18,8 @@ from .dynkin import (CoxeterData, DynkinDiagram, Quiver, build_diagram,
                      euler_matrix, parse_type_tag, positive_roots)
 from .errors import (ExcseqError, InputError, InternalConsistencyError,
                      UnsupportedFeatureError, VerificationError)
-from .repengine import (Approximation, HomSpace, RepCategory, Representation,
-                        category)
+from .linalg import Approximation, HomSpace, ReflectionOracle, Representation
+from .repengine import RepCategory, category
 from .shiftcat import (ShiftedObject, compatible, enumerate_clusters,
                        ordered_tuples, shifted_objects)
 from .wide import (ExcSequence, PairCase, WideSubcat, ambient, classify_pair,

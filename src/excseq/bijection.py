@@ -42,7 +42,7 @@ from .repengine import RepCategory
 from .shiftcat import (ShiftedObject, _inconsistent, check_level, check_object,
                        check_pairwise_compatible, compatible, is_valid_object,
                        shifted_objects)
-from .wide import (PairCase, WideSubcat, _mask, ambient, classify_pair, congruent,
+from .wide import (PairCase, WideSubcat, ambient, classify_pair, congruent,
                    is_relatively_projective, mutate_pair, mutate_pair_inverse, perp)
 
 
@@ -97,14 +97,12 @@ def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
     """t_obj checked against the scope, and its transport table."""
     scope = scope if scope is not None else ambient(cat)
     t_obj = check_object(cat, scope, m, t_obj)
-    return t_obj, _build_table(cat, m, t_obj, _mask(cat, scope), scope.rank)
+    return t_obj, _build_table(cat, m, t_obj, scope)
 
 
 @lru_cache(maxsize=None)
-def _build_table(cat: RepCategory, m: int, t_obj: ShiftedObject, scope_mask: int,
-                 scope_rank: int) -> _TransportTable:
-    objs = tuple(r for i, r in enumerate(cat.roots) if scope_mask >> i & 1)
-    scope = WideSubcat((), objs, scope_rank, scope_mask)
+def _build_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
+                 scope: WideSubcat) -> _TransportTable:
     t = t_obj.root
     t_perp = perp(cat, (t,), scope)
     forward, inverse = {}, {}
@@ -118,7 +116,7 @@ def _build_table(cat: RepCategory, m: int, t_obj: ShiftedObject, scope_mask: int
         if not in_compatible_set(cat, m, scope, t_obj, chart):
             raise _inconsistent(cat, m, f"transport output {chart} not compatible "
                                 f"with {t_obj}")
-        back = (chart if chart.root in t_perp.objects
+        back = (chart if t_perp.mask >> cat.root_id[chart.root] & 1
                 else _place(cat, m, t_obj, chart, mutate_pair_inverse(cat, chart.root, t), 1))
         if back != x_obj:
             raise _inconsistent(cat, m, f"inverse placement of {chart} over {t_obj} "
@@ -172,7 +170,7 @@ def tuple_to_sequence(cat: RepCategory, m: int, tup,
     tup = tuple(tup)
     checked = tuple([check_object(cat, scope, m, o) for o in tup])
     check_pairwise_compatible(cat, tup)
-    return _tuple_to_sequence(cat, m, checked, _mask(cat, scope), scope.rank, {})
+    return _tuple_to_sequence(cat, m, checked, scope, {})
 
 
 def sequence_to_tuple(cat: RepCategory, m: int, terms,
@@ -186,40 +184,38 @@ def sequence_to_tuple(cat: RepCategory, m: int, terms,
     if not is_m_exc_sequence(cat, m, terms, scope):
         raise InputError("terms do not form a shifted exceptional sequence")
     terms = tuple([ShiftedObject(cat.check_root(o.root), o.level) for o in terms])
-    return _sequence_to_tuple(cat, m, terms, _mask(cat, scope), scope.rank, {})
+    return _sequence_to_tuple(cat, m, terms, scope, {})
 
 
 def _tuple_to_sequence(cat: RepCategory, m: int, tup: tuple[ShiftedObject, ...],
-                       scope_mask: int, scope_rank: int, memo: dict) -> tuple[ShiftedObject, ...]:
+                       scope: WideSubcat, memo: dict) -> tuple[ShiftedObject, ...]:
     """`tuple_to_sequence` of a tuple known to be a valid compatible tuple of
     the scope, with no per-level checks.  Pull the other entries back over the
     last one and recurse in its perpendicular; memo keeps the results of the
     recursive calls under (scope mask, tuple)."""
     if len(tup) <= 1:
         return tup
-    table = _build_table(cat, m, tup[-1], scope_mask, scope_rank)
+    table = _build_table(cat, m, tup[-1], scope)
     pulled = _lookup(cat, m, table.inverse, tup[:-1], tup[-1])
     key = (table.perp.mask, pulled)
     seq = memo.get(key)
     if seq is None:
-        seq = memo[key] = _tuple_to_sequence(cat, m, pulled, table.perp.mask,
-                                             table.perp.rank, memo)
+        seq = memo[key] = _tuple_to_sequence(cat, m, pulled, table.perp, memo)
     return seq + tup[-1:]
 
 
 def _sequence_to_tuple(cat: RepCategory, m: int, terms: tuple[ShiftedObject, ...],
-                       scope_mask: int, scope_rank: int, memo: dict) -> tuple[ShiftedObject, ...]:
+                       scope: WideSubcat, memo: dict) -> tuple[ShiftedObject, ...]:
     """`sequence_to_tuple` of terms known to form a shifted exceptional
     sequence of the scope, unchecked and memoised like `_tuple_to_sequence`.
     Map the prefix in the last term's perpendicular, then carry it over."""
     if len(terms) <= 1:
         return terms
-    table = _build_table(cat, m, terms[-1], scope_mask, scope_rank)
+    table = _build_table(cat, m, terms[-1], scope)
     key = (table.perp.mask, terms[:-1])
     prefix = memo.get(key)
     if prefix is None:
-        prefix = memo[key] = _sequence_to_tuple(cat, m, terms[:-1], table.perp.mask,
-                                                table.perp.rank, memo)
+        prefix = memo[key] = _sequence_to_tuple(cat, m, terms[:-1], table.perp, memo)
     return _lookup(cat, m, table.forward, prefix, terms[-1]) + terms[-1:]
 
 

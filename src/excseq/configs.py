@@ -182,6 +182,8 @@ def duality_frame(cat: RepCategory, m: int, ordered, comps) -> DualityFrame:
     """Build and verify the exact duality frame V^t E C = D for a dual pair."""
     ordered, comps = tuple(ordered), tuple(comps)
     n = len(ordered)
+    if len(comps) != n:
+        raise InputError(f"{n} cluster entries but {len(comps)} components")
     v_cols = tuple(signed_dim(m, o) for o in ordered)
     c_cols = tuple(c_vector(sv) for sv in slope_vectors(m, comps))
     d_diag = tuple(cat.hom(o.root, o.root) for o in ordered)  # all 1 over the rationals
@@ -307,15 +309,20 @@ def _signed_root(cat: RepCategory, m: int, vec) -> tuple[Root, int]:
     return root, eps
 
 
+def _check_position(k, n: int) -> None:
+    """k must be an int (not a bool) in 0..n-1."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InputError(f"position {k!r} is not an integer")
+    if not 0 <= k < n:
+        raise InputError(f"position {k} out of range")
+
+
 def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
                          direction: str) -> tuple[ShiftedObject, ...]:
     """Mutate the configuration at position k, raising (+) or lowering (-)
     the slope of its slope vector by one and updating the coupled entries."""
     comps = tuple(comps)
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise InputError(f"position {k!r} is not an integer")
-    if not 0 <= k < len(comps):
-        raise InputError(f"position {k} out of range")
+    _check_position(k, len(comps))
     if direction not in ("+", "-"):
         raise InputError("direction must be '+' or '-'")
     svs = slope_vectors(m, comps)
@@ -372,6 +379,7 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     V^t E C = D of the result, checked by `duality_frame`, proves it.
     """
     ordered, new_comps = tuple(ordered), tuple(new_comps)
+    _check_position(k, len(ordered))
     v_old = [signed_dim(m, o) for o in ordered]
     row = [cat.euler(v_old[k], c_vector(sv)) for sv in slope_vectors(m, new_comps)]
     if row[k] != -cat.hom(ordered[k].root, ordered[k].root):

@@ -31,10 +31,6 @@ def _inconsistent(cat: RepCategory, m: int, message: str) -> InternalConsistency
     return InternalConsistencyError(f"{cat.quiver.diagram.type_tag}, m={m}: {message}")
 
 
-def slope(m: int, obj: ShiftedObject) -> int:
-    return m - obj.level
-
-
 def canonical_cluster(objects: Iterable[ShiftedObject]) -> tuple[ShiftedObject, ...]:
     """Clusters are compared and stored sorted by (level, root)."""
     return tuple(sorted(objects, key=lambda o: (o.level, o.root)))
@@ -52,10 +48,17 @@ def shifted_objects(cat: RepCategory, scope: WideSubcat | None, m: int) -> tuple
 
 def is_valid_object(cat: RepCategory, scope: WideSubcat | None, m: int,
                     obj: ShiftedObject) -> bool:
+    """obj lies in the scope at a level in 0..m, and at m only if it is
+    relatively projective there; a level that is not an integer is refused."""
     scope = scope if scope is not None else ambient(cat)
-    if obj.root not in scope.objects or not 0 <= obj.level <= m:
+    level = check_level(obj.level)
+    try:
+        i = cat.root_id[obj.root]
+    except (KeyError, TypeError):
         return False
-    return obj.level < m or is_relatively_projective(cat, obj.root, scope)
+    if not scope.mask >> i & 1 or not 0 <= level <= m:
+        return False
+    return level < m or is_relatively_projective(cat, obj.root, scope)
 
 
 def check_level(level) -> int:

@@ -84,7 +84,7 @@ def verify_bijection(tag: str, m: int) -> Report:
     report = Report(f"bijection suite for {tag}, m={m}")
     cat = category(tag)
     diagram = cat.quiver.diagram
-    mask = ambient(cat).mask
+    scope = ambient(cat)
     # the suite enumerates its own tuples and takes the sequences from the
     # tables, so it maps them along the unchecked, memoised internal paths
     last: dict = {}
@@ -93,13 +93,13 @@ def verify_bijection(tag: str, m: int) -> Report:
         to_seq, to_tup = {}, {}
         tuples = ordered_tuples(cat, m, k)
         seqs = m_exc_sequences(cat, m, k)
-        images = [_tuple_to_sequence(cat, m, t, mask, cat.n, to_seq) for t in tuples]
+        images = [_tuple_to_sequence(cat, m, t, scope, to_seq) for t in tuples]
         report.add(f"k={k}: counts agree", len(tuples) == len(seqs),
                    f"{len(tuples)} tuples vs {len(seqs)} sequences")
         report.add(f"k={k}: injective", len(set(images)) == len(images))
         report.add(f"k={k}: image is the sequence set", set(images) == set(seqs))
         report.add(f"k={k}: inverse round trips",
-                   all(_sequence_to_tuple(cat, m, img, mask, cat.n, to_tup) == t
+                   all(_sequence_to_tuple(cat, m, img, scope, to_tup) == t
                        for t, img in zip(tuples, images)))
         if k >= 2:
             # t[1:] ran through the same map in the last round

@@ -1,20 +1,22 @@
 """Wide subcategories, exceptional sequences, and exceptional-pair mutation.
 
-A wide subcategory is a bitmask over root ids (`objects` lists its roots in
-id order); it is never re-quiverized.  A perpendicular ANDs the scope with
-per-root masks of the Hom/Ext table, once per (side, generators, scope)
-behind a single memo that also checks its span rank; span ranks are taken
-on the integer root vectors by fraction-free elimination.  An exceptional
-sequence "in W" is an ambient sequence whose terms all lie in W, and
-completeness means its length equals rank(W).  The enumeration of complete
-sequences picks each term from the perpendicular of its later terms, so it
-flags the relatively projective terms as it goes; `mark_relative_projectives`
-derives the same flags for one given sequence.  The mutation of an
-exceptional pair (X, T) -> (T, Y) is found by a filtered search: Y is the
-unique exceptional module such that (T, Y) is exceptional, dim Y = +-dim X
-+ s*dim T for an integer s, and X, T and Y, T span the same rank-2 wide
-subcategory.  Uniqueness is asserted once per distinct pair, which doubles
-as a structural check; the inverse move is the same search mirrored.
+A wide subcategory is a bitmask over root ids: `WideSubcat` compares and
+hashes on its mask, carries its roots in id order and its rank, and is never
+re-quiverized.  Membership is one bit of the mask.  A perpendicular ANDs the
+scope's mask with per-root masks of the Hom/Ext table, once per (side,
+generators, scope) behind a single memo that also checks its span rank; span
+ranks are taken on the integer root vectors by fraction-free elimination.
+An exceptional sequence "in W" is an ambient sequence whose terms all lie in
+W, and completeness means its length equals rank(W).  The enumeration of
+complete sequences picks each term from the perpendicular of its later
+terms, so it flags the relatively projective terms as it goes;
+`mark_relative_projectives` derives the same flags for one given sequence.
+The mutation of an exceptional pair (X, T) -> (T, Y) is found by a filtered
+search: Y is the unique exceptional module such that (T, Y) is exceptional,
+dim Y = +-dim X + s*dim T for an integer s, and X, T and Y, T span the same
+rank-2 wide subcategory.  Uniqueness is asserted once per distinct pair,
+which doubles as a structural check; the inverse move is the same search
+mirrored.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ from .repengine import RepCategory
 
 @dataclass(frozen=True)
 class WideSubcat:
-    generators: tuple[Root, ...]
-    objects: tuple[Root, ...]
-    rank: int
-    mask: int | None = field(default=None, compare=False, repr=False)
+    """The wide subcategory whose objects are the roots with ids in `mask`.
+    It compares and hashes on the mask; `objects` (those roots in id order)
+    and `rank` are derived from it."""
+    mask: int
+    objects: tuple[Root, ...] = field(compare=False)
+    rank: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,8 @@ def _span_rank(vectors) -> int:
     return rank
 
 
-def _mask(cat: RepCategory, w: WideSubcat) -> int:
-    """The id mask of W, worked out from `objects` if W was built without one."""
-    if w.mask is not None:
-        return w.mask
-    return sum(1 << cat.root_id[cat.check_root(x)] for x in set(w.objects))
-
-
 def ambient(cat: RepCategory) -> WideSubcat:
-    return WideSubcat((), cat.roots, cat.n, (1 << len(cat.roots)) - 1)
+    return WideSubcat((1 << len(cat.roots)) - 1, cat.roots, cat.n)
 
 
 def perp(cat: RepCategory, generators, within: WideSubcat | None = None) -> WideSubcat:
@@ -110,24 +107,24 @@ def _perp_of(cat: RepCategory, generators, within: WideSubcat | None,
     gens = tuple(sorted({cat.check_root(g) for g in generators}))
     if not gens:
         return scope
-    return _perp(cat, right, gens, _mask(cat, scope), scope.rank)
+    return _perp(cat, right, gens, scope)
 
 
 @lru_cache(maxsize=None)
-def _perp(cat: RepCategory, right: bool, gens: tuple[Root, ...], scope: int,
-          scope_rank: int) -> WideSubcat:
+def _perp(cat: RepCategory, right: bool, gens: tuple[Root, ...],
+          scope: WideSubcat) -> WideSubcat:
     nonzero = cat.right_nz if right else cat.left_nz
-    mask = scope
+    mask = scope.mask
     for g in gens:
         mask &= ~nonzero[cat.root_id[g]]
     objs = tuple(r for i, r in enumerate(cat.roots) if mask >> i & 1)
     by_span = _span_rank(objs)
-    expected = scope_rank - _span_rank(gens)
+    expected = scope.rank - _span_rank(gens)
     if by_span != expected:
         raise InternalConsistencyError(
             f"{cat.quiver.diagram.type_tag}: perpendicular of {gens} has span rank "
             f"{by_span}, expected {expected}")
-    return WideSubcat(gens, objs, by_span, mask)
+    return WideSubcat(mask, objs, by_span)
 
 
 def is_exceptional_sequence(cat: RepCategory, terms) -> bool:
@@ -141,8 +138,7 @@ def is_exceptional_sequence(cat: RepCategory, terms) -> bool:
 
 def relative_projectives(cat: RepCategory, w: WideSubcat) -> tuple[Root, ...]:
     """Objects of W with no extensions into anything in W."""
-    mask = _mask(cat, w)
-    return tuple(x for x in w.objects if not cat.ext_out[cat.root_id[x]] & mask)
+    return tuple(x for x in w.objects if not cat.ext_out[cat.root_id[x]] & w.mask)
 
 
 def is_relatively_projective(cat: RepCategory, x: Root, w: WideSubcat) -> bool:
@@ -150,8 +146,7 @@ def is_relatively_projective(cat: RepCategory, x: Root, w: WideSubcat) -> bool:
         i = cat.root_id[x]
     except (KeyError, TypeError):
         return False
-    mask = _mask(cat, w)
-    return bool(mask >> i & 1) and not cat.ext_out[i] & mask
+    return bool(w.mask >> i & 1) and not cat.ext_out[i] & w.mask
 
 
 def mark_relative_projectives(cat: RepCategory, terms,
@@ -164,7 +159,7 @@ def mark_relative_projectives(cat: RepCategory, terms,
     flags = [False] * len(terms)
     cur = scope
     for j in reversed(range(len(terms))):
-        if terms[j] not in cur.objects:
+        if not cur.mask >> cat.root_id[terms[j]] & 1:
             raise InputError(f"term {terms[j]} escapes the scope of its later terms")
         flags[j] = is_relatively_projective(cat, terms[j], cur)
         cur = perp(cat, (terms[j],), cur)
@@ -189,7 +184,7 @@ def marked_exc_sequences(cat: RepCategory,
     memo: dict[int, tuple] = {}
 
     def sequences(w: WideSubcat):
-        mask = _mask(cat, w)
+        mask = w.mask
         cached = memo.get(mask)
         if cached is not None:
             return cached
@@ -301,7 +296,7 @@ def _mutate_pair(cat: RepCategory, x: Root, t: Root, inverse: bool) -> Root:
     scope = ambient(cat)
 
     def pair_perp(z: Root) -> int:
-        return _perp(cat, True, tuple(sorted((z, t))), scope.mask, scope.rank).mask
+        return _perp(cat, True, tuple(sorted((z, t))), scope).mask
 
     target = pair_perp(x)
     found = [z for i, z in enumerate(cat.roots)

@@ -159,11 +159,11 @@ def _reference_tuple(cat, m, terms, scope=None):
 def test_internal_bijection_paths_match_the_public_ones(tag, m):
     # one memo per direction across all k, as the bijection suite shares them
     cat = category(tag)
-    mask = ambient(cat).mask
+    scope = ambient(cat)
     to_seq, to_tup = {}, {}
     for k in range(1, cat.n + 1):
         for t in ordered_tuples(cat, m, k):
-            seq = _tuple_to_sequence(cat, m, t, mask, cat.n, to_seq)
+            seq = _tuple_to_sequence(cat, m, t, scope, to_seq)
             assert seq == tuple_to_sequence(cat, m, t) == _reference_sequence(cat, m, t)
-            assert _sequence_to_tuple(cat, m, seq, mask, cat.n, to_tup) == t
+            assert _sequence_to_tuple(cat, m, seq, scope, to_tup) == t
             assert sequence_to_tuple(cat, m, seq) == _reference_tuple(cat, m, seq) == t

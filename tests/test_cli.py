@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from excseq import InputError, RepCategory, category, linalg, mark_relative_projectives
+from excseq import InputError, category, linalg, mark_relative_projectives
 from excseq.cli import main
 from excseq.serialize import cluster_from_dict, dumps_canonical, object_from_dict
 
@@ -231,8 +231,9 @@ def test_max_rank_tightens_the_limit(capsys):
 
 @pytest.fixture
 def no_rational_algebra(monkeypatch):
-    """Every public linalg function, linalg._rref and RepCategory.rep raise,
-    and categories (with the memos keyed by them) are built afresh."""
+    """Every public linalg function, linalg._rref and building a
+    ReflectionOracle raise, and categories (with the memos keyed by them) are
+    built afresh."""
     def refuse(*args, **kwargs):
         raise AssertionError("rational linear algebra on a CLI path")
 
@@ -242,7 +243,7 @@ def no_rational_algebra(monkeypatch):
     assert {"solve", "inverse", "rank", "right_kernel", "_rref"} <= set(names)
     for name in names:
         monkeypatch.setattr(linalg, name, refuse)
-    monkeypatch.setattr(RepCategory, "rep", refuse)
+    monkeypatch.setattr(linalg.ReflectionOracle, "__init__", refuse)
     category.cache_clear()
     yield
     category.cache_clear()

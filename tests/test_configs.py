@@ -11,7 +11,8 @@ from excseq.configs import (all_valid_orders, c_vector, duality_frame, exchange_
                             mutate_configuration, mutation_moves, order_cluster,
                             recover_cluster, signed_dim, slope_vectors)
 from excseq.errors import VerificationError
-from excseq.shiftcat import ShiftedObject, canonical_cluster, enumerate_clusters
+from excseq.bijection import is_m_exc_sequence
+from excseq.shiftcat import ShiftedObject, canonical_cluster, enumerate_clusters, is_valid_object
 
 from conftest import P1, S1, S2
 
@@ -267,6 +268,33 @@ def test_mutate_configuration_refuses_a_non_integer_position(a2):
     for k in (1.5, "1", True, None):
         with pytest.raises(InputError, match="is not an integer"):
             mutate_configuration(a2, 1, comps, k, "-")
+
+
+def test_recover_cluster_refuses_a_bad_position(a2):
+    # -1 indexed from the end and ended in a false "clashes with"
+    # InternalConsistencyError, 1.5 raised TypeError and 5 IndexError
+    ordered = (O(S1, 0), O(P1, 0))
+    new_comps = mutate_configuration(a2, 1, garside_configuration(a2, 1, ordered), 1, "-")
+    assert recover_cluster(a2, 1, ordered, new_comps, 1) == (O(S1, 0), O(S2, 1))
+    for k, message in ((-1, "out of range"), (1.5, "is not an integer"), (5, "out of range")):
+        with pytest.raises(InputError, match=message):
+            recover_cluster(a2, 1, ordered, new_comps, k)
+
+
+def _short_duality_frame(a2):
+    ordered = (O(S1, 0), O(P1, 0))
+    duality_frame(a2, 1, ordered, garside_configuration(a2, 1, ordered)[:1])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda a2: is_valid_object(a2, None, 1, O(S1, "x")), "level 'x' is not an integer"),
+    (lambda a2: is_m_exc_sequence(a2, 1, [(S1, "x")]), "level 'x' is not an integer"),
+    (_short_duality_frame, "2 cluster entries but 1 components"),
+], ids=["is_valid_object", "is_m_exc_sequence", "duality_frame"])
+def test_malformed_input_is_refused(a2, call, message):
+    # each raised a raw TypeError or IndexError
+    with pytest.raises(InputError, match=message):
+        call(a2)
 
 
 def test_configuration_pairings_keep_their_strict_checks(a2):

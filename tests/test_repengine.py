@@ -1,37 +1,61 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from excseq import (InputError, PairCase, build_diagram, build_quiver, category,
-                    classify_pair, linalg, perp)
+from excseq import (InputError, InternalConsistencyError, PairCase, ReflectionOracle,
+                    build_diagram, build_quiver, category, classify_pair, linalg, perp)
 from excseq.repengine import RepCategory
 
 from conftest import P1, S1, S2, tags_up_to_rank
 
 
-def test_simple_module(a2):
-    rep = a2.rep(S2)
+@lru_cache(maxsize=None)
+def oracle(tag: str, arrows=None) -> ReflectionOracle:
+    """One oracle per category, so its memos are shared across tests."""
+    if arrows is None:
+        return ReflectionOracle(category(tag))
+    return ReflectionOracle(RepCategory(build_quiver(build_diagram(tag), arrows)))
+
+
+def test_simple_module():
+    rep = oracle("A2").rep(S2)
     assert rep.dims == S2
     assert rep.maps[0].nrows == 1 and rep.maps[0].ncols == 0
 
 
-def test_sincere_a2_module(a2):
-    rep = a2.rep(P1)
+def test_sincere_a2_module():
+    rep = oracle("A2").rep(P1)
     assert rep.dims == P1
     (entry,), = rep.maps[0].rows
     assert entry != 0  # 1x1 arrow map must be invertible
 
 
-def test_sincere_a3_module(a3):
-    rep = a3.rep((1, 1, 1))
+def test_sincere_a3_module():
+    rep = oracle("A3").rep((1, 1, 1))
     for m in rep.maps:
         assert m.nrows == 1 and m.ncols == 1 and m.rows[0][0] != 0
 
 
-def test_rep_rejects_non_roots(a2):
+def test_rep_rejects_non_roots():
     with pytest.raises(InputError):
-        a2.rep((2, 1))
+        oracle("A2").rep((2, 1))
+
+
+def test_rep_keeps_only_checked_modules(a2, monkeypatch):
+    # a module that fails the Schurian/rigid check must not be memoised, so
+    # asking for it again rebuilds it and fails again
+    def fail(self, module):
+        raise InternalConsistencyError(f"module at {module.dims} is not Schurian")
+
+    monkeypatch.setattr(ReflectionOracle, "_verify_exceptional", fail)
+    fresh = ReflectionOracle(a2)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="not Schurian"):
+            fresh.rep(P1)
+    monkeypatch.undo()
+    assert fresh.rep(P1).dims == P1
 
 
 def test_check_root_refuses_non_integral_entries(a2):
@@ -102,19 +126,19 @@ def test_sink_simples_projective(a3):
     assert a3.is_projective((0, 0, 1))
 
 
-def test_approximation_mono(a2):
-    appr = a2.approximation(S2, P1)
+def test_approximation_mono():
+    appr = oracle("A2").approximation(S2, P1)
     assert (appr.multiplicity, appr.kind, appr.complement) == (1, "mono", S1)
 
 
-def test_approximation_epi(a2):
-    appr = a2.approximation(P1, S1)
+def test_approximation_epi():
+    appr = oracle("A2").approximation(P1, S1)
     assert (appr.multiplicity, appr.kind, appr.complement) == (1, "epi", S2)
 
 
-def test_approximation_needs_maps(a2):
+def test_approximation_needs_maps():
     with pytest.raises(InputError):
-        a2.approximation(P1, S2)
+        oracle("A2").approximation(P1, S2)
 
 
 def test_approximation_exact_sequence(a3):
@@ -123,7 +147,7 @@ def test_approximation_exact_sequence(a3):
         for t in a3.roots:
             if x == t or a3.hom(t, x) or a3.ext(t, x) or not a3.hom(x, t):
                 continue
-            appr = a3.approximation(x, t)
+            appr = oracle("A3").approximation(x, t)
             if appr.kind == "mono":
                 assert all(appr.multiplicity * tv - xv == cv
                            for xv, tv, cv in zip(x, t, appr.complement))
@@ -133,7 +157,7 @@ def test_approximation_exact_sequence(a3):
 def test_every_indecomposable_is_exceptional(tag):
     cat = category(tag)
     for beta in cat.roots:
-        rep = cat.rep(beta)  # construction verifies Schurian + rigid
+        rep = oracle(tag).rep(beta)  # construction verifies Schurian + rigid
         assert rep.dims == beta
         for idx, (s, t) in enumerate(cat.quiver.arrows):
             assert rep.maps[idx].nrows == beta[t]
@@ -141,11 +165,10 @@ def test_every_indecomposable_is_exceptional(tag):
 
 
 def test_hom_basis_satisfies_intertwining(a3):
-    from excseq import linalg
     for a, b in [((1, 1, 0), (1, 1, 1)), ((0, 1, 1), (0, 0, 1)), ((1, 1, 1), (1, 1, 1))]:
-        space = a3.hom_basis(a, b)
+        space = oracle("A3").hom_basis(a, b)
         assert space.dimension == a3.hom(a, b) == len(space.basis)
-        rep_a, rep_b = a3.rep(a), a3.rep(b)
+        rep_a, rep_b = oracle("A3").rep(a), oracle("A3").rep(b)
         for phi in space.basis:
             for idx, (s, t) in enumerate(a3.quiver.arrows):
                 left = linalg.matmul(phi[t], rep_a.maps[idx])
@@ -192,20 +215,15 @@ def test_oracle_tag_set():
 ORACLE_IDS = [f"{t}-{a}" if a else t for t, a in ORACLE_CASES]
 
 
-def _oracle_category(tag, arrows):
-    if arrows is None:
-        return category(tag)
-    return RepCategory(build_quiver(build_diagram(tag), arrows))
-
-
 @pytest.mark.parametrize("tag,arrows", ORACLE_CASES, ids=ORACLE_IDS)
 def test_closed_form_table_matches_linear_algebra(tag, arrows):
     # the table comes from the Euler form; hom_basis solves the intertwining
     # equations of the explicit representations
-    cat = _oracle_category(tag, arrows)
+    orc = oracle(tag, arrows)
+    cat = orc.cat
     for a in cat.roots:
         for b in cat.roots:
-            dim = cat.hom_basis(a, b).dimension
+            dim = orc.hom_basis(a, b).dimension
             assert cat.hom(a, b) == dim, (a, b)
             assert cat.ext(a, b) == dim - cat.euler(a, b), (a, b)
     a, b = cat.roots[0], cat.roots[-1]
@@ -224,7 +242,8 @@ def test_classify_pair_matches_the_approximation(tag, arrows):
     # classify_pair reads mono/epi off the table: with s = dim Hom(x, t), the
     # cokernel s*t - x or the kernel x - s*t must be a root; approximation
     # ranks the explicit diagonal map x -> t^s vertex by vertex
-    cat = _oracle_category(tag, arrows)
+    orc = oracle(tag, arrows)
+    cat = orc.cat
     for x in cat.roots:
         for t in cat.roots:
             if x == t or cat.hom(t, x) or cat.ext(t, x) or not cat.hom(x, t):
@@ -233,12 +252,12 @@ def test_classify_pair_matches_the_approximation(tag, arrows):
             case = classify_pair(cat, x, t)
             sign = 1 if case is PairCase.MONO else -1
             complement = tuple(sign * (s * b - a) for a, b in zip(x, t))
-            assert cat.approximation(x, t) == (s, case.value, complement), (x, t)
+            assert orc.approximation(x, t) == (s, case.value, complement), (x, t)
 
 
 @pytest.mark.parametrize("tag,arrows", ORACLE_CASES, ids=ORACLE_IDS)
 def test_projective_roots_are_the_rows_of_the_inverse(tag, arrows):
-    cat = _oracle_category(tag, arrows)
+    cat = oracle(tag, arrows).cat
     einv = linalg.inverse(linalg.mat(cat.E))
     assert cat.projective_roots == einv.rows
     assert {r for r in cat.roots if cat.is_projective(r)} == set(einv.rows)

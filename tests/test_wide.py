@@ -22,6 +22,14 @@ def test_perp_examples(a2):
     assert left_perp(a2, [P1]).objects == (S1,)
 
 
+def test_wide_subcategories_compare_by_mask(a2):
+    # different generators with the same perpendicular give one subcategory
+    w, v = perp(a2, [S1, S2]), perp(a2, [S1, P1])
+    assert w == v and hash(w) == hash(v) and {w: 1}[v] == 1
+    assert w.mask == 0 and w.objects == () and w.rank == 0
+    assert perp(a2, [P1]) != perp(a2, [S1])
+
+
 def test_perp_rank_drops_by_one(a3):
     for r in a3.roots:
         assert perp(a3, [r]).rank == 2
