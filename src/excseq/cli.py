@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 from . import counting
-from .configs import exchange_graph, garside_configuration, mutate, order_cluster
+from .configs import cluster_table, exchange_graph, mutate, order_cluster
 from .dynkin import build_diagram
 from .errors import (ExcseqError, InputError, InternalConsistencyError,
                      UnsupportedFeatureError, VerificationError)
@@ -154,8 +154,7 @@ def cmd_enumerate(args) -> int:
         record, text = partial(sequence_to_dict, m), _spaced
         expected = int(g(m))
     elif what == "configs":
-        items = [garside_configuration(cat, m, order_cluster(cat, m, c))
-                 for c in enumerate_clusters(cat, m)]
+        items = [comps for _, comps in cluster_table(cat, m).values()]
         record, text = partial(configuration_to_dict, m), _spaced
         expected = int(g(m)) // math.factorial(cat.n)
     else:  # pragma: no cover - argparse restricts choices

@@ -10,15 +10,15 @@ endomorphism dimensions (the identity over a quiver) and E the Euler
 matrix.  Mutation acts on the slope vectors of the configuration.  Only one
 cluster entry moves, and the old frame gives its new signed dimension vector
 as an integer combination of the old columns, with coefficients its Euler
-pairings against the new c-vectors; the new frame is then verified.  All of
-it is integer arithmetic on dimension vectors.
+pairings against the new c-vectors; the new frame is then verified.
 
-The public functions keep the strict checks of `RepCategory.euler`, which
-validates its arguments on every call, but run them once per vector:
-`duality_frame` and `mutate_configuration` check each vector with one strict
-pairing and then take the rest as products with the row x^t E from
-`_euler_row`, which trusts its input.  `recover_cluster` needs only the n
-pairings of one row, so they stay strict and double as its check.
+Each of these vectors is a root signed by the parity of its level, so each
+pairing is a sign times `RepCategory.pairing`, one read of the Hom/Ext table.
+The kernels `_check_frame`, `_mutate` and `_recover` trust their input and
+check their results.  `duality_frame`, `mutate_configuration` and
+`recover_cluster` first check theirs, each vector once through the strict
+`RepCategory.euler`.  `mutation_moves` runs the kernels alone, on an ordered
+cluster and configuration that the caller built, such as a `cluster_table` entry.
 """
 
 from __future__ import annotations
@@ -187,27 +187,38 @@ def duality_frame(cat: RepCategory, m: int, ordered, comps) -> DualityFrame:
     v_cols = tuple(signed_dim(m, o) for o in ordered)
     c_cols = tuple(c_vector(sv) for sv in slope_vectors(m, comps))
     d_diag = tuple(cat.hom(o.root, o.root) for o in ordered)  # all 1 over the rationals
-    if n:
-        # the strict pairing checks each vector once, with the message the
-        # first pairing of the double loop below would give it
-        for c in c_cols[:n]:
-            cat.euler(v_cols[0], c)
-        for v in v_cols[1:]:
-            cat.euler(v, c_cols[0])
-    # int copies keep the sums ints for integral Fraction or float entries
-    c_ints = tuple(tuple(map(int, c)) for c in c_cols[:n])
-    for i in range(n):
-        row = _euler_row(cat, tuple(map(int, v_cols[i])))
-        for j in range(n):
-            value = sum(map(mul, row, c_ints[j]))
-            want = d_diag[i] if i == j else 0
+    _check_vectors(cat, v_cols, c_cols)
+    _check_frame(cat, m, ordered, comps)
+    return DualityFrame(v_cols, c_cols, d_diag, cat.E)
+
+
+def _check_vectors(cat: RepCategory, xs, ys) -> None:
+    """Check each vector once through the strict `RepCategory.euler`, with the
+    message of the first pairing <x, y> (x in xs, then y in ys) to refuse it."""
+    for y in ys:
+        cat.euler(xs[0], y)
+    for x in xs[1:]:
+        cat.euler(x, ys[0])
+
+
+def _pair(cat: RepCategory, a: ShiftedObject, b: ShiftedObject) -> int:
+    """<x_a, x_b> for the signed dimension vectors or c-vectors x of a and b,
+    whose signs multiply to (-1)^(a.level + b.level)."""
+    value = cat.pairing(a.root, b.root)
+    return -value if (a.level + b.level) % 2 else value
+
+
+def _check_frame(cat: RepCategory, m: int, ordered, comps) -> None:
+    """The checks of `duality_frame` on a dual pair with checked vectors."""
+    for i, o in enumerate(ordered):
+        for j, c in enumerate(comps):
+            value, want = _pair(cat, o, c), cat.hom(o.root, o.root) if i == j else 0
             if value != want:
                 raise VerificationError(
                     f"duality pairing failed at ({i}, {j}): got {value}, want {want}")
     for o, sv in zip(ordered, slope_vectors(m, comps)):
         if (m - o.level) not in (sv.slope, sv.slope + 1):
             raise VerificationError(f"slope rule violated: entry {o} against {sv}")
-    return DualityFrame(v_cols, c_cols, d_diag, cat.E)
 
 
 def g_vector_check(cat: RepCategory, frame: DualityFrame) -> bool:
@@ -282,21 +293,6 @@ def exchange_matrix(cat: RepCategory, m: int, comps) -> tuple[tuple[int, ...], .
                        for j in range(n)) for k in range(n))
 
 
-def _euler_row(cat: RepCategory, x) -> tuple[int, ...]:
-    """The row x^t E, so that <x, y> = sum(map(mul, _euler_row(cat, x), y)).
-    Unlike `RepCategory.euler` it does not re-validate x: callers pass
-    integer vectors of length n that they built or checked."""
-    return tuple(sum(map(mul, x, col)) for col in cat._e_cols)
-
-
-def _exchange_row(cat: RepCategory, cs, k: int) -> tuple[int, ...]:
-    """Row k of `exchange_matrix` on the checked c-vectors cs:
-    b[k][j] = <c_j, c_k> - <c_k, c_j>."""
-    row_k = _euler_row(cat, cs[k])
-    return tuple(sum(map(mul, _euler_row(cat, c), cs[k])) - sum(map(mul, row_k, c))
-                 for c in cs)
-
-
 def _signed_root(cat: RepCategory, m: int, vec) -> tuple[Root, int]:
     if all(x >= 0 for x in vec) and any(x > 0 for x in vec):
         root, eps = tuple(vec), +1
@@ -327,33 +323,35 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
         raise InputError("direction must be '+' or '-'")
     svs = slope_vectors(m, comps)
     sk = svs[k].slope
-    if direction == "+":
-        if sk + 1 > m:
-            raise InputError(f"slope {sk} has no headroom to mutate upward (m={m})")
-        s = sk
-    else:
-        if sk - 1 < 0:
-            raise InputError(f"slope {sk} cannot mutate downward")
-        s = sk - 1
+    if direction == "+" and sk + 1 > m:
+        raise InputError(f"slope {sk} has no headroom to mutate upward (m={m})")
+    if direction == "-" and sk - 1 < 0:
+        raise InputError(f"slope {sk} cannot mutate downward")
     cs = [c_vector(sv) for sv in svs]
-    # the strict pairing checks each c-vector once, with the message the first
-    # row of `exchange_matrix` would give it; row k below trusts them
-    for c in cs:
-        cat.euler(c, cs[0])
-    window = [cs[i] for i in range(len(comps)) if svs[i].slope in (s, s + 1)]
-    b_k = _exchange_row(cat, [tuple(map(int, c)) for c in cs], k)
+    _check_vectors(cat, cs, cs[:1])  # as the first row of `exchange_matrix` would
+    return _mutate(cat, m, comps, k, direction)
+
+
+def _mutate(cat: RepCategory, m: int, comps, k: int,
+            direction: str) -> tuple[ShiftedObject, ...]:
+    """`mutate_configuration` of a checked configuration by a legal move."""
+    svs = slope_vectors(m, comps)
+    s = svs[k].slope if direction == "+" else svs[k].slope - 1
+    cs = [c_vector(sv) for sv in svs]
+    window = [j for j, sv in enumerate(svs) if sv.slope in (s, s + 1)]
+    span = [cs[j] for j in window]
+    span_rank = _span_rank(span)
     new = list(comps)
-    for j in range(len(comps)):
-        if j == k or svs[j].slope not in (s, s + 1):
-            continue
-        bkj = b_k[j]
-        if (direction == "+" and bkj <= 0) or (direction == "-" and bkj >= 0):
+    for j in window:
+        # b_kj = <c_j, c_k> - <c_k, c_j>, row k of `exchange_matrix`
+        bkj = _pair(cat, comps[j], comps[k]) - _pair(cat, comps[k], comps[j])
+        if j == k or (bkj <= 0 if direction == "+" else bkj >= 0):
             continue
         updated = tuple(cj + abs(bkj) * ck for cj, ck in zip(cs[j], cs[k]))
         root, eps = _signed_root(cat, m, updated)
         # C is unimodular (V^t E C = I), so a vector in the rational span of
         # some of its columns is an integer combination of them
-        if _span_rank(window + [root]) != _span_rank(window):
+        if _span_rank(span + [root]) != span_rank:
             raise _inconsistent(cat, m, f"mutated c-vector {root} escapes the "
                                 "slope-window lattice")
         # place at the slope in {s, s+1} whose sign (-1)^slope matches the
@@ -381,7 +379,17 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     ordered, new_comps = tuple(ordered), tuple(new_comps)
     _check_position(k, len(ordered))
     v_old = [signed_dim(m, o) for o in ordered]
-    row = [cat.euler(v_old[k], c_vector(sv)) for sv in slope_vectors(m, new_comps)]
+    _check_vectors(cat, v_old[k:k + 1], [c_vector(sv) for sv in slope_vectors(m, new_comps)])
+    candidate = _recover(cat, m, ordered, new_comps, k)
+    duality_frame(cat, m, candidate, new_comps)
+    return candidate
+
+
+def _recover(cat: RepCategory, m: int, ordered, new_comps,
+             k: int) -> tuple[ShiftedObject, ...]:
+    """`recover_cluster` of checked input, short of the frame check."""
+    v_old = [signed_dim(m, o) for o in ordered]
+    row = [_pair(cat, ordered[k], c) for c in new_comps]
     if row[k] != -cat.hom(ordered[k].root, ordered[k].root):
         raise _inconsistent(cat, m, "self-coefficient of the exchanged entry is not -1")
     vec = [sum(g * v[i] for g, v in zip(row, v_old)) for i in range(cat.n)]
@@ -398,7 +406,6 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     for i, o in enumerate(candidate):
         if i != k and not compatible(cat, o, new_obj):
             raise _inconsistent(cat, m, f"recovered entry {new_obj} clashes with {o}")
-    duality_frame(cat, m, candidate, new_comps)
     return candidate
 
 
@@ -420,27 +427,36 @@ def mutate(cat: RepCategory, m: int, ordered, k: int, direction: str) -> Mutatio
 def mutation_moves(cat: RepCategory, m: int, ordered, comps):
     """Every move of an ordered cluster whose configuration is comps that keeps
     the slopes in 0..m, as (k, direction, mutated configuration, mutated
-    ordered cluster)."""
-    svs = slope_vectors(m, comps)
-    for k in range(len(ordered)):
+    ordered cluster).  The caller built both, so the kernels run the moves."""
+    for k, c in enumerate(comps):
         for direction, step in (("+", 1), ("-", -1)):
-            if 0 <= svs[k].slope + step <= m:
-                new_comps = mutate_configuration(cat, m, comps, k, direction)
-                yield k, direction, new_comps, recover_cluster(cat, m, ordered, new_comps, k)
+            if 0 <= m - c.level + step <= m:
+                new_comps = _mutate(cat, m, comps, k, direction)
+                new_ordered = _recover(cat, m, ordered, new_comps, k)
+                _check_frame(cat, m, new_ordered, new_comps)
+                yield k, direction, new_comps, new_ordered
+
+
+def cluster_table(cat: RepCategory, m: int) -> dict:
+    """Each cluster of `enumerate_clusters`, in its order, mapped to its
+    ordered form and that form's Garside configuration."""
+    table = {}
+    for cluster in enumerate_clusters(cat, m):
+        ordered = order_cluster(cat, m, cluster)
+        table[cluster] = ordered, garside_configuration(cat, m, ordered)
+    return table
 
 
 def exchange_graph(cat: RepCategory, m: int):
     """Nodes: clusters in canonical order.  Edges: (i, j, k, dir) moves."""
-    clusters = enumerate_clusters(cat, m)
-    index = {c: i for i, c in enumerate(clusters)}
+    table = cluster_table(cat, m)
+    index = {c: i for i, c in enumerate(table)}
     edges = []
-    for i, cluster in enumerate(clusters):
-        ordered = order_cluster(cat, m, cluster)
-        comps = garside_configuration(cat, m, ordered)
+    for i, (ordered, comps) in enumerate(table.values()):
         for k, direction, _, new_ordered in mutation_moves(cat, m, ordered, comps):
             j = index.get(canonical_cluster(new_ordered))
             if j is None:
                 raise _inconsistent(cat, m, f"move k={k + 1},{direction} of "
                                     f"{' '.join(map(str, ordered))} leaves the cluster set")
             edges.append((i, j, k, direction))
-    return clusters, tuple(sorted(edges))
+    return tuple(table), tuple(sorted(edges))

@@ -113,6 +113,14 @@ class RepCategory:
         except (KeyError, TypeError):
             return self._table[self.check_root(a), self.check_root(b)][1]
 
+    def pairing(self, a, b) -> int:
+        """<a, b>: Hom minus Ext from the table for roots, else `euler`."""
+        try:
+            hom, ext = self._table[a, b]
+        except (KeyError, TypeError):
+            return self.euler(a, b)
+        return hom - ext
+
     def is_projective(self, beta) -> bool:
         return self.check_root(beta) in self.projective_roots
 

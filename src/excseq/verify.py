@@ -1,10 +1,11 @@
 """Named verification sweeps, shared by the CLI and the test suite.
 
-The suites feed the library objects they enumerated themselves.  The
-bijection suite maps its tuples and their images along the internal paths
-of `bijection`, which trust their input; the other suites call the public,
-validating functions of `configs`.  Every table a suite reads is checked
-when it is built.
+The suites feed the library objects they enumerated themselves.  The bijection
+suite maps them through the memoised internal maps of `bijection`, which trust
+their input.  The duality and mutation suites read one `configs.cluster_table`
+(`verify_all` builds it once for both); the mutation suite moves through the
+trusted `configs.mutation_moves`, and every frame and exchange matrix pairs
+roots through the Hom/Ext table.  Every table a suite reads is checked when built.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass, field
 from . import counting
 from .bijection import (_sequence_to_tuple, _tuple_to_sequence, check_transport,
                         m_exc_sequences)
-from .configs import (all_valid_orders, duality_frame, exchange_matrix,
+from .configs import (_mutate, _pair, all_valid_orders, cluster_table, duality_frame,
                       garside_configuration, g_vector_check, horizontal_subcat,
-                      mutate_configuration, mutation_moves, order_cluster)
+                      mutation_moves, order_cluster)
 from .dynkin import build_diagram
 from .errors import VerificationError
 from .repengine import category
-from .shiftcat import (canonical_cluster, enumerate_clusters, ordered_tuples,
-                       shifted_objects)
+from .shiftcat import canonical_cluster, ordered_tuples, shifted_objects
 from .wide import ambient, marked_exc_sequences, rel_proj_poly_enumerated
 
 
@@ -123,18 +123,16 @@ def verify_bijection(tag: str, m: int) -> Report:
     return report
 
 
-def verify_duality(tag: str, m: int) -> Report:
+def verify_duality(tag: str, m: int, table: dict | None = None) -> Report:
     report = Report(f"duality suite for {tag}, m={m}")
     cat = category(tag)
-    clusters = enumerate_clusters(cat, m)
+    table = cluster_table(cat, m) if table is None else table
     expected = counting.fomin_reading_count(cat.quiver.diagram, m)
     report.add("cluster count matches the product formula",
-               len(clusters) == expected, f"{len(clusters)} vs {expected}")
-    for cluster in clusters:
-        ordered = order_cluster(cat, m, cluster)
+               len(table) == expected, f"{len(table)} vs {expected}")
+    for ordered, comps in table.values():
         label = " ".join(str(o) for o in ordered)
         try:
-            comps = garside_configuration(cat, m, ordered)
             frame = duality_frame(cat, m, ordered, comps)
             if not g_vector_check(cat, frame):
                 raise VerificationError("restated frame identity failed")
@@ -144,16 +142,17 @@ def verify_duality(tag: str, m: int) -> Report:
                     if abs(a.slope - b.slope) >= 2 and set(a.objects) & set(b.objects):
                         raise VerificationError(
                             f"slope windows {a.slope} and {b.slope} overlap")
-            b_mat = exchange_matrix(cat, m, comps)
-            if any(b_mat[i][j] != -b_mat[j][i] for i in range(cat.n) for j in range(cat.n)):
+            # the exchange matrix b[k][j] = <c_j, c_k> - <c_k, c_j>
+            b = [[_pair(cat, cj, ck) - _pair(cat, ck, cj) for cj in comps] for ck in comps]
+            if any(b[i][j] != -b[j][i] for i in range(cat.n) for j in range(cat.n)):
                 raise VerificationError("exchange matrix is not antisymmetric")
             report.add(f"cluster {label}", True)
         except VerificationError as exc:
             report.add(f"cluster {label}", False, str(exc))
     # configuration does not depend on the chosen valid order (small sweeps)
-    if len(clusters) <= 20:
+    if len(table) <= 20:
         stable = True
-        for cluster in clusters:
+        for cluster in table:
             configs = {frozenset(garside_configuration(cat, m, o))
                        for o in all_valid_orders(cat, m, cluster)}
             if len(configs) != 1:
@@ -162,28 +161,27 @@ def verify_duality(tag: str, m: int) -> Report:
     return report
 
 
-def verify_mutation(tag: str, m: int) -> Report:
+def verify_mutation(tag: str, m: int, table: dict | None = None) -> Report:
     report = Report(f"mutation suite for {tag}, m={m}")
     cat = category(tag)
-    clusters = enumerate_clusters(cat, m)
-    cluster_set = set(clusters)
+    table = cluster_table(cat, m) if table is None else table
     closed = True
-    for cluster in clusters:
-        ordered = order_cluster(cat, m, cluster)
-        comps = garside_configuration(cat, m, ordered)
+    for ordered, comps in table.values():
         label = " ".join(str(o) for o in ordered)
         try:
             for k, direction, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
-                closed = closed and canonical_cluster(new_ordered) in cluster_set
-                back = mutate_configuration(cat, m, new_comps, k,
-                                            "-" if direction == "+" else "+")
+                key = canonical_cluster(new_ordered)
+                closed = closed and key in table
+                back = _mutate(cat, m, new_comps, k, "-" if direction == "+" else "+")
                 if back != comps:
-                    raise VerificationError(f"round trip failed at k={k}, {direction}")
-                rederived = garside_configuration(
-                    cat, m, order_cluster(cat, m, new_ordered))
+                    raise VerificationError(f"round trip failed at k={k + 1}, {direction}")
+                # order_cluster sorts its input, so a cluster in the table
+                # rederives to the configuration stored with it
+                rederived = (table[key][1] if key in table else
+                             garside_configuration(cat, m, order_cluster(cat, m, key)))
                 if set(rederived) != set(new_comps):
                     raise VerificationError(
-                        f"rederived configuration differs at k={k}, {direction}")
+                        f"rederived configuration differs at k={k + 1}, {direction}")
             report.add(f"cluster {label}", True)
         except VerificationError as exc:
             report.add(f"cluster {label}", False, str(exc))
@@ -194,8 +192,9 @@ def verify_mutation(tag: str, m: int) -> Report:
 
 def verify_all(tag: str, m: int) -> Report:
     report = Report(f"all suites for {tag}, m={m}")
+    table = cluster_table(category(tag), m)
     for sub in (verify_counting(tag), verify_bijection(tag, m),
-                verify_duality(tag, m), verify_mutation(tag, m)):
+                verify_duality(tag, m, table), verify_mutation(tag, m, table)):
         report.checks.extend(sub.checks)
     return report
 

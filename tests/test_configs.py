@@ -1,12 +1,11 @@
 from dataclasses import replace
-from operator import mul
 
 import pytest
 
 from excseq import InputError, InternalConsistencyError, category, configs, linalg, verify
 from excseq.cli import main
-from excseq.configs import (all_valid_orders, c_vector, duality_frame, exchange_graph,
-                            exchange_matrix, garside_configuration,
+from excseq.configs import (all_valid_orders, c_vector, cluster_table, duality_frame,
+                            exchange_graph, exchange_matrix, garside_configuration,
                             g_vector_check, horizontal_subcat, mutate,
                             mutate_configuration, mutation_moves, order_cluster,
                             recover_cluster, signed_dim, slope_vectors)
@@ -310,24 +309,51 @@ def test_configuration_pairings_keep_their_strict_checks(a2):
         duality_frame(a2, 1, (O(S1, 0), O((1, 0.5), 0)), (O(S2, 1), O(P1, 0)))
 
 
-def test_euler_row_matches_the_strict_pairing(d4):
-    signed = [r for root in d4.roots for r in (root, tuple(-x for x in root))]
-    for x in signed:
-        row = configs._euler_row(d4, x)
-        for y in signed:
-            assert sum(map(mul, row, y)) == d4.euler(x, y)
-
-
 @pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2)])
 def test_exchange_row_matches_the_exchange_matrix(tag, m):
+    # a move at k updates exactly the window entries j whose b_kj, read off the
+    # strict exchange matrix, has the sign of the move, to c_j + |b_kj| c_k
     cat = category(tag)
     moves = 0
-    for cluster in enumerate_clusters(cat, m):
-        ordered = order_cluster(cat, m, cluster)
-        comps = garside_configuration(cat, m, ordered)
-        for k, _, new_comps, _ in mutation_moves(cat, m, ordered, comps):
-            for c in (comps, new_comps):
-                cs = [c_vector(sv) for sv in slope_vectors(m, c)]
-                assert configs._exchange_row(cat, cs, k) == exchange_matrix(cat, m, c)[k]
+    for ordered, comps in cluster_table(cat, m).values():
+        b, svs = exchange_matrix(cat, m, comps), slope_vectors(m, comps)
+        for k, direction, new_comps, _ in mutation_moves(cat, m, ordered, comps):
+            s = svs[k].slope - (direction == "-")
+            for j, (sv, new_sv) in enumerate(zip(svs, slope_vectors(m, new_comps))):
+                bkj = b[k][j]
+                if j != k and sv.slope in (s, s + 1) and (bkj > 0 if direction == "+"
+                                                          else bkj < 0):
+                    assert c_vector(new_sv) == tuple(
+                        x + abs(bkj) * y for x, y in zip(c_vector(sv), c_vector(svs[k])))
+                elif j != k:
+                    assert new_comps[j] == comps[j]
             moves += 1
     assert moves > 0
+
+
+@pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2), ("A4", 3)])
+def test_mutation_moves_match_the_public_functions(tag, m):
+    # the trusted move generator gives every legal move, each as the
+    # validating public functions compute it (recover_cluster checks the frame)
+    cat = category(tag)
+    moves = 0
+    for ordered, comps in cluster_table(cat, m).values():
+        svs = slope_vectors(m, comps)
+        legal = [(k, d) for k in range(cat.n) for d, step in (("+", 1), ("-", -1))
+                 if 0 <= svs[k].slope + step <= m]
+        found = []
+        for k, direction, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
+            assert mutate_configuration(cat, m, comps, k, direction) == new_comps
+            assert recover_cluster(cat, m, ordered, new_comps, k) == new_ordered
+            found.append((k, direction))
+        assert found == legal
+        moves += len(found)
+    assert moves > 0
+
+
+def test_cluster_table_orders_and_configures_every_cluster(a3):
+    table = cluster_table(a3, 2)
+    assert tuple(table) == enumerate_clusters(a3, 2)
+    for cluster, (ordered, comps) in table.items():
+        assert ordered == order_cluster(a3, 2, cluster)
+        assert comps == garside_configuration(a3, 2, ordered)

@@ -93,6 +93,20 @@ def test_euler_consistency(tag):
             assert cat.hom(a, b) - cat.ext(a, b) == cat.euler(a, b)
 
 
+@pytest.mark.parametrize("tag", tags_up_to_rank(6))
+def test_pairing_matches_the_euler_form(tag):
+    # one read of the table for two roots; a negated root (a c-vector or a
+    # signed dimension vector) goes to the strict Euler form
+    cat = category(tag)
+    for a in cat.roots:
+        neg = tuple(-x for x in a)
+        for b in cat.roots:
+            assert cat.pairing(a, b) == cat.euler(a, b)
+            assert cat.pairing(neg, b) == cat.euler(neg, b) == -cat.euler(a, b)
+    with pytest.raises(InputError, match="non-integer entry"):
+        cat.pairing((0.5,) * cat.n, cat.roots[0])
+
+
 def test_euler_matches_the_double_sum(d4):
     # c-vectors are signed roots, so both signs of every root are paired
     signed = [r for root in d4.roots for r in (root, tuple(-x for x in root))]
