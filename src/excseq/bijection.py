@@ -3,8 +3,8 @@
 For a fixed shifted object T[k] of a scope, `transport` is a bijection from
 the shifted exceptional objects of T's perpendicular category onto the
 objects of the scope compatible with T[k].  It is built once per (m, T[k],
-scope mask) as a table whose every entry is computed along two independent
-routes that must agree:
+scope mask) as a table, kept in the category's `transports` and freed with
+it, whose every entry is computed along two independent routes that agree:
 
   chart route      - below level k nothing moves; at level k an object moves
                      (by pair mutation) exactly when it has extensions into T;
@@ -33,7 +33,6 @@ them directly on the tuples it enumerated and on their images.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 from .dynkin import Root
@@ -100,9 +99,13 @@ def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
     return t_obj, _build_table(cat, m, t_obj, scope)
 
 
-@lru_cache(maxsize=None)
 def _build_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
                  scope: WideSubcat) -> _TransportTable:
+    """The checked transport table of t_obj in the scope, kept in `cat.transports`."""
+    key = (m, cat.root_id[t_obj.root], t_obj.level, scope.mask)
+    table = cat.transports.get(key)
+    if table is not None:
+        return table
     t = t_obj.root
     t_perp = perp(cat, (t,), scope)
     forward, inverse = {}, {}
@@ -127,7 +130,8 @@ def _build_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
     if len(inverse) != len(forward) or inverse.keys() != codomain:
         raise _inconsistent(cat, m, f"transport over {t_obj} is not a bijection onto "
                             "its compatible set")
-    return _TransportTable(t_perp, forward, inverse)
+    table = cat.transports[key] = _TransportTable(t_perp, forward, inverse)
+    return table
 
 
 def _images(cat: RepCategory, table: _TransportTable, t_obj: ShiftedObject, objs,

@@ -41,7 +41,10 @@ ENUM_RANK_LIMIT = 6
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -188,21 +191,22 @@ def cmd_verify(args) -> int:
 
 
 def _load_cluster_payload(raw: str):
-    text = raw
-    if raw.strip().startswith("@"):
-        text = Path(raw.strip()[1:]).read_text(encoding="utf-8")
-    else:
+    """--cluster as inline JSON, @PATH, or the path of an existing file."""
+    path = raw.strip()[1:] if raw.strip().startswith("@") else None
+    if path is None:
         try:
             json.loads(raw)
         except json.JSONDecodeError:
-            path = Path(raw)
-            if not path.exists():
+            if not Path(raw).exists():
                 raise InputError(f"--cluster is neither JSON nor a readable file: {raw!r}")
-            text = path.read_text(encoding="utf-8")
+            path = raw
     try:
-        return json.loads(text)
+        return json.loads(raw if path is None else Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid cluster JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {path!r}: {reason}") from exc
 
 
 def cmd_mutate(args) -> int:

@@ -59,18 +59,17 @@ def signed_dim(m: int, obj: ShiftedObject) -> tuple[int, ...]:
     return tuple(sign * x for x in obj.root)
 
 
-def _ordering_constraints(cat: RepCategory, objects):
-    """after[a] = objects that must precede a in the tuple order."""
-    n = len(objects)
-    must_follow = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = objects[i].root, objects[j].root
-            if cat.hom(a, b) != 0 or cat.ext(a, b) != 0:
-                must_follow[i].add(j)  # i comes after j
-    return must_follow
+def _ordering_constraints(cat: RepCategory, objects) -> list[int]:
+    """Bit j of entry i is set when Hom or Ext(objects[i], objects[j]) != 0,
+    so that objects[j] must precede objects[i] in the tuple order."""
+    return [sum(1 << j for j, b in enumerate(objects)
+                if j != i and (cat.hom(a.root, b.root) != 0 or cat.ext(a.root, b.root) != 0))
+            for i, a in enumerate(objects)]
+
+
+def _free(after: list[int], placed: int) -> list[int]:
+    """The unplaced positions whose predecessors are all in the mask placed."""
+    return [i for i, need in enumerate(after) if not (placed >> i & 1 or need & ~placed)]
 
 
 def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...]:
@@ -81,18 +80,14 @@ def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...
     """
     objects = sorted(set(objects))
     check_pairwise_compatible(cat, objects)
-    must_follow = _ordering_constraints(cat, objects)
-    placed: list[int] = []
-    placed_set: set[int] = set()
-    while len(placed) < len(objects):
-        avail = [i for i in range(len(objects))
-                 if i not in placed_set and must_follow[i] <= placed_set]
+    after, placed, order = _ordering_constraints(cat, objects), 0, []
+    for _ in objects:
+        avail = _free(after, placed)
         if not avail:
             raise _inconsistent(cat, m, "no exceptional ordering of the cluster exists")
-        pick = min(avail, key=lambda i: (-objects[i].level, objects[i].root))
-        placed.append(pick)
-        placed_set.add(pick)
-    ordered = tuple(objects[i] for i in placed)
+        order.append(min(avail, key=lambda i: (-objects[i].level, objects[i].root)))
+        placed |= 1 << order[-1]
+    ordered = tuple(objects[i] for i in order)
     if not is_exceptional_sequence(cat, [o.root for o in reversed(ordered)]):
         raise _inconsistent(cat, m, "ordering failed to produce an exceptional sequence")
     return ordered
@@ -101,22 +96,16 @@ def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...
 def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObject, ...]]:
     """Every ordering of the cluster whose reversal is an exceptional sequence."""
     objects = sorted(set(objects))
-    must_follow = _ordering_constraints(cat, objects)
+    after = _ordering_constraints(cat, objects)
     out: list[tuple[ShiftedObject, ...]] = []
 
-    def extend(placed: list[int], placed_set: set[int]) -> None:
-        if len(placed) == len(objects):
-            out.append(tuple(objects[i] for i in placed))
-            return
-        for i in range(len(objects)):
-            if i not in placed_set and must_follow[i] <= placed_set:
-                placed.append(i)
-                placed_set.add(i)
-                extend(placed, placed_set)
-                placed.pop()
-                placed_set.discard(i)
+    def extend(order: list[int], placed: int) -> None:
+        if len(order) == len(objects):
+            out.append(tuple(objects[i] for i in order))
+        for i in _free(after, placed):
+            extend(order + [i], placed | 1 << i)
 
-    extend([], set())
+    extend([], 0)
     return out
 
 
@@ -153,21 +142,26 @@ def validate_configuration(cat: RepCategory, m: int, comps,
     for c in comps:
         if not 0 <= c.level <= m:
             raise VerificationError(f"component level out of range: {c}")
+    # one pass over the pairs checks the maps and builds `_ordering_constraints`
+    after = [0] * len(comps)
     for i, a in enumerate(comps):
         for j, b in enumerate(comps):
             if i == j:
                 continue
-            if b.level >= a.level and cat.hom(a.root, b.root) != 0:
+            hom, ext = cat.hom(a.root, b.root), cat.ext(a.root, b.root)
+            if hom and b.level >= a.level:
                 raise VerificationError(f"forbidden morphism {a} -> {b}")
-            if b.level >= a.level + 1 and cat.ext(a.root, b.root) != 0:
+            if ext and b.level >= a.level + 1:
                 raise VerificationError(f"forbidden extension {a} -> {b}")
+            if hom or ext:
+                after[i] |= 1 << j
     # the underlying modules must admit an exceptional ordering
-    must_follow, placed = _ordering_constraints(cat, comps), set()
-    while len(placed) < len(comps):
-        free = [i for i in must_follow if i not in placed and must_follow[i] <= placed]
+    placed = 0
+    for _ in comps:
+        free = _free(after, placed)
         if not free:
             raise VerificationError("components admit no exceptional ordering")
-        placed.add(free[0])
+        placed |= 1 << free[0]
 
 
 @dataclass(frozen=True)

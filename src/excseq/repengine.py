@@ -10,9 +10,10 @@ form when the category is built, and per-root bitmasks of the nonzero
 entries are derived from it for the wide-subcategory layer.  The projectives
 are the roots with no extensions out, checked to be the rows of E^{-1}.
 
-A `RepCategory` is this table and the Euler matrix: it builds no modules.
-The explicit representations that the tests check the table against are
-`linalg.ReflectionOracle`.
+A `RepCategory` is this table, the Euler matrix and the memo of what `wide`
+and `bijection` derive from them, freed with the category.  It builds no
+modules; the explicit representations that the tests check the table against
+are `linalg.ReflectionOracle`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ def _int_vector(v) -> tuple[int, ...]:
 
 
 class RepCategory:
-    """The module category of one quiver, with its Hom/Ext table."""
+    """The module category of one quiver, with its Hom/Ext table.
+
+    Its memo is three dicts keyed by ints, each the only store of its kind:
+    `perps` holds perpendiculars by (right side, generator mask, scope mask),
+    `pair_mutations` pair mutations by (x id, t id, inverse) and `transports`
+    the transport tables of T[k] by (m, T id, k, scope mask).
+    """
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
@@ -77,6 +84,7 @@ class RepCategory:
         self.projective_roots = tuple(x for _, x in proj)
         self._table = table
         self.right_nz, self.left_nz, self.ext_out = right_nz, left_nz, ext_out
+        self.perps, self.pair_mutations, self.transports = {}, {}, {}
 
     # ----- basic data -----
 

@@ -4,8 +4,8 @@ A wide subcategory is a bitmask over root ids: `WideSubcat` compares and
 hashes on its mask, carries its roots in id order and its rank, and is never
 re-quiverized.  Membership is one bit of the mask.  A perpendicular ANDs the
 scope's mask with per-root masks of the Hom/Ext table, once per (side,
-generators, scope) behind a single memo that also checks its span rank; span
-ranks are taken on the integer root vectors by fraction-free elimination.
+generator mask, scope mask) in the category's `perps`, and checks its span
+rank, taken on the integer root vectors by fraction-free elimination.
 An exceptional sequence "in W" is an ambient sequence whose terms all lie in
 W, and completeness means its length equals rank(W).  The enumeration of
 complete sequences picks each term from the perpendicular of its later
@@ -15,15 +15,15 @@ The mutation of an exceptional pair (X, T) -> (T, Y) is found by a filtered
 search: Y is the unique exceptional module such that (T, Y) is exceptional,
 dim Y = +-dim X + s*dim T for an integer s, and X, T and Y, T span the same
 rank-2 wide subcategory.  Uniqueness is asserted once per distinct pair,
-which doubles as a structural check; the inverse move is the same search
-mirrored.
+whose answer the category's `pair_mutations` keeps; this doubles as a
+structural check, and the inverse move is the same search mirrored.  These
+memos live on the category and are freed with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 from . import counting
 from .dynkin import Root
@@ -93,38 +93,40 @@ def ambient(cat: RepCategory) -> WideSubcat:
 
 def perp(cat: RepCategory, generators, within: WideSubcat | None = None) -> WideSubcat:
     """Right perpendicular: objects X in scope with Hom(G, X) = 0 = Ext(G, X)."""
-    return _perp_of(cat, generators, within, right=True)
+    return _perp(cat, generators, within, right=True)
 
 
 def left_perp(cat: RepCategory, generators, within: WideSubcat | None = None) -> WideSubcat:
     """Left perpendicular: objects X in scope with Hom(X, G) = 0 = Ext(X, G)."""
-    return _perp_of(cat, generators, within, right=False)
+    return _perp(cat, generators, within, right=False)
 
 
-def _perp_of(cat: RepCategory, generators, within: WideSubcat | None,
-             right: bool) -> WideSubcat:
+def _perp(cat: RepCategory, generators, within: WideSubcat | None,
+          right: bool) -> WideSubcat:
+    """The perpendicular, kept in `cat.perps` under (side, generator mask,
+    scope mask); its span rank is checked when it is computed."""
     scope = within if within is not None else ambient(cat)
-    gens = tuple(sorted({cat.check_root(g) for g in generators}))
-    if not gens:
-        return scope
-    return _perp(cat, right, gens, scope)
-
-
-@lru_cache(maxsize=None)
-def _perp(cat: RepCategory, right: bool, gens: tuple[Root, ...],
-          scope: WideSubcat) -> WideSubcat:
-    nonzero = cat.right_nz if right else cat.left_nz
-    mask = scope.mask
-    for g in gens:
-        mask &= ~nonzero[cat.root_id[g]]
-    objs = tuple(r for i, r in enumerate(cat.roots) if mask >> i & 1)
-    by_span = _span_rank(objs)
-    expected = scope.rank - _span_rank(gens)
-    if by_span != expected:
-        raise InternalConsistencyError(
-            f"{cat.quiver.diagram.type_tag}: perpendicular of {gens} has span rank "
-            f"{by_span}, expected {expected}")
-    return WideSubcat(mask, objs, by_span)
+    gens = 0
+    for g in generators:
+        gens |= 1 << cat.root_id[cat.check_root(g)]
+    key = (right, gens, scope.mask)
+    w = cat.perps.get(key) if gens else scope
+    if w is None:
+        nonzero = cat.right_nz if right else cat.left_nz
+        mask, gen_roots = scope.mask, []
+        for i, g in enumerate(cat.roots):
+            if gens >> i & 1:
+                mask &= ~nonzero[i]
+                gen_roots.append(g)
+        objs = tuple(r for i, r in enumerate(cat.roots) if mask >> i & 1)
+        by_span = _span_rank(objs)
+        expected = scope.rank - _span_rank(gen_roots)
+        if by_span != expected:
+            raise InternalConsistencyError(
+                f"{cat.quiver.diagram.type_tag}: perpendicular of {tuple(gen_roots)} has "
+                f"span rank {by_span}, expected {expected}")
+        w = cat.perps[key] = WideSubcat(mask, objs, by_span)
+    return w
 
 
 def is_exceptional_sequence(cat: RepCategory, terms) -> bool:
@@ -253,20 +255,8 @@ def classify_pair(cat: RepCategory, x, t) -> PairCase:
 
 def is_multiple(w, t) -> bool:
     """w is an integer multiple s*t (s = 0 allowed)."""
-    s = None
-    for wi, ti in zip(w, t):
-        if ti == 0:
-            if wi != 0:
-                return False
-        else:
-            if wi % ti != 0:
-                return False
-            q = wi // ti
-            if s is None:
-                s = q
-            elif q != s:
-                return False
-    return True
+    s = next((wi // ti for wi, ti in zip(w, t) if ti), 0)
+    return all(wi == s * ti for wi, ti in zip(w, t))
 
 
 def congruent(i: int, x, j: int, y, t) -> bool:
@@ -285,27 +275,27 @@ def mutate_pair_inverse(cat: RepCategory, y, t) -> Root:
     return _mutate_pair(cat, cat.check_root(y), cat.check_root(t), True)
 
 
-@lru_cache(maxsize=None)
 def _mutate_pair(cat: RepCategory, x: Root, t: Root, inverse: bool) -> Root:
-    """Z with (x, t) -> (t, Z) forward or (t, x) -> (Z, t) inverse."""
-    before, after = (cat.left_nz, cat.right_nz) if inverse else (cat.right_nz, cat.left_nz)
+    """Z with (x, t) -> (t, Z) forward or (t, x) -> (Z, t) inverse, kept in
+    `cat.pair_mutations` under (x id, t id, inverse)."""
     xi, ti = cat.root_id[x], cat.root_id[t]
+    key = (xi, ti, inverse)
+    z = cat.pair_mutations.get(key)
+    if z is not None:
+        return z
+    before, after = (cat.left_nz, cat.right_nz) if inverse else (cat.right_nz, cat.left_nz)
     if xi == ti or before[ti] >> xi & 1:
         pair = (t, x) if inverse else (x, t)
         raise InputError(f"({pair[0]}, {pair[1]}) is not an exceptional pair")
-    scope = ambient(cat)
-
-    def pair_perp(z: Root) -> int:
-        return _perp(cat, True, tuple(sorted((z, t))), scope).mask
-
-    target = pair_perp(x)
+    target = perp(cat, (x, t)).mask
     found = [z for i, z in enumerate(cat.roots)
              if not after[ti] >> i & 1
              and (congruent(0, z, 0, x, t) or congruent(0, z, 1, x, t))
-             and pair_perp(z) == target]
+             and perp(cat, (z, t)).mask == target]
     if len(found) != 1:
         name = "inverse pair mutation" if inverse else "pair mutation"
         raise InternalConsistencyError(
             f"{cat.quiver.diagram.type_tag}: {name} of ({x}, {t}) found "
             f"{len(found)} candidates")
+    cat.pair_mutations[key] = found[0]
     return found[0]

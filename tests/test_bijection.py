@@ -1,14 +1,19 @@
+import gc
 import math
+import weakref
 
 import pytest
 
 from excseq import InputError, InternalConsistencyError, bijection, category
+from excseq.configs import cluster_table
+from excseq.dynkin import build_diagram, build_quiver
 from excseq.bijection import (_sequence_to_tuple, _tuple_to_sequence, check_transport,
                               is_m_exc_sequence, m_exc_sequences, sequence_to_tuple,
                               transport, transport_inverse, tuple_to_sequence)
 from excseq.repengine import RepCategory
 from excseq.shiftcat import ShiftedObject, compatible, ordered_tuples, shifted_objects
-from excseq.wide import ambient, mark_relative_projectives, perp
+from excseq.wide import (ambient, left_perp, mark_relative_projectives, mutate_pair,
+                         mutate_pair_inverse, perp)
 
 from conftest import P1, S1, S2
 
@@ -167,3 +172,55 @@ def test_internal_bijection_paths_match_the_public_ones(tag, m):
             assert seq == tuple_to_sequence(cat, m, t) == _reference_sequence(cat, m, t)
             assert _sequence_to_tuple(cat, m, seq, scope, to_tup) == t
             assert sequence_to_tuple(cat, m, seq) == _reference_tuple(cat, m, seq) == t
+
+
+def _memo_answers(cat, m, scope=None):
+    """Every perpendicular of one object, pair mutation and transport of the
+    scope, computed through the category's memo."""
+    scope = scope if scope is not None else ambient(cat)
+    out = {}
+    for x in scope.objects:
+        out["perp", x] = perp(cat, (x,), scope).mask, left_perp(cat, (x,), scope).mask
+        for t in scope.objects:
+            if x != t and not cat.hom(t, x) and not cat.ext(t, x):  # (x, t) exceptional
+                out["mutate", x, t] = mutate_pair(cat, x, t)
+                out["unmutate", t, x] = mutate_pair_inverse(cat, t, x)
+    for t in shifted_objects(cat, scope, m):
+        for x in shifted_objects(cat, perp(cat, (t.root,), scope), m):
+            out["transport", t, x] = transport(cat, m, t, x, scope)
+    return out
+
+
+def _fresh(tag, arrows=None):
+    return RepCategory(build_quiver(build_diagram(tag), arrows))
+
+
+def test_memo_keys_separate_m_and_scope():
+    # one category answers for m=1 and then m=2, each in the ambient scope
+    # and in every perpendicular of one root, as fresh categories do
+    shared = _fresh("A3")
+    scopes = [None] + [perp(shared, (r,)) for r in shared.roots]
+    got = [(m, scope, _memo_answers(shared, m, scope)) for m in (1, 2) for scope in scopes]
+    assert got[0][2] != got[len(scopes)][2]
+    for m, scope, answers in got:
+        assert answers == _memo_answers(_fresh("A3"), m, scope)
+
+
+def test_memo_keys_separate_orientations():
+    orientations = (((0, 1), (1, 2)), ((1, 0), (1, 2)))
+    cats = [_fresh("A3", arrows) for arrows in orientations]
+    got = [_memo_answers(cat, 1) for cat in cats]
+    assert got[0] != got[1]
+    for arrows, answers in zip(orientations, got):
+        assert answers == _memo_answers(_fresh("A3", arrows), 1)
+
+
+def test_a_dropped_category_and_its_memo_are_freed():
+    cat = _fresh("D4")
+    ordered, _ = next(iter(cluster_table(cat, 1).values()))
+    tuple_to_sequence(cat, 1, ordered[::-1])
+    assert cat.perps and cat.pair_mutations and cat.transports
+    refs = [weakref.ref(cat), weakref.ref(next(iter(cat.perps.values())))]
+    del cat
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

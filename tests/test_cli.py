@@ -214,6 +214,40 @@ def test_mutate_rejects_non_integer_json(capsys):
             object_from_dict(bad)
 
 
+
+def _mutate_a2(capsys, cluster):
+    return run(capsys, "mutate", "A2", "--m", "1", "--cluster", cluster, "--k", "1",
+               "--dir", "+")
+
+
+def test_missing_cluster_file_is_refused(capsys, tmp_path):
+    code, out, err = _mutate_a2(capsys, f"@{tmp_path / 'missing.json'}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read") and "missing.json" in err
+
+
+def test_cluster_directory_is_refused(capsys, tmp_path):
+    code, out, err = _mutate_a2(capsys, str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read")
+
+
+def test_cluster_file_that_is_not_utf8_is_refused(capsys, tmp_path):
+    path = tmp_path / "cluster.json"
+    path.write_bytes(b'{"m": 1, "objects": []}\xff')
+    code, out, err = _mutate_a2(capsys, f"@{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read") and "utf-8" in err
+
+
+def test_out_into_a_missing_directory_is_refused(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "verify", "A2", "--m", "1", "all", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and str(target) in err
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_max_rank_below_one_is_refused(capsys, value):
     code, out, err = run(capsys, "enumerate", "A3", "--m", "1", "clusters",
@@ -232,7 +266,7 @@ def test_max_rank_tightens_the_limit(capsys):
 @pytest.fixture
 def no_rational_algebra(monkeypatch):
     """Every public linalg function, linalg._rref and building a
-    ReflectionOracle raise, and categories (with the memos keyed by them) are
+    ReflectionOracle raise, and categories (with the memos they hold) are
     built afresh."""
     def refuse(*args, **kwargs):
         raise AssertionError("rational linear algebra on a CLI path")

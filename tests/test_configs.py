@@ -8,9 +8,12 @@ from excseq.configs import (all_valid_orders, c_vector, cluster_table, duality_f
                             exchange_graph, exchange_matrix, garside_configuration,
                             g_vector_check, horizontal_subcat, mutate,
                             mutate_configuration, mutation_moves, order_cluster,
-                            recover_cluster, signed_dim, slope_vectors)
+                            recover_cluster, signed_dim, slope_vectors,
+                            validate_configuration)
+from excseq.dynkin import build_diagram, build_quiver
 from excseq.errors import VerificationError
 from excseq.bijection import is_m_exc_sequence
+from excseq.repengine import RepCategory
 from excseq.shiftcat import ShiftedObject, canonical_cluster, enumerate_clusters, is_valid_object
 
 from conftest import P1, S1, S2
@@ -357,3 +360,31 @@ def test_cluster_table_orders_and_configures_every_cluster(a3):
     for cluster, (ordered, comps) in table.items():
         assert ordered == order_cluster(a3, 2, cluster)
         assert comps == garside_configuration(a3, 2, ordered)
+
+
+@pytest.mark.parametrize("comps,rank,message", [
+    ((O(S1, 0),), 2, r"expected 2 components, got 1"),
+    ((O(S1, 0), O(S1, 0)), None, r"components are not pairwise distinct"),
+    ((O(S1, 0), O(S2, 2)), None, r"component level out of range: \(0,1\)\[2\]"),
+    ((O(S2, 0), O(P1, 0)), None, r"forbidden morphism \(0,1\)\[0\] -> \(1,1\)\[0\]"),
+    ((O(S1, 0), O(S2, 1)), None, r"forbidden extension \(1,0\)\[0\] -> \(0,1\)\[1\]"),
+], ids=["count", "repeated", "level", "morphism", "extension"])
+def test_validate_configuration_refusals(a2, comps, rank, message):
+    with pytest.raises(VerificationError, match=message):
+        validate_configuration(a2, 1, comps, rank=rank)
+
+
+def test_validate_configuration_refuses_a_cycle_of_extensions(monkeypatch):
+    # no two exceptional modules of a Dynkin quiver extend each other both
+    # ways, so the ordering refusal needs a corrupted table
+    cat = RepCategory(build_quiver(build_diagram("A2")))
+    validate_configuration(cat, 1, (O(S1, 0), O(S2, 0)), rank=2)
+    monkeypatch.setattr(cat, "ext", lambda a, b: int(a != b))
+    with pytest.raises(VerificationError, match="components admit no exceptional ordering"):
+        validate_configuration(cat, 1, (O(S1, 0), O(S2, 0)), rank=2)
+
+
+def test_validate_configuration_refuses_a_non_root(a2):
+    validate_configuration(a2, 1, (O(S2, 1), O(P1, 0)), rank=2)
+    with pytest.raises(InputError, match="is not a positive root"):
+        validate_configuration(a2, 1, (O(S2, 1), O((2, 0), 0)), rank=2)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from excseq import (InputError, PairCase, ambient, category, classify_pair,
                     mutate_pair_inverse, perp, rel_proj_poly_enumerated,
                     relative_projectives)
 from excseq import linalg
-from excseq.wide import _span_rank
+from excseq.wide import _span_rank, is_multiple
 
 from conftest import P1, S1, S2, tags_up_to_rank
 
@@ -210,3 +211,11 @@ def test_relative_projectives_listing(a2):
     assert set(relative_projectives(a2, ambient(a2))) == {P1, S2}
     w = perp(a2, [P1])
     assert relative_projectives(a2, w) == (S2,)
+
+
+def test_is_multiple_matches_a_search():
+    vectors = list(itertools.product(range(-2, 3), repeat=2))
+    for w in vectors:
+        for t in vectors:
+            want = any(all(a == s * b for a, b in zip(w, t)) for s in range(-2, 3))
+            assert is_multiple(w, t) == want, (w, t)
