@@ -14,11 +14,10 @@ from .counting import (IntPoly, count_closed_form, count_complete_exc_sequences,
                        m_count_identity_holds, m_sequence_poly, real_root_check,
                        rel_proj_poly)
 from .dynkin import (CoxeterData, DynkinDiagram, Quiver, build_diagram,
-                     build_quiver, coxeter_data, delete_vertex, euler_form,
-                     euler_matrix, parse_type_tag, positive_roots)
+                     build_quiver, coxeter_data, delete_vertex, euler_matrix,
+                     parse_type_tag, positive_roots)
 from .errors import (ExcseqError, InputError, InternalConsistencyError,
                      UnsupportedFeatureError, VerificationError)
-from .linalg import Approximation, HomSpace, ReflectionOracle, Representation
 from .repengine import RepCategory, category
 from .shiftcat import (ShiftedObject, compatible, enumerate_clusters,
                        ordered_tuples, shifted_objects)

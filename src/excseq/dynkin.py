@@ -334,10 +334,5 @@ def euler_matrix(quiver: Quiver) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def euler_form(e: tuple[tuple[int, ...], ...], x: Root, y: Root) -> int:
-    """Bilinear pairing x^t E y."""
-    return sum(x[i] * e[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
-
-
 def root_str(root: Root) -> str:
     return "(" + ",".join(str(c) for c in root) + ")"

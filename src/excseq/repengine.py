@@ -13,7 +13,7 @@ are the roots with no extensions out, checked to be the rows of E^{-1}.
 A `RepCategory` is this table, the Euler matrix and the memo of what `wide`
 and `bijection` derive from them, freed with the category.  It builds no
 modules; the explicit representations that the tests check the table against
-are `linalg.ReflectionOracle`.
+come from the reflection-functor oracle in the test tree (`tests/oracle.py`).
 """
 
 from __future__ import annotations

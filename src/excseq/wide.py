@@ -5,7 +5,7 @@ hashes on its mask, carries its roots in id order and its rank, and is never
 re-quiverized.  Membership is one bit of the mask.  A perpendicular ANDs the
 scope's mask with per-root masks of the Hom/Ext table, once per (side,
 generator mask, scope mask) in the category's `perps`, and checks its span
-rank, taken on the integer root vectors by fraction-free elimination.
+rank, taken on the integer root vectors by `linalg.rank`.
 An exceptional sequence "in W" is an ambient sequence whose terms all lie in
 W, and completeness means its length equals rank(W).  The enumeration of
 complete sequences picks each term from the perpendicular of its later
@@ -28,6 +28,7 @@ from enum import Enum
 from . import counting
 from .dynkin import Root
 from .errors import InputError, InternalConsistencyError
+from .linalg import rank
 from .repengine import RepCategory
 
 
@@ -62,31 +63,6 @@ class PairCase(Enum):
     EPI = "epi"
 
 
-def _span_rank(vectors) -> int:
-    """Rank of integer vectors by fraction-free (Bareiss) elimination.
-
-    After each pivot step every remaining entry is a minor of the input, so
-    the division by the previous pivot is exact and nothing leaves Z.
-    """
-    rows = [list(v) for v in vectors if any(v)]
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        p = top[c]
-        for i in range(rank + 1, len(rows)):
-            a = rows[i][c]
-            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
-        prev = p
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def ambient(cat: RepCategory) -> WideSubcat:
     return WideSubcat((1 << len(cat.roots)) - 1, cat.roots, cat.n)
 
@@ -119,8 +95,8 @@ def _perp(cat: RepCategory, generators, within: WideSubcat | None,
                 mask &= ~nonzero[i]
                 gen_roots.append(g)
         objs = tuple(r for i, r in enumerate(cat.roots) if mask >> i & 1)
-        by_span = _span_rank(objs)
-        expected = scope.rank - _span_rank(gen_roots)
+        by_span = rank(objs)
+        expected = scope.rank - rank(gen_roots)
         if by_span != expected:
             raise InternalConsistencyError(
                 f"{cat.quiver.diagram.type_tag}: perpendicular of {tuple(gen_roots)} has "

@@ -1,0 +1,355 @@
+"""The reflection-functor oracle that the tests check the package against,
+and the small dense exact linear algebra over the rationals it is built on.
+
+Matrices carry explicit shape so zero-row and zero-column edge cases stay
+well defined.  Everything is deterministic: pivots are always the first
+nonzero entry scanning down, kernel bases assign unit values to free
+columns in increasing order.
+
+`ReflectionOracle` builds a category's canonical indecomposable for each
+positive root: the root is reflected down to a unit vector through an
+admissible sink sequence, and the inverse reflection functors rebuild the
+module from the simple one.  Hom bases solve the intertwining equations.
+It is the oracle for `RepCategory`'s Hom/Ext table and the closed forms
+built on it; the package itself never imports this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
+
+from excseq.dynkin import Quiver, Root, coxeter_for_tag
+from excseq.errors import InputError, InternalConsistencyError
+from excseq.repengine import RepCategory
+
+Vector = tuple[Fraction, ...]
+
+
+class Mat(NamedTuple):
+    nrows: int
+    ncols: int
+    rows: tuple[tuple[Fraction, ...], ...]
+
+
+def mat(rows: Iterable[Iterable], ncols: int | None = None) -> Mat:
+    rs = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    if rs:
+        ncols = len(rs[0])
+        if any(len(r) != ncols for r in rs):
+            raise ValueError("ragged rows")
+    elif ncols is None:
+        raise ValueError("empty matrix needs an explicit column count")
+    return Mat(len(rs), ncols, rs)
+
+
+def zeros(nrows: int, ncols: int) -> Mat:
+    row = (Fraction(0),) * ncols
+    return Mat(nrows, ncols, (row,) * nrows)
+
+
+def transpose(a: Mat) -> Mat:
+    return Mat(a.ncols, a.nrows, tuple(
+        tuple(a.rows[i][j] for i in range(a.nrows)) for j in range(a.ncols)))
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
+    bt = transpose(b)
+    return Mat(a.nrows, b.ncols, tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt.rows)
+        for row in a.rows))
+
+
+def vstack(mats: Sequence[Mat]) -> Mat:
+    if not mats:
+        raise ValueError("vstack needs at least one matrix")
+    ncols = mats[0].ncols
+    if any(m.ncols != ncols for m in mats):
+        raise ValueError("column mismatch in vstack")
+    rows: list[tuple[Fraction, ...]] = []
+    for m in mats:
+        rows.extend(m.rows)
+    return Mat(len(rows), ncols, tuple(rows))
+
+
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce in place to reduced row echelon form; return pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def rank(a: Mat) -> int:
+    rows = [list(r) for r in a.rows]
+    return len(_rref(rows, a.ncols))
+
+
+def right_kernel(a: Mat) -> list[Vector]:
+    """Basis of {x : a·x = 0}, one vector per free column."""
+    rows = [list(r) for r in a.rows]
+    pivots = _rref(rows, a.ncols)
+    pivot_set = set(pivots)
+    basis: list[Vector] = []
+    for free in range(a.ncols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * a.ncols
+        v[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def left_kernel(a: Mat) -> list[Vector]:
+    """Basis of {y : y·a = 0}."""
+    return right_kernel(transpose(a))
+
+
+def inverse(a: Mat) -> Mat:
+    if a.nrows != a.ncols:
+        raise ValueError("only square matrices invert")
+    n = a.nrows
+    rows = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
+            for i, r in enumerate(a.rows)]
+    pivots = _rref(rows, n)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return Mat(n, n, tuple(tuple(row[n:]) for row in rows))
+
+
+def solve(a: Mat, b: Sequence) -> Vector | None:
+    """The unique solution of a·x = b, or None if the system is inconsistent.
+
+    Raises ValueError when the columns are dependent (no unique solution).
+    """
+    if len(b) != a.nrows:
+        raise ValueError("rhs length mismatch")
+    rows = [list(r) + [Fraction(x)] for r, x in zip(a.rows, b)]
+    pivots = _rref(rows, a.ncols)
+    for i in range(len(pivots), a.nrows):
+        if rows[i][a.ncols] != 0:
+            return None
+    if len(pivots) != a.ncols:
+        raise ValueError("underdetermined system")
+    x = [Fraction(0)] * a.ncols
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][a.ncols]
+    return tuple(x)
+
+
+# ----- the reflection-functor oracle -----
+
+@dataclass(frozen=True)
+class Representation:
+    quiver: Quiver
+    dims: Root
+    maps: tuple[Mat, ...]  # one per arrow, shape (dims[target], dims[source])
+
+
+class HomSpace(NamedTuple):
+    source: Root
+    target: Root
+    dimension: int
+    basis: tuple[tuple[Mat, ...], ...]  # each element: one matrix per vertex
+
+
+class Approximation(NamedTuple):
+    multiplicity: int
+    kind: str  # "mono" or "epi"
+    complement: Root  # cokernel dims if mono, kernel dims if epi
+
+
+def _reflect_arrows(arrows: tuple[tuple[int, int], ...], k: int) -> tuple[tuple[int, int], ...]:
+    return tuple((t, s) if k in (s, t) else (s, t) for s, t in arrows)
+
+
+def _admissible_order(n: int, arrows: tuple[tuple[int, int], ...]) -> list[int]:
+    """One full round of sink reflections, lowest-id sink first."""
+    remaining = set(range(n))
+    cur = arrows
+    order = []
+    while remaining:
+        k = min(v for v in remaining if not any(s == v for s, _ in cur))
+        order.append(k)
+        remaining.discard(k)
+        cur = _reflect_arrows(cur, k)
+    if cur != arrows:
+        raise InternalConsistencyError("full reflection round changed the orientation")
+    return order
+
+
+def _simple_rep(quiver: Quiver, i: int) -> Representation:
+    dims = tuple(int(j == i) for j in range(quiver.diagram.rank))
+    maps = tuple(zeros(dims[t], dims[s]) for s, t in quiver.arrows)
+    return Representation(quiver, dims, maps)
+
+
+class ReflectionOracle:
+    """Explicit representations of one category's indecomposables, their Hom
+    bases and their approximation maps, each memoised on the oracle.  A module
+    is kept only once it has passed the Schurian and rigid check."""
+
+    def __init__(self, cat: RepCategory):
+        self.cat = cat
+        self._reps: dict[Root, Representation] = {}
+        self._hom_basis: dict[tuple[Root, Root], HomSpace] = {}
+        self._approx: dict[tuple[Root, Root], Approximation] = {}
+
+    # ----- module construction -----
+
+    def rep(self, beta) -> Representation:
+        beta = self.cat.check_root(beta)
+        module = self._reps.get(beta)
+        if module is None:
+            module = self._build(beta)
+            self._verify_exceptional(module)
+            self._reps[beta] = module
+        return module
+
+    def _build(self, beta: Root) -> Representation:
+        quiver, n = self.cat.quiver, self.cat.n
+        if sum(beta) == 1:
+            return _simple_rep(quiver, beta.index(1))
+        order = _admissible_order(n, quiver.arrows)
+        adj = quiver.diagram.adjacency()
+        limit = sum(len(ids) * (coxeter_for_tag(tag).h + 2)
+                    for tag, ids in quiver.diagram.components)
+        word: list[int] = []
+        arrow_hist = [quiver.arrows]
+        gamma = beta
+        while sum(gamma) > 1:
+            for k in order:
+                if sum(gamma) == 1:
+                    break
+                # the simple reflection s_k: gamma_k -> sum of its neighbours - gamma_k
+                gamma = gamma[:k] + (sum(gamma[j] for j in adj[k]) - gamma[k],) + gamma[k + 1:]
+                if any(c < 0 for c in gamma):
+                    raise InternalConsistencyError(f"reflection left the positive cone at {beta}")
+                word.append(k)
+                arrow_hist.append(_reflect_arrows(arrow_hist[-1], k))
+                if len(word) > limit:
+                    raise InternalConsistencyError(f"reflection of {beta} did not terminate")
+        rep = _simple_rep(Quiver(quiver.diagram, arrow_hist[-1]), gamma.index(1))
+        for i in reversed(range(len(word))):
+            rep = _coreflect(rep, word[i])
+            if rep.quiver.arrows != arrow_hist[i]:
+                raise InternalConsistencyError("orientation bookkeeping out of sync")
+        if rep.dims != beta:
+            raise InternalConsistencyError(f"rebuilt module has dims {rep.dims}, wanted {beta}")
+        return rep
+
+    def _verify_exceptional(self, module: Representation) -> None:
+        beta = module.dims
+        endo = _hom_space(module, module).dimension
+        if endo != 1:
+            raise InternalConsistencyError(f"module at {beta} is not Schurian")
+        if endo - self.cat.euler(beta, beta) != 0:
+            raise InternalConsistencyError(f"module at {beta} is not rigid")
+
+    # ----- hom spaces and approximations -----
+
+    def hom_basis(self, a, b) -> HomSpace:
+        """A basis of Hom(a, b), solved from the intertwining equations."""
+        key = (self.cat.check_root(a), self.cat.check_root(b))
+        space = self._hom_basis.get(key)
+        if space is None:
+            space = self._hom_basis[key] = _hom_space(self.rep(key[0]), self.rep(key[1]))
+        return space
+
+    def approximation(self, x, t) -> Approximation:
+        """Diagonal map X -> T^s on a hom basis; must be mono or epi."""
+        x, t = self.cat.check_root(x), self.cat.check_root(t)
+        key = (x, t)
+        if key in self._approx:
+            return self._approx[key]
+        s = self.cat.hom(x, t)
+        if s == 0:
+            raise InputError(f"no maps from {x} to {t}: approximation undefined")
+        basis = self.hom_basis(x, t).basis
+        # the rank of the diagonal map at each vertex, against dim X and dim T^s
+        ranks = [rank(vstack([phi[v] for phi in basis])) for v in range(self.cat.n)]
+        mono = ranks == list(x)
+        if mono == (ranks == [s * d for d in t]):
+            raise InternalConsistencyError(
+                f"approximation {x} -> {t}^{s} is neither mono nor epi (or both)")
+        sign = 1 if mono else -1
+        result = Approximation(s, "mono" if mono else "epi",
+                               tuple(sign * (s * b - a) for a, b in zip(x, t)))
+        if any(c < 0 for c in result.complement):
+            raise InternalConsistencyError("approximation complement went negative")
+        self._approx[key] = result
+        return result
+
+
+def _coreflect(rep: Representation, k: int) -> Representation:
+    """Inverse reflection at a source k: cokernel of M_k -> sum of targets."""
+    arrows = rep.quiver.arrows
+    out = [i for i, (s, _) in enumerate(arrows) if s == k]
+    targets = [arrows[i][1] for i in out]
+    stacked = vstack([rep.maps[i] for i in out]) if out else zeros(0, rep.dims[k])
+    proj_rows = left_kernel(stacked)
+    total = stacked.nrows
+    c = len(proj_rows)
+    new_dims = list(rep.dims)
+    new_dims[k] = c
+    if c != total - rep.dims[k]:
+        raise InternalConsistencyError("canonical map at a source failed to be injective")
+    pmat = Mat(c, total, tuple(proj_rows))
+    new_maps = list(rep.maps)
+    off = 0
+    for i, t in zip(out, targets):
+        w = rep.dims[t]
+        new_maps[i] = Mat(c, w, tuple(row[off:off + w] for row in pmat.rows))
+        off += w
+    return Representation(Quiver(rep.quiver.diagram, _reflect_arrows(arrows, k)),
+                          tuple(new_dims), tuple(new_maps))
+
+
+def _hom_space(m: Representation, nrep: Representation) -> HomSpace:
+    """Hom(m, nrep) from the intertwining equations phi_t M_a = N_a phi_s."""
+    md, nd = m.dims, nrep.dims
+    offsets = []
+    total = 0
+    for v in range(len(md)):
+        offsets.append(total)
+        total += md[v] * nd[v]
+    rows: list[list[Fraction]] = []
+    for idx, (s, t) in enumerate(m.quiver.arrows):
+        ma, na = m.maps[idx], nrep.maps[idx]
+        for i in range(nd[t]):
+            for j in range(md[s]):
+                row = [Fraction(0)] * total
+                for c in range(md[t]):
+                    row[offsets[t] + i * md[t] + c] += ma.rows[c][j]
+                for r in range(nd[s]):
+                    row[offsets[s] + r * md[s] + j] -= na.rows[i][r]
+                rows.append(row)
+    kernel = right_kernel(Mat(len(rows), total, tuple(tuple(r) for r in rows)))
+    basis = []
+    for vec in kernel:
+        mats = []
+        for v in range(len(md)):
+            entries = vec[offsets[v]:offsets[v] + md[v] * nd[v]]
+            mats.append(Mat(nd[v], md[v], tuple(
+                tuple(entries[i * md[v]:(i + 1) * md[v]]) for i in range(nd[v]))))
+        basis.append(tuple(mats))
+    return HomSpace(md, nd, len(kernel), tuple(basis))

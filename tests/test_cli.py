@@ -1,11 +1,16 @@
+import ast
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
-from excseq import InputError, category, linalg, mark_relative_projectives
+import excseq
+from excseq import InputError, category, mark_relative_projectives
 from excseq.cli import main
 from excseq.serialize import cluster_from_dict, dumps_canonical, object_from_dict
+
+import oracle
 
 
 def run(capsys, *argv):
@@ -265,19 +270,19 @@ def test_max_rank_tightens_the_limit(capsys):
 
 @pytest.fixture
 def no_rational_algebra(monkeypatch):
-    """Every public linalg function, linalg._rref and building a
-    ReflectionOracle raise, and categories (with the memos they hold) are
+    """Every public function of the rational oracle, oracle._rref and building
+    a ReflectionOracle raise, and categories (with the memos they hold) are
     built afresh."""
     def refuse(*args, **kwargs):
         raise AssertionError("rational linear algebra on a CLI path")
 
-    names = [name for name, fn in vars(linalg).items()
-             if inspect.isfunction(fn) and fn.__module__ == linalg.__name__
+    names = [name for name, fn in vars(oracle).items()
+             if inspect.isfunction(fn) and fn.__module__ == oracle.__name__
              and not name.startswith("_")] + ["_rref"]
     assert {"solve", "inverse", "rank", "right_kernel", "_rref"} <= set(names)
     for name in names:
-        monkeypatch.setattr(linalg, name, refuse)
-    monkeypatch.setattr(linalg.ReflectionOracle, "__init__", refuse)
+        monkeypatch.setattr(oracle, name, refuse)
+    monkeypatch.setattr(oracle.ReflectionOracle, "__init__", refuse)
     category.cache_clear()
     yield
     category.cache_clear()
@@ -298,3 +303,24 @@ def test_cli_paths_need_no_rational_linear_algebra(capsys, no_rational_algebra, 
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out
+
+
+def test_package_keeps_the_oracle_out():
+    # only counting does rational arithmetic, linalg imports nothing, and no
+    # module of the package reaches the test tree's oracle
+    imported = {}
+    for path in Path(excseq.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(part for a in node.names for part in a.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                names.update(node.module.split(".") if node.module
+                             else (a.name for a in node.names))
+        imported[path.stem] = names
+    assert {"counting", "linalg", "wide"} <= set(imported)
+    assert {stem for stem, names in imported.items() if "fractions" in names} <= {"counting"}
+    assert imported["linalg"] == set()
+    assert not [stem for stem, names in imported.items() if "oracle" in names]
+    assert not {"Approximation", "HomSpace", "ReflectionOracle", "Representation",
+                "euler_form"} & set(vars(excseq))

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from excseq import InputError, InternalConsistencyError, category, configs, linalg, verify
+from excseq import InputError, InternalConsistencyError, category, configs, verify
 from excseq.cli import main
 from excseq.configs import (all_valid_orders, c_vector, cluster_table, duality_frame,
                             exchange_graph, exchange_matrix, garside_configuration,
@@ -16,6 +16,7 @@ from excseq.bijection import is_m_exc_sequence
 from excseq.repengine import RepCategory
 from excseq.shiftcat import ShiftedObject, canonical_cluster, enumerate_clusters, is_valid_object
 
+import oracle
 from conftest import P1, S1, S2
 
 
@@ -46,7 +47,7 @@ def test_duality_frame_hand_values(a2):
     assert frame.v_cols == ((-1, 0), (-1, -1))
     assert frame.c_cols == ((0, 1), (-1, -1))
     assert frame.d_diag == (1, 1)
-    assert g_vector_check(a2, frame)
+    assert g_vector_check(frame)
 
 
 def test_g_vector_check_fails_on_a_negated_c_column(a2):
@@ -55,7 +56,7 @@ def test_g_vector_check_fails_on_a_negated_c_column(a2):
     for j in range(2):
         cols = list(frame.c_cols)
         cols[j] = tuple(-x for x in cols[j])
-        assert not g_vector_check(a2, replace(frame, c_cols=tuple(cols)))
+        assert not g_vector_check(replace(frame, c_cols=tuple(cols)))
 
 
 def test_duality_frame_rejects_wrong_pairing(a2):
@@ -72,7 +73,7 @@ def test_duality_sweep(tag, m):
         ordered = order_cluster(cat, m, cluster)
         comps = garside_configuration(cat, m, ordered)
         frame = duality_frame(cat, m, ordered, comps)
-        assert g_vector_check(cat, frame)
+        assert g_vector_check(frame)
 
 
 @pytest.mark.parametrize("tag,m", [("A2", 1), ("A3", 1)])
@@ -222,18 +223,27 @@ def test_mutation_at_zero_shift_impossible(a2):
 @pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2)])
 def test_recover_cluster_matches_a_rational_solve(tag, m):
     # the moved entry's signed dimension vector v solves (E C)^t v = f_k e_k
-    # for the new c-vectors C; the oracle solves it over the rationals
+    # for the new c-vectors C; the oracle solves it over the rationals.  Every
+    # updated c-vector stays in the span of its slope window's old columns.
     cat = category(tag)
-    e = linalg.mat(cat.E)
+    e = oracle.mat(cat.E)
     moves = 0
     for cluster in enumerate_clusters(cat, m):
         ordered = order_cluster(cat, m, cluster)
         comps = garside_configuration(cat, m, ordered)
-        for k, _, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
-            c = linalg.transpose(linalg.mat(c_vector(sv) for sv in slope_vectors(m, new_comps)))
+        svs = slope_vectors(m, comps)
+        for k, direction, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
+            new_svs = slope_vectors(m, new_comps)
+            s = svs[k].slope - (direction == "-")
+            window = [c_vector(sv) for sv in svs if sv.slope in (s, s + 1)]
+            for sv, new_sv in zip(svs, new_svs):
+                if new_sv != sv:
+                    assert oracle.rank(oracle.mat(window + [c_vector(new_sv)])) == \
+                        oracle.rank(oracle.mat(window))
+            c = oracle.transpose(oracle.mat(c_vector(sv) for sv in new_svs))
             f_k = cat.hom(ordered[k].root, ordered[k].root)
             rhs = [f_k if j == k else 0 for j in range(cat.n)]
-            assert linalg.solve(linalg.transpose(linalg.matmul(e, c)), rhs) == \
+            assert oracle.solve(oracle.transpose(oracle.matmul(e, c)), rhs) == \
                 signed_dim(m, new_ordered[k])
             assert new_ordered[:k] + new_ordered[k + 1:] == ordered[:k] + ordered[k + 1:]
             moves += 1
@@ -388,3 +398,17 @@ def test_validate_configuration_refuses_a_non_root(a2):
     validate_configuration(a2, 1, (O(S2, 1), O(P1, 0)), rank=2)
     with pytest.raises(InputError, match="is not a positive root"):
         validate_configuration(a2, 1, (O(S2, 1), O((2, 0), 0)), rank=2)
+    # a lone component has no pair to read the table on
+    with pytest.raises(InputError, match=r"\(5, 5\) is not a positive root of A2"):
+        validate_configuration(a2, 1, [O((5, 5), 0)], rank=1)
+
+
+@pytest.mark.parametrize("comps,k,direction", [
+    ((O((5, 5), 0),), 0, "-"),
+    ((O((1, 2), 0), O(S2, 1)), 1, "+"),
+], ids=["lone", "pair"])
+def test_mutate_configuration_refuses_a_non_root(a2, comps, k, direction):
+    # the lone component was moved to level 1, and the pair failed only in the
+    # check of the mutated result
+    with pytest.raises(InputError, match=r"\(\d, \d\) is not a positive root of A2"):
+        mutate_configuration(a2, 1, comps, k, direction)

@@ -1,8 +1,9 @@
 import pytest
 
 from excseq import (InputError, UnsupportedFeatureError, build_diagram,
-                    build_quiver, coxeter_data, delete_vertex, euler_form,
-                    euler_matrix, parse_type_tag, positive_roots)
+                    build_quiver, coxeter_data, delete_vertex, euler_matrix,
+                    parse_type_tag, positive_roots)
+from excseq.repengine import RepCategory
 
 ALL_RANK8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
              + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
@@ -110,11 +111,11 @@ def test_roots_reject_valued():
 
 def test_euler_matrix_a2():
     q = build_quiver(build_diagram("A2"))
-    e = euler_matrix(q)
-    assert e == ((1, -1), (0, 1))
-    assert euler_form(e, (1, 0), (0, 1)) == -1
+    assert euler_matrix(q) == ((1, -1), (0, 1))
+    cat = RepCategory(q)
+    assert cat.euler((1, 0), (0, 1)) == -1
     for root in positive_roots(q.diagram):
-        assert euler_form(e, root, root) == 1
+        assert cat.euler(root, root) == 1
 
 
 def test_euler_upper_unitriangular_in_topological_order():

@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
-from excseq import (InputError, InternalConsistencyError, PairCase, ReflectionOracle,
-                    build_diagram, build_quiver, category, classify_pair, linalg, perp)
+from excseq import (InputError, InternalConsistencyError, PairCase, build_diagram,
+                    build_quiver, category, classify_pair, perp)
 from excseq.repengine import RepCategory
 
 from conftest import P1, S1, S2, tags_up_to_rank
+from oracle import ReflectionOracle, inverse, mat, matmul
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +186,8 @@ def test_hom_basis_satisfies_intertwining(a3):
         rep_a, rep_b = oracle("A3").rep(a), oracle("A3").rep(b)
         for phi in space.basis:
             for idx, (s, t) in enumerate(a3.quiver.arrows):
-                left = linalg.matmul(phi[t], rep_a.maps[idx])
-                right = linalg.matmul(rep_b.maps[idx], phi[s])
+                left = matmul(phi[t], rep_a.maps[idx])
+                right = matmul(rep_b.maps[idx], phi[s])
                 assert left == right
 
 
@@ -272,6 +273,6 @@ def test_classify_pair_matches_the_approximation(tag, arrows):
 @pytest.mark.parametrize("tag,arrows", ORACLE_CASES, ids=ORACLE_IDS)
 def test_projective_roots_are_the_rows_of_the_inverse(tag, arrows):
     cat = oracle(tag, arrows).cat
-    einv = linalg.inverse(linalg.mat(cat.E))
+    einv = inverse(mat(cat.E))
     assert cat.projective_roots == einv.rows
     assert {r for r in cat.roots if cat.is_projective(r)} == set(einv.rows)
