@@ -22,12 +22,9 @@ gives `tuple_to_sequence`, the bijection between ordered pairwise compatible
 tuples and shifted exceptional sequences, compatible with deletion of the
 first entry.
 
-The public functions validate their arguments once: objects are parsed
-strictly (roots by `check_root`, levels by `check_level`), a tuple must be
-pairwise compatible and a sequence must pass `is_m_exc_sequence`.  The
-recursions behind them, `_tuple_to_sequence` and `_sequence_to_tuple`, trust
-their input and only index the verified tables; the bijection suite calls
-them directly on the tuples it enumerated and on their images.
+A table maps object ids (`shiftcat.encode`) to ids.  The public functions
+validate their arguments once and encode them; the maps behind them, which
+the bijection suite calls directly, trust their id tuples and only index tables.
 """
 
 from __future__ import annotations
@@ -38,57 +35,47 @@ from typing import NamedTuple
 from .dynkin import Root
 from .errors import InputError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _inconsistent, check_level, check_object,
-                       check_pairwise_compatible, compatible, is_valid_object,
-                       shifted_objects)
-from .wide import (PairCase, WideSubcat, ambient, classify_pair, congruent,
-                   is_relatively_projective, mutate_pair, mutate_pair_inverse, perp)
-
-
-def in_compatible_set(cat: RepCategory, m: int, scope: WideSubcat,
-                      t_obj: ShiftedObject, obj: ShiftedObject) -> bool:
-    """Membership of obj in the objects of the scope compatible with t_obj."""
-    return is_valid_object(cat, scope, m, obj) and compatible(cat, obj, t_obj)
-
-
-def compatible_set(cat: RepCategory, m: int, scope: WideSubcat,
-                   t_obj: ShiftedObject) -> tuple[ShiftedObject, ...]:
-    return tuple(o for o in shifted_objects(cat, scope, m)
-                 if compatible(cat, o, t_obj))
+from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_level, check_object,
+                       check_pairwise_compatible, compat_rows, decode, encode,
+                       is_valid_object, object_mask)
+from .wide import (PairCase, WideSubcat, ambient, classify_pair, congruent, mutate_pair,
+                   mutate_pair_inverse, perp)
 
 
 class _TransportTable(NamedTuple):
     perp: WideSubcat  # T's perpendicular in the scope
-    forward: dict[ShiftedObject, ShiftedObject]  # in the order of its domain
-    inverse: dict[ShiftedObject, ShiftedObject]
+    forward: dict[int, int]  # object ids, in the order of its domain
+    inverse: dict[int, int]
 
 
-def _place(cat: RepCategory, m: int, t_obj: ShiftedObject, obj: ShiftedObject,
-           moved: Root, step: int) -> ShiftedObject:
-    """`moved`, the pair mutation of obj over T, at the unique level l in
-    {j, j + step} within 0..m with (-1)^j dim obj = (-1)^l dim moved mod dim T."""
-    j = obj.level
+def _place(cat: RepCategory, m: int, t: int, x: int, moved: Root, step: int) -> int:
+    """`moved`, the pair mutation of object x over object t, at the unique level
+    l in {j, j + step} within 0..m with (-1)^j dim x = (-1)^l dim moved mod dim T."""
+    n = len(cat.roots)
+    j, xi = divmod(x, n)
     levels = [lv for lv in (j, j + step)
-              if 0 <= lv <= m and congruent(j, obj.root, lv, moved, t_obj.root)]
+              if 0 <= lv <= m and congruent(j, cat.roots[xi], lv, moved, cat.roots[t % n])]
     if len(levels) != 1:
-        raise _inconsistent(cat, m, f"placement of {obj} over {t_obj} found levels {levels}")
-    return ShiftedObject(moved, levels[0])
+        raise _inconsistent(cat, m, "placement of {} over {} found levels {}".format(
+            *decode(cat, (x, t)), levels))
+    return levels[0] * n + cat.root_id[moved]
 
 
-def _chart(cat: RepCategory, m: int, t_obj: ShiftedObject,
-           x_obj: ShiftedObject) -> ShiftedObject:
-    (t, k), (x, j) = t_obj, x_obj
+def _chart(cat: RepCategory, m: int, t: int, x: int) -> int:
+    n = len(cat.roots)
+    (k, ti), (j, xi) = divmod(t, n), divmod(x, n)
     if j < k:
-        return x_obj
+        return x
+    tr, xr = cat.roots[ti], cat.roots[xi]
     if j == k:
-        if cat.ext(x, t) > 0:
-            return ShiftedObject(mutate_pair(cat, x, t), k)
-        if k == m and classify_pair(cat, x, t) is PairCase.EPI:
+        if cat.ext_out[xi] >> ti & 1:
+            return k * n + cat.root_id[mutate_pair(cat, xr, tr)]
+        if k == m and classify_pair(cat, xr, tr) is PairCase.EPI:
             raise _inconsistent(cat, m, "epi onto a relative projective at top level: "
-                                f"{x_obj} over {t_obj}")
-        return x_obj
-    case = classify_pair(cat, x, t)
-    return ShiftedObject(mutate_pair(cat, x, t), j - 1 if case is PairCase.MONO else j)
+                                "{} over {}".format(*decode(cat, (x, t))))
+        return x
+    level = j - 1 if classify_pair(cat, xr, tr) is PairCase.MONO else j
+    return level * n + cat.root_id[mutate_pair(cat, xr, tr)]
 
 
 def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
@@ -96,72 +83,64 @@ def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
     """t_obj checked against the scope, and its transport table."""
     scope = scope if scope is not None else ambient(cat)
     t_obj = check_object(cat, scope, m, t_obj)
-    return t_obj, _build_table(cat, m, t_obj, scope)
+    t = encode(cat, (t_obj,))[0]
+    return t_obj, cat.transports.get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
 
 
-def _build_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
-                 scope: WideSubcat) -> _TransportTable:
-    """The checked transport table of t_obj in the scope, kept in `cat.transports`."""
-    key = (m, cat.root_id[t_obj.root], t_obj.level, scope.mask)
-    table = cat.transports.get(key)
-    if table is not None:
-        return table
-    t = t_obj.root
-    t_perp = perp(cat, (t,), scope)
+def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _TransportTable:
+    """The checked table of id t in the scope, for callers that found none in `cat.transports`."""
+    n = len(cat.roots)
+    tr = cat.roots[t % n]
+    t_perp = perp(cat, (tr,), scope)
+    codomain = object_mask(cat, scope, m) & compat_rows(cat, m)[t]
     forward, inverse = {}, {}
-    for x_obj in shifted_objects(cat, t_perp, m):
-        chart = _chart(cat, m, t_obj, x_obj)
-        cong = (x_obj if in_compatible_set(cat, m, scope, t_obj, x_obj)
-                else _place(cat, m, t_obj, x_obj, mutate_pair(cat, x_obj.root, t), -1))
+    for x in _ids(object_mask(cat, t_perp, m)):
+        chart = _chart(cat, m, t, x)
+        cong = (x if codomain >> x & 1
+                else _place(cat, m, t, x, mutate_pair(cat, cat.roots[x % n], tr), -1))
         if chart != cong:
-            raise _inconsistent(cat, m, f"chart answer {chart} disagrees with congruence "
-                                f"answer {cong} for {x_obj} over {t_obj}")
-        if not in_compatible_set(cat, m, scope, t_obj, chart):
-            raise _inconsistent(cat, m, f"transport output {chart} not compatible "
-                                f"with {t_obj}")
-        back = (chart if t_perp.mask >> cat.root_id[chart.root] & 1
-                else _place(cat, m, t_obj, chart, mutate_pair_inverse(cat, chart.root, t), 1))
-        if back != x_obj:
-            raise _inconsistent(cat, m, f"inverse placement of {chart} over {t_obj} "
-                                f"gives {back}, not {x_obj}")
-        forward[x_obj] = chart
-        inverse[chart] = x_obj
-    codomain = set(compatible_set(cat, m, scope, t_obj))
-    if len(inverse) != len(forward) or inverse.keys() != codomain:
-        raise _inconsistent(cat, m, f"transport over {t_obj} is not a bijection onto "
-                            "its compatible set")
-    table = cat.transports[key] = _TransportTable(t_perp, forward, inverse)
+            raise _inconsistent(cat, m, "chart answer {} disagrees with congruence answer {} "
+                                "for {} over {}".format(*decode(cat, (chart, cong, x, t))))
+        if not codomain >> chart & 1:
+            raise _inconsistent(cat, m, "transport output {} not compatible with {}".format(
+                *decode(cat, (chart, t))))
+        back = chart if t_perp.mask >> chart % n & 1 else _place(
+            cat, m, t, chart, mutate_pair_inverse(cat, cat.roots[chart % n], tr), 1)
+        if back != x:
+            raise _inconsistent(cat, m, "inverse placement of {} over {} gives {}, not {}".format(
+                *decode(cat, (chart, t, back, x))))
+        forward[x] = chart
+        inverse[chart] = x
+    if len(inverse) != len(forward) or sum(1 << y for y in inverse) != codomain:
+        raise _inconsistent(cat, m, f"transport over {decode(cat, (t,))[0]} is not a "
+                            "bijection onto its compatible set")
+    table = cat.transports[m, t, scope.mask] = _TransportTable(t_perp, forward, inverse)
     return table
 
 
-def _images(cat: RepCategory, table: _TransportTable, t_obj: ShiftedObject, objs,
-            inverse: bool) -> tuple[ShiftedObject, ...]:
-    """Images of objs under one direction of the table; InputError names the
-    first object outside its domain."""
-    images = table.inverse if inverse else table.forward
-    objs = [ShiftedObject(cat.check_root(o.root), check_level(o.level)) for o in objs]
-    try:
-        return tuple([images[o] for o in objs])
-    except KeyError:
-        bad = next(o for o in objs if o not in images)
+def _image(cat: RepCategory, m: int, t_obj: ShiftedObject, obj, scope: WideSubcat | None,
+           inverse: bool) -> ShiftedObject:
+    """obj under one direction of t_obj's table; InputError if outside its domain."""
+    t_obj, table = _transport_table(cat, m, t_obj, scope)
+    images, x = table.inverse if inverse else table.forward, encode(cat, (obj,))[0]
+    if x not in images:
         what = (f"compatible with {t_obj}" if inverse
                 else f"a shifted object of the perpendicular of {t_obj}")
-        raise InputError(f"{bad} is not {what}") from None
+        raise InputError(f"{decode(cat, (x,))[0]} is not {what}")
+    return decode(cat, (images[x],))[0]
 
 
 def transport(cat: RepCategory, m: int, t_obj: ShiftedObject, x_obj: ShiftedObject,
               scope: WideSubcat | None = None) -> ShiftedObject:
     """Carry an object of T's perpendicular category to one compatible with T[k]."""
-    t_obj, table = _transport_table(cat, m, t_obj, scope)
-    return _images(cat, table, t_obj, (x_obj,), inverse=False)[0]
+    return _image(cat, m, t_obj, x_obj, scope, inverse=False)
 
 
 def transport_inverse(cat: RepCategory, m: int, t_obj: ShiftedObject,
                       y_obj: ShiftedObject,
                       scope: WideSubcat | None = None) -> ShiftedObject:
     """Inverse of `transport`: the object of T's perpendicular it carries to y_obj."""
-    t_obj, table = _transport_table(cat, m, t_obj, scope)
-    return _images(cat, table, t_obj, (y_obj,), inverse=True)[0]
+    return _image(cat, m, t_obj, y_obj, scope, inverse=True)
 
 
 def tuple_to_sequence(cat: RepCategory, m: int, tup,
@@ -172,9 +151,9 @@ def tuple_to_sequence(cat: RepCategory, m: int, tup,
     entries pairwise compatible); `_tuple_to_sequence` then trusts it."""
     scope = scope if scope is not None else ambient(cat)
     tup = tuple(tup)
-    checked = tuple([check_object(cat, scope, m, o) for o in tup])
+    checked = [check_object(cat, scope, m, o) for o in tup]
     check_pairwise_compatible(cat, tup)
-    return _tuple_to_sequence(cat, m, checked, scope, {})
+    return decode(cat, _tuple_to_sequence(cat, m, encode(cat, checked), scope))
 
 
 def sequence_to_tuple(cat: RepCategory, m: int, terms,
@@ -187,50 +166,42 @@ def sequence_to_tuple(cat: RepCategory, m: int, terms,
     terms = tuple([ShiftedObject(root, check_level(level)) for root, level in terms])
     if not is_m_exc_sequence(cat, m, terms, scope):
         raise InputError("terms do not form a shifted exceptional sequence")
-    terms = tuple([ShiftedObject(cat.check_root(o.root), o.level) for o in terms])
-    return _sequence_to_tuple(cat, m, terms, scope, {})
+    return decode(cat, _sequence_to_tuple(cat, m, encode(cat, terms), scope))
 
 
-def _tuple_to_sequence(cat: RepCategory, m: int, tup: tuple[ShiftedObject, ...],
-                       scope: WideSubcat, memo: dict) -> tuple[ShiftedObject, ...]:
-    """`tuple_to_sequence` of a tuple known to be a valid compatible tuple of
-    the scope, with no per-level checks.  Pull the other entries back over the
-    last one and recurse in its perpendicular; memo keeps the results of the
-    recursive calls under (scope mask, tuple)."""
-    if len(tup) <= 1:
-        return tup
-    table = _build_table(cat, m, tup[-1], scope)
-    pulled = _lookup(cat, m, table.inverse, tup[:-1], tup[-1])
-    key = (table.perp.mask, pulled)
-    seq = memo.get(key)
-    if seq is None:
-        seq = memo[key] = _tuple_to_sequence(cat, m, pulled, table.perp, memo)
-    return seq + tup[-1:]
-
-
-def _sequence_to_tuple(cat: RepCategory, m: int, terms: tuple[ShiftedObject, ...],
-                       scope: WideSubcat, memo: dict) -> tuple[ShiftedObject, ...]:
-    """`sequence_to_tuple` of terms known to form a shifted exceptional
-    sequence of the scope, unchecked and memoised like `_tuple_to_sequence`.
-    Map the prefix in the last term's perpendicular, then carry it over."""
-    if len(terms) <= 1:
-        return terms
-    table = _build_table(cat, m, terms[-1], scope)
-    key = (table.perp.mask, terms[:-1])
-    prefix = memo.get(key)
-    if prefix is None:
-        prefix = memo[key] = _sequence_to_tuple(cat, m, terms[:-1], table.perp, memo)
-    return _lookup(cat, m, table.forward, prefix, terms[-1]) + terms[-1:]
-
-
-def _lookup(cat: RepCategory, m: int, images: dict[ShiftedObject, ShiftedObject],
-            objs, t_obj: ShiftedObject) -> tuple[ShiftedObject, ...]:
-    """Images of objs that validated input guarantees to be in the table."""
+def _tuple_to_sequence(cat: RepCategory, m: int, tup: tuple[int, ...],
+                       scope: WideSubcat) -> tuple[int, ...]:
+    """`tuple_to_sequence` on the ids of a valid compatible tuple of the scope,
+    unchecked: pull the others back over the last entry, and go on in its perp."""
+    get, tail = cat.transports.get, ()
     try:
-        return tuple([images[o] for o in objs])
+        while len(tup) > 1:
+            t = tup[-1]
+            table = get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
+            tup, scope = tuple(map(table.inverse.__getitem__, tup[:-1])), table.perp
+            tail = (t, *tail)
+    except KeyError as exc:  # validated input never gets here
+        raise _inconsistent(cat, m, "{} is outside the transport table of {}".format(
+            *decode(cat, (exc.args[0], t)))) from None
+    return tup + tail
+
+
+def _sequence_to_tuple(cat: RepCategory, m: int, terms: tuple[int, ...],
+                       scope: WideSubcat) -> tuple[int, ...]:
+    """`sequence_to_tuple` on the ids of a shifted exceptional sequence of the scope,
+    unchecked: carry the first term over the second, that over the third..."""
+    get, tables = cat.transports.get, []
+    for t in reversed(terms[1:]):
+        tables.append(get((m, t, scope.mask)) or _build_table(cat, m, t, scope))
+        scope = tables[-1].perp
+    tup = terms[:1]
+    try:
+        for t, table in zip(terms[1:], reversed(tables)):
+            tup = (*map(table.forward.__getitem__, tup), t)
     except KeyError as exc:
-        raise _inconsistent(cat, m, f"{exc.args[0]} is outside the transport table "
-                            f"of {t_obj}") from None
+        raise _inconsistent(cat, m, "{} is outside the transport table of {}".format(
+            *decode(cat, (exc.args[0], t)))) from None
+    return tup
 
 
 def is_m_exc_sequence(cat: RepCategory, m: int, terms,
@@ -248,20 +219,25 @@ def is_m_exc_sequence(cat: RepCategory, m: int, terms,
 def m_exc_sequences(cat: RepCategory, m: int, k: int,
                     scope: WideSubcat | None = None) -> list[tuple[ShiftedObject, ...]]:
     """Enumerate shifted exceptional sequences of length k, deterministically."""
-    scope = scope if scope is not None else ambient(cat)
     if k < 0:
         raise InputError("length must be >= 0")
+    scope = scope if scope is not None else ambient(cat)
+    return [decode(cat, s) for s in _sequences(cat, m, k, scope, {})]
+
+
+def _sequences(cat: RepCategory, m: int, k: int, scope: WideSubcat,
+               memo: dict) -> list[tuple[int, ...]]:
+    """`m_exc_sequences` on ids, last terms by root then level; memo keys are (scope mask, k)."""
     if k == 0:
         return [()]
-    out: list[tuple[ShiftedObject, ...]] = []
-    for last in scope.objects:
-        levels = list(range(m)) + ([m] if is_relatively_projective(cat, last, scope) else [])
-        sub = perp(cat, (last,), scope)
-        prefixes = m_exc_sequences(cat, m, k - 1, sub)
-        for level in levels:
-            tail = ShiftedObject(last, level)
-            out.extend(prefix + (tail,) for prefix in prefixes)
-    return out
+    if (scope.mask, k) not in memo:
+        n, objects, seqs = len(cat.roots), object_mask(cat, scope, m), []
+        for i in _ids(scope.mask):
+            prefixes = _sequences(cat, m, k - 1, perp(cat, (cat.roots[i],), scope), memo)
+            seqs += [s + (u,) for u in range(i, objects.bit_length(), n) if objects >> u & 1
+                     for s in prefixes]
+        memo[scope.mask, k] = seqs
+    return memo[scope.mask, k]
 
 
 @dataclass
@@ -282,19 +258,15 @@ def check_transport(cat: RepCategory, m: int, t_obj: ShiftedObject,
     """Compatibility preservation for one transport map; its bijectivity and
     round trip are asserted when its table is built."""
     t_obj, table = _transport_table(cat, m, t_obj, scope)
-    images, domain = table.forward, tuple(table.forward)
+    rows, images = compat_rows(cat, m), table.forward
+    domain = tuple(images)
     report = TransportReport(t_obj, m, len(domain), len(table.inverse))
     for i, a in enumerate(domain):
         for b in domain[i + 1:]:
-            before = compatible(cat, a, b)
-            after = compatible(cat, images[a], images[b])
-            if before != after:
-                ia, ib = sorted((a.level, b.level))
-                ja, jb = sorted((images[a].level, images[b].level))
-                tag = {(True, True): "levels split/split",
-                       (True, False): "levels split/equal",
-                       (False, True): "levels equal/split",
-                       (False, False): "levels equal/equal"}[(ia < ib, ja < jb)]
+            if rows[a] >> b & 1 != rows[images[a]] >> images[b] & 1:
+                a_obj, b_obj, ya, yb = decode(cat, (a, b, images[a], images[b]))
+                tag = "/".join("split" if u.level != v.level else "equal"
+                               for u, v in ((a_obj, b_obj), (ya, yb)))
                 report.violations.append(
-                    f"compatibility not preserved for {a}, {b} ({tag})")
+                    f"compatibility not preserved for {a_obj}, {b_obj} (levels {tag})")
     return report

@@ -12,13 +12,12 @@ cluster entry moves, and the old frame gives its new signed dimension vector
 as an integer combination of the old columns, with coefficients its Euler
 pairings against the new c-vectors; the new frame is then verified.
 
-Each of these vectors is a root signed by the parity of its level, so each
-pairing is a sign times `RepCategory.pairing`, one read of the Hom/Ext table.
-The kernels `_check_frame`, `_mutate` and `_recover` trust their input and
-check their results.  `duality_frame`, `mutate_configuration` and
-`recover_cluster` first check theirs, each vector once through the strict
-`RepCategory.euler`.  `mutation_moves` runs the kernels alone, on an ordered
-cluster and configuration that the caller built, such as a `cluster_table` entry.
+Each vector is a root signed by the parity of its level, so each pairing is
+a sign times an entry of `RepCategory.pairings`.  The kernels `_check_frame`,
+`_mutate`, `_recover` and `_validate` run on object ids (`shiftcat.encode`),
+trust their input and check their results; the public functions check theirs
+(each vector once by the strict `RepCategory.euler`) and encode it.
+`mutation_moves` runs the kernels alone, on the ids of a `cluster_table` entry.
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
-from .bijection import tuple_to_sequence
+from .bijection import _tuple_to_sequence, tuple_to_sequence
 from .dynkin import Root, root_str
 from .errors import InputError, VerificationError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _inconsistent, canonical_cluster,
-                       check_pairwise_compatible, compatible, enumerate_clusters)
+from .shiftcat import (ShiftedObject, _inconsistent, check_pairwise_compatible,
+                       compat_rows, decode, encode, enumerate_clusters)
 from .wide import (WideSubcat, ambient, is_exceptional_sequence, is_relatively_projective,
                    left_perp, perp)
 
@@ -59,12 +58,12 @@ def signed_dim(m: int, obj: ShiftedObject) -> tuple[int, ...]:
     return tuple(sign * x for x in obj.root)
 
 
-def _ordering_constraints(cat: RepCategory, objects) -> list[int]:
-    """Bit j of entry i is set when Hom or Ext(objects[i], objects[j]) != 0,
-    so that objects[j] must precede objects[i] in the tuple order."""
-    return [sum(1 << j for j, b in enumerate(objects)
-                if j != i and (cat.hom(a.root, b.root) != 0 or cat.ext(a.root, b.root) != 0))
-            for i, a in enumerate(objects)]
+def _ordering_constraints(cat: RepCategory, ids) -> list[int]:
+    """Bit j of entry i is set when Hom or Ext(object i, object j) != 0 for the
+    objects with these ids, so that object j must precede object i in the tuple order."""
+    n = len(cat.roots)
+    return [sum(1 << j for j, b in enumerate(ids) if j != i and cat.right_nz[a % n] >> b % n & 1)
+            for i, a in enumerate(ids)]
 
 
 def _free(after: list[int], placed: int) -> list[int]:
@@ -80,7 +79,7 @@ def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...
     """
     objects = sorted(set(objects))
     check_pairwise_compatible(cat, objects)
-    after, placed, order = _ordering_constraints(cat, objects), 0, []
+    after, placed, order = _ordering_constraints(cat, encode(cat, objects)), 0, []
     for _ in objects:
         avail = _free(after, placed)
         if not avail:
@@ -98,7 +97,7 @@ def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObj
     Kept for the duality suite's check that the configuration does not depend
     on the chosen order."""
     objects = sorted(set(objects))
-    after = _ordering_constraints(cat, objects)
+    after = _ordering_constraints(cat, encode(cat, objects))
     out: list[tuple[ShiftedObject, ...]] = []
 
     def extend(order: list[int], placed: int) -> None:
@@ -122,14 +121,10 @@ def garside_configuration(cat: RepCategory, m: int, ordered,
     scope = scope if scope is not None else ambient(cat)
     ordered = tuple(ordered)
     comps = tuple_to_sequence(cat, m, ordered, scope)
-    brt_ordered = is_exceptional_sequence(cat, [o.root for o in reversed(ordered)])
-    if brt_ordered and len(ordered) == scope.rank:
+    if len(ordered) == scope.rank and is_exceptional_sequence(
+            cat, [o.root for o in reversed(ordered)]):
         # the configuration reading only applies to properly ordered clusters
-        validate_configuration(cat, m, comps, rank=scope.rank)
-        for t_entry, comp in zip(ordered, comps):
-            if comp.level not in (t_entry.level, t_entry.level + 1):
-                raise _inconsistent(cat, m, f"component slope of {comp} strays from its "
-                                    f"cluster entry {t_entry}")
+        _validate(cat, m, encode(cat, comps), encode(cat, ordered))
     return comps
 
 
@@ -139,25 +134,27 @@ def validate_configuration(cat: RepCategory, m: int, comps,
     comps = tuple(comps)
     if rank is not None and len(comps) != rank:
         raise VerificationError(f"expected {rank} components, got {len(comps)}")
-    if len({(c.root, c.level) for c in comps}) != len(comps):
+    _validate(cat, m, encode(cat, comps))
+
+
+def _validate(cat: RepCategory, m: int, comps: tuple[int, ...], ordered=()) -> None:
+    """`validate_configuration` on ids; given the ordered cluster, also the Garside slope rule."""
+    n = len(cat.roots)
+    if len(set(comps)) != len(comps):
         raise VerificationError("components are not pairwise distinct")
     for c in comps:
-        if not 0 <= c.level <= m:
-            raise VerificationError(f"component level out of range: {c}")
-    for c in comps:
-        cat.check_root(c.root)
+        if not 0 <= c // n <= m:
+            raise VerificationError(f"component level out of range: {decode(cat, (c,))[0]}")
     # one pass over the pairs checks the maps and builds `_ordering_constraints`
     after = [0] * len(comps)
     for i, a in enumerate(comps):
+        nonzero, ext_out, level = cat.right_nz[a % n], cat.ext_out[a % n], a // n
         for j, b in enumerate(comps):
-            if i == j:
-                continue
-            hom, ext = cat.hom(a.root, b.root), cat.ext(a.root, b.root)
-            if hom and b.level >= a.level:
-                raise VerificationError(f"forbidden morphism {a} -> {b}")
-            if ext and b.level >= a.level + 1:
-                raise VerificationError(f"forbidden extension {a} -> {b}")
-            if hom or ext:
+            if i != j and nonzero >> b % n & 1:
+                ext = ext_out >> b % n & 1
+                if b // n >= level + ext:
+                    raise VerificationError("forbidden {} {} -> {}".format(
+                        "extension" if ext else "morphism", *decode(cat, (a, b))))
                 after[i] |= 1 << j
     # the underlying modules must admit an exceptional ordering
     placed = 0
@@ -166,6 +163,10 @@ def validate_configuration(cat: RepCategory, m: int, comps,
         if not free:
             raise VerificationError("components admit no exceptional ordering")
         placed |= 1 << free[0]
+    for t, c in zip(ordered, comps):
+        if c // n - t // n not in (0, 1):
+            raise _inconsistent(cat, m, "component slope of {1} strays from its cluster "
+                                "entry {0}".format(*decode(cat, (t, c))))
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def duality_frame(cat: RepCategory, m: int, ordered, comps) -> DualityFrame:
     c_cols = tuple(c_vector(sv) for sv in slope_vectors(m, comps))
     d_diag = tuple(cat.hom(o.root, o.root) for o in ordered)  # all 1 over the rationals
     _check_vectors(cat, v_cols, c_cols)
-    _check_frame(cat, m, ordered, comps)
+    _check_frame(cat, m, encode(cat, ordered), encode(cat, comps))
     return DualityFrame(v_cols, c_cols, d_diag, cat.E)
 
 
@@ -199,24 +200,22 @@ def _check_vectors(cat: RepCategory, xs, ys) -> None:
         cat.euler(x, ys[0])
 
 
-def _pair(cat: RepCategory, a: ShiftedObject, b: ShiftedObject) -> int:
-    """<x_a, x_b> for the signed dimension vectors or c-vectors x of a and b,
-    whose signs multiply to (-1)^(a.level + b.level)."""
-    value = cat.pairing(a.root, b.root)
-    return -value if (a.level + b.level) % 2 else value
-
-
 def _check_frame(cat: RepCategory, m: int, ordered, comps) -> None:
-    """The checks of `duality_frame` on a dual pair with checked vectors."""
+    """The checks of `duality_frame` on the ids of a dual pair with checked vectors."""
+    n = len(cat.roots)
     for i, o in enumerate(ordered):
+        row, level = cat.pairings[o % n], o // n
         for j, c in enumerate(comps):
-            value, want = _pair(cat, o, c), cat.hom(o.root, o.root) if i == j else 0
+            value = -row[c % n] if (level + c // n) % 2 else row[c % n]
+            want = row[o % n] if i == j else 0
             if value != want:
                 raise VerificationError(
                     f"duality pairing failed at ({i}, {j}): got {value}, want {want}")
-    for o, sv in zip(ordered, slope_vectors(m, comps)):
-        if (m - o.level) not in (sv.slope, sv.slope + 1):
-            raise VerificationError(f"slope rule violated: entry {o} against {sv}")
+    for o, c in zip(ordered, comps):  # the entry's slope is the component's or one more
+        if o // n - c // n not in (0, -1):
+            o_obj, c_obj = decode(cat, (o, c))
+            raise VerificationError(f"slope rule violated: entry {o_obj} against "
+                                    f"{slope_vectors(m, (c_obj,))[0]}")
 
 
 def g_vector_check(frame: DualityFrame) -> bool:
@@ -325,38 +324,33 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
         raise InputError(f"slope {sk} cannot mutate downward")
     cs = [c_vector(sv) for sv in svs]
     _check_vectors(cat, cs, cs[:1])  # as the first row of `exchange_matrix` would
-    for c in comps:
-        cat.check_root(c.root)
-    return _mutate(cat, m, comps, k, direction)
+    result = _mutate(cat, m, encode(cat, comps), k, direction)
+    _validate(cat, m, result)
+    return decode(cat, result)
 
 
-def _mutate(cat: RepCategory, m: int, comps, k: int,
-            direction: str) -> tuple[ShiftedObject, ...]:
-    """`mutate_configuration` of a checked configuration by a legal move."""
-    svs = slope_vectors(m, comps)
-    s = svs[k].slope if direction == "+" else svs[k].slope - 1
-    cs = [c_vector(sv) for sv in svs]
-    window = [j for j, sv in enumerate(svs) if sv.slope in (s, s + 1)]
+def _mutate(cat: RepCategory, m: int, comps: tuple[int, ...], k: int,
+            direction: str) -> tuple[int, ...]:
+    """`mutate_configuration` on ids, for a legal move, short of validating the result."""
+    n, ck, p = len(cat.roots), comps[k], cat.pairings
+    slopes = [m - c // n for c in comps]
+    s = slopes[k] if direction == "+" else slopes[k] - 1
     new = list(comps)
-    for j in window:
-        # b_kj = <c_j, c_k> - <c_k, c_j>, row k of `exchange_matrix`
-        bkj = _pair(cat, comps[j], comps[k]) - _pair(cat, comps[k], comps[j])
-        if j == k or (bkj <= 0 if direction == "+" else bkj >= 0):
+    for j, c in enumerate(comps):
+        if j == k or slopes[j] not in (s, s + 1):
+            continue
+        # b_kj = <c_j, c_k> - <c_k, c_j> (row k of `exchange_matrix`), signs (-1)^(l_j + l_k)
+        bkj = (p[c % n][ck % n] - p[ck % n][c % n]) * (-1) ** (c // n + ck // n)
+        if bkj <= 0 if direction == "+" else bkj >= 0:
             continue
         # j and k are both window columns, so the update keeps the window's span
-        updated = tuple(cj + abs(bkj) * ck for cj, ck in zip(cs[j], cs[k]))
-        root, eps = _signed_root(cat, m, updated)
+        vj, vk = (signed_dim(m, o) for o in decode(cat, (c, ck)))  # the c-vectors
+        root, eps = _signed_root(cat, m, [a + abs(bkj) * b for a, b in zip(vj, vk)])
         # place at the slope in {s, s+1} whose sign (-1)^slope matches the
-        # updated vector; equivalently the window-local sign convention puts
-        # positive updates at slope s and negative ones at slope s+1
-        placements = [sigma for sigma in (s, s + 1) if (-1) ** sigma == eps]
-        if len(placements) != 1:
-            raise _inconsistent(cat, m, f"ambiguous slope placement for {root}")
-        new[j] = ShiftedObject(root, m - placements[0])
-    new[k] = ShiftedObject(comps[k].root, comps[k].level + (-1 if direction == "+" else 1))
-    result = tuple(new)
-    validate_configuration(cat, m, result)
-    return result
+        # updated vector; s and s+1 differ in parity, so exactly one does
+        new[j] = (m - (s if (-1) ** s == eps else s + 1)) * n + cat.root_id[root]
+    new[k] = ck + (-n if direction == "+" else n)
+    return tuple(new)
 
 
 def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
@@ -370,35 +364,41 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     """
     ordered, new_comps = tuple(ordered), tuple(new_comps)
     _check_position(k, len(ordered))
-    v_old = [signed_dim(m, o) for o in ordered]
-    _check_vectors(cat, v_old[k:k + 1], [c_vector(sv) for sv in slope_vectors(m, new_comps)])
-    candidate = _recover(cat, m, ordered, new_comps, k)
+    _check_vectors(cat, [signed_dim(m, ordered[k])],
+                   [c_vector(sv) for sv in slope_vectors(m, new_comps)])
+    ids = encode(cat, ordered)
+    for o, x in zip(ordered, ids):
+        if not 0 <= x < (m + 1) * len(cat.roots):
+            raise InputError(f"cluster entry {o} has a level outside 0..{m}")
+    candidate = decode(cat, _recover(cat, m, ids, encode(cat, new_comps), k))
     duality_frame(cat, m, candidate, new_comps)
     return candidate
 
 
-def _recover(cat: RepCategory, m: int, ordered, new_comps,
-             k: int) -> tuple[ShiftedObject, ...]:
-    """`recover_cluster` of checked input, short of the frame check."""
-    v_old = [signed_dim(m, o) for o in ordered]
-    row = [_pair(cat, ordered[k], c) for c in new_comps]
-    if row[k] != -cat.hom(ordered[k].root, ordered[k].root):
+def _recover(cat: RepCategory, m: int, ordered: tuple[int, ...], new_comps: tuple[int, ...],
+             k: int) -> tuple[int, ...]:
+    """`recover_cluster` on the ids of checked input, short of the frame check."""
+    n, x = len(cat.roots), ordered[k]
+    row = [cat.pairings[x % n][c % n] * (-1) ** (x // n + c // n) for c in new_comps]
+    if row[k] != -cat.pairings[x % n][x % n]:
         raise _inconsistent(cat, m, "self-coefficient of the exchanged entry is not -1")
+    v_old = [signed_dim(m, o) for o in decode(cat, ordered)]
     vec = [sum(g * v[i] for g, v in zip(row, v_old)) for i in range(cat.n)]
     root, eps = _signed_root(cat, m, vec)
-    slope_c = m - new_comps[k].level
+    slope_c = m - new_comps[k] // n
     choices = [st for st in (slope_c, slope_c + 1)
                if 0 <= st <= m and (-1) ** st == eps]
     if len(choices) != 1:
         raise _inconsistent(cat, m, f"no slope placement for recovered entry {root}")
-    new_obj = ShiftedObject(root, m - choices[0])
-    if new_obj.level == m and not is_relatively_projective(cat, root, ambient(cat)):
+    new = (m - choices[0]) * n + cat.root_id[root]
+    if new // n == m and not is_relatively_projective(cat, root, ambient(cat)):
         raise _inconsistent(cat, m, "recovered top-level entry is not projective")
-    candidate = ordered[:k] + (new_obj,) + ordered[k + 1:]
-    for i, o in enumerate(candidate):
-        if i != k and not compatible(cat, o, new_obj):
-            raise _inconsistent(cat, m, f"recovered entry {new_obj} clashes with {o}")
-    return candidate
+    compatible_with_new = compat_rows(cat, m)[new]
+    for i, o in enumerate(ordered):
+        if i != k and not compatible_with_new >> o & 1:
+            raise _inconsistent(cat, m, "recovered entry {} clashes with {}".format(
+                *decode(cat, (new, o))))
+    return ordered[:k] + (new,) + ordered[k + 1:]
 
 
 class MutationResult(NamedTuple):
@@ -416,14 +416,15 @@ def mutate(cat: RepCategory, m: int, ordered, k: int, direction: str) -> Mutatio
     return MutationResult(ordered, comps, new_ordered, new_comps)
 
 
-def mutation_moves(cat: RepCategory, m: int, ordered, comps):
-    """Every move of an ordered cluster whose configuration is comps that keeps
-    the slopes in 0..m, as (k, direction, mutated configuration, mutated
-    ordered cluster).  The caller built both, so the kernels run the moves."""
+def mutation_moves(cat: RepCategory, m: int, ordered: tuple[int, ...], comps: tuple[int, ...]):
+    """Every move keeping the slopes in 0..m of an ordered cluster with configuration comps,
+    as (k, direction, new configuration, new ordered cluster), all in ids; the kernels run it."""
+    n = len(cat.roots)
     for k, c in enumerate(comps):
         for direction, step in (("+", 1), ("-", -1)):
-            if 0 <= m - c.level + step <= m:
+            if 0 <= m - c // n + step <= m:
                 new_comps = _mutate(cat, m, comps, k, direction)
+                _validate(cat, m, new_comps)
                 new_ordered = _recover(cat, m, ordered, new_comps, k)
                 _check_frame(cat, m, new_ordered, new_comps)
                 yield k, direction, new_comps, new_ordered
@@ -431,22 +432,26 @@ def mutation_moves(cat: RepCategory, m: int, ordered, comps):
 
 def cluster_table(cat: RepCategory, m: int) -> dict:
     """Each cluster of `enumerate_clusters`, in its order, mapped to its
-    ordered form and that form's Garside configuration."""
-    table = {}
+    ordered form and that form's Garside configuration, found on ids."""
+    table, scope = {}, ambient(cat)
     for cluster in enumerate_clusters(cat, m):
         ordered = order_cluster(cat, m, cluster)
-        table[cluster] = ordered, garside_configuration(cat, m, ordered)
+        ids = encode(cat, ordered)
+        comps = _tuple_to_sequence(cat, m, ids, scope)
+        _validate(cat, m, comps, ids)
+        table[cluster] = ordered, decode(cat, comps)
     return table
 
 
 def exchange_graph(cat: RepCategory, m: int):
     """Nodes: clusters in canonical order.  Edges: (i, j, k, dir) moves."""
     table = cluster_table(cat, m)
-    index = {c: i for i, c in enumerate(table)}
+    index = {encode(cat, c): i for i, c in enumerate(table)}
     edges = []
     for i, (ordered, comps) in enumerate(table.values()):
-        for k, direction, _, new_ordered in mutation_moves(cat, m, ordered, comps):
-            j = index.get(canonical_cluster(new_ordered))
+        for k, direction, _, new_ordered in mutation_moves(cat, m, encode(cat, ordered),
+                                                           encode(cat, comps)):
+            j = index.get(tuple(sorted(new_ordered)))  # ids sort like objects
             if j is None:
                 raise _inconsistent(cat, m, f"move k={k + 1},{direction} of "
                                     f"{' '.join(map(str, ordered))} leaves the cluster set")

@@ -5,15 +5,17 @@ are interned as ids 0..N-1 in `roots` order.  A Dynkin quiver is
 representation-directed, so for indecomposables X and Y at most one of
 Hom(X, Y) and Ext(X, Y) is nonzero and both follow from the Euler form:
 dim Hom = max(<x, y>, 0) and dim Ext = max(-<x, y>, 0) (Happel 1988; Ringel,
-LNM 1099).  One Hom/Ext table over all root pairs is filled from this closed
-form when the category is built, and per-root bitmasks of the nonzero
-entries are derived from it for the wide-subcategory layer.  The projectives
-are the roots with no extensions out, checked to be the rows of E^{-1}.
+LNM 1099).  So the Hom/Ext table is one matrix, `pairings`, of the Euler
+pairings over root ids, filled when the category is built, and per-root
+bitmasks of its nonzero entries are derived from it for the wide-subcategory
+layer.  The projectives are the roots with no extensions out, checked to be
+the rows of E^{-1}.
 
-A `RepCategory` is this table, the Euler matrix and the memo of what `wide`
-and `bijection` derive from them, freed with the category.  It builds no
-modules; the explicit representations that the tests check the table against
-come from the reflection-functor oracle in the test tree (`tests/oracle.py`).
+A `RepCategory` is this table, the Euler matrix and the memo of what
+`shiftcat`, `wide` and `bijection` derive from them, freed with the category.
+It builds no modules; the explicit representations that the tests check the
+table against come from the reflection-functor oracle in the test tree
+(`tests/oracle.py`).
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ def _int_vector(v) -> tuple[int, ...]:
 class RepCategory:
     """The module category of one quiver, with its Hom/Ext table.
 
-    Its memo is three dicts keyed by ints, each the only store of its kind:
+    Its memo is four dicts keyed by ints, each the only store of its kind:
     `perps` holds perpendiculars by (right side, generator mask, scope mask),
-    `pair_mutations` pair mutations by (x id, t id, inverse) and `transports`
-    the transport tables of T[k] by (m, T id, k, scope mask).
+    `pair_mutations` pair mutations by (x id, t id, inverse), `compat` shifted
+    objects' compatibility rows by m and a scope's objects by (m, scope mask),
+    and `transports` the tables of T[k] by (m, object id of T[k], scope mask).
     """
 
     def __init__(self, quiver: Quiver):
@@ -55,18 +58,18 @@ class RepCategory:
         self.root_id = {r: i for i, r in enumerate(self.roots)}
         self.E = euler_matrix(quiver)
         self._e_cols = tuple(zip(*self.E))
-        # the (dim Hom, dim Ext) table, and masks over root ids: right_nz[i]
-        # holds the Y with Hom or Ext(root i, Y) nonzero, left_nz[i] the X
-        # with Hom or Ext(X, root i) nonzero, ext_out[i] the Y with Ext nonzero
+        # the table pairings[i][j] = <root i, root j>, and masks over root
+        # ids: right_nz[i] holds the Y with Hom or Ext(root i, Y) nonzero,
+        # left_nz[i] the X with Hom or Ext(X, root i) nonzero, ext_out[i] the
+        # Y with Ext nonzero
         n, e, roots = self.n, self.E, self.roots
-        table: dict[tuple[Root, Root], tuple[int, int]] = {}
         right_nz, left_nz, ext_out = [0] * len(roots), [0] * len(roots), [0] * len(roots)
         proj: list[tuple[list[int], Root]] = []  # (<P, S_j> over j, P)
+        self.pairings = []
         for i, x in enumerate(roots):
             xe = [sum(x[k] * e[k][j] for k in range(n)) for j in range(n)]
-            for j, y in enumerate(roots):
-                pairing = sum(map(mul, xe, y))
-                table[x, y] = (pairing, 0) if pairing >= 0 else (0, -pairing)
+            self.pairings.append([sum(map(mul, xe, y)) for y in roots])
+            for j, pairing in enumerate(self.pairings[i]):
                 if pairing:
                     right_nz[i] |= 1 << j
                     left_nz[j] |= 1 << i
@@ -82,9 +85,8 @@ class RepCategory:
                 "projectives from Ext vanishing do not invert the Euler matrix")
         # row j of E^{-1} is the dimension vector of the projective at vertex j
         self.projective_roots = tuple(x for _, x in proj)
-        self._table = table
         self.right_nz, self.left_nz, self.ext_out = right_nz, left_nz, ext_out
-        self.perps, self.pair_mutations, self.transports = {}, {}, {}
+        self.perps, self.pair_mutations, self.compat, self.transports = {}, {}, {}, {}
 
     # ----- basic data -----
 
@@ -111,23 +113,17 @@ class RepCategory:
 
     def hom(self, a, b) -> int:
         try:
-            return self._table[a, b][0]
+            p = self.pairings[self.root_id[a]][self.root_id[b]]
         except (KeyError, TypeError):
-            return self._table[self.check_root(a), self.check_root(b)][0]
+            p = self.pairings[self.root_id[self.check_root(a)]][self.root_id[self.check_root(b)]]
+        return p if p > 0 else 0
 
     def ext(self, a, b) -> int:
         try:
-            return self._table[a, b][1]
+            p = self.pairings[self.root_id[a]][self.root_id[b]]
         except (KeyError, TypeError):
-            return self._table[self.check_root(a), self.check_root(b)][1]
-
-    def pairing(self, a, b) -> int:
-        """<a, b>: Hom minus Ext from the table for roots, else `euler`."""
-        try:
-            hom, ext = self._table[a, b]
-        except (KeyError, TypeError):
-            return self.euler(a, b)
-        return hom - ext
+            p = self.pairings[self.root_id[self.check_root(a)]][self.root_id[self.check_root(b)]]
+        return -p if p < 0 else 0
 
     def is_projective(self, beta) -> bool:
         return self.check_root(beta) in self.projective_roots

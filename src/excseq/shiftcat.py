@@ -6,16 +6,20 @@ ambient scope.  No derived-category machinery is materialized: compatibility
 is decided by three Hom/Ext vanishing cases on the underlying modules.
 Clusters are found by canonical-order backtracking over the compatibility
 graph; every maximal compatible set must have exactly rank-many objects.
+Inside, an object is the id level * N + root id over the N sorted roots
+(`encode`, `decode`): ids sort canonically, a set of objects is a mask, and
+the kernels of `bijection`, `configs` and `verify` run on ids and `compat_rows`.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, NamedTuple
 
 from .dynkin import Root, root_str
 from .errors import InputError, InternalConsistencyError
 from .repengine import RepCategory
-from .wide import WideSubcat, ambient, is_relatively_projective, relative_projectives
+from .wide import WideSubcat, ambient, relative_projectives
 
 
 class ShiftedObject(NamedTuple):
@@ -36,29 +40,56 @@ def canonical_cluster(objects: Iterable[ShiftedObject]) -> tuple[ShiftedObject, 
     return tuple(sorted(objects, key=lambda o: (o.level, o.root)))
 
 
-def shifted_objects(cat: RepCategory, scope: WideSubcat | None, m: int) -> tuple[ShiftedObject, ...]:
-    """All valid objects of the scope at shift parameter m, canonically ordered."""
+def encode(cat: RepCategory, objects) -> tuple[int, ...]:
+    """The ids of objects parsed strictly (`check_root`, `check_level`); a level
+    outside 0..m gives an id outside 0..(m+1)N-1 that no other object has."""
+    n, root_id = len(cat.roots), cat.root_id
+    return tuple([check_level(o.level) * n + root_id[cat.check_root(o.root)] for o in objects])
+
+
+def decode(cat: RepCategory, ids) -> tuple[ShiftedObject, ...]:
+    return tuple([ShiftedObject(cat.roots[x % len(cat.roots)], x // len(cat.roots)) for x in ids])
+
+
+def _ids(mask: int) -> list[int]:  # the set bits, ascending
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def object_mask(cat: RepCategory, scope: WideSubcat | None, m: int) -> int:
+    """The ids of the scope's valid objects at m, kept in `cat.compat` under (m, mask)."""
     if m < 0:
         raise InputError("shift parameter m must be >= 0")
-    scope = scope if scope is not None else ambient(cat)
-    out = [ShiftedObject(r, j) for j in range(m) for r in scope.objects]
-    out.extend(ShiftedObject(r, m) for r in relative_projectives(cat, scope))
-    return tuple(sorted(out, key=lambda o: (o.level, o.root)))
+    scope, n = scope if scope is not None else ambient(cat), len(cat.roots)
+    if (m, scope.mask) not in cat.compat:
+        proj = sum(1 << cat.root_id[r] for r in relative_projectives(cat, scope))
+        cat.compat[m, scope.mask] = sum(scope.mask << j * n for j in range(m)) | proj << m * n
+    return cat.compat[m, scope.mask]
+
+
+def shifted_objects(cat: RepCategory, scope: WideSubcat | None, m: int) -> tuple[ShiftedObject, ...]:
+    """All valid objects of the scope at shift parameter m, canonically ordered."""
+    return decode(cat, _ids(object_mask(cat, scope, m)))
+
+
+def compat_rows(cat: RepCategory, m: int) -> list[int]:
+    """Row x: the ids in 0..(m+1)N-1 compatible with id x, by `compatible`, kept by m."""
+    if m not in cat.compat:
+        objects = decode(cat, range((m + 1) * len(cat.roots)))
+        cat.compat[m] = [sum(1 << y for y, b in enumerate(objects) if compatible(cat, a, b))
+                         for a in objects]
+    return cat.compat[m]
 
 
 def is_valid_object(cat: RepCategory, scope: WideSubcat | None, m: int,
                     obj: ShiftedObject) -> bool:
     """obj lies in the scope at a level in 0..m, and at m only if it is
     relatively projective there; a level that is not an integer is refused."""
-    scope = scope if scope is not None else ambient(cat)
     level = check_level(obj.level)
     try:
         i = cat.root_id[obj.root]
     except (KeyError, TypeError):
         return False
-    if not scope.mask >> i & 1 or not 0 <= level <= m:
-        return False
-    return level < m or is_relatively_projective(cat, obj.root, scope)
+    return 0 <= level <= m and bool(object_mask(cat, scope, m) >> level * len(cat.roots) + i & 1)
 
 
 def check_level(level) -> int:
@@ -127,35 +158,25 @@ def enumerate_clusters(cat: RepCategory, m: int,
     return tuple(sorted(found))
 
 
-def compatible_subsets(cat: RepCategory, m: int, k: int,
-                       scope: WideSubcat | None = None) -> list[tuple[ShiftedObject, ...]]:
-    """All pairwise compatible k-element subsets, canonically ordered."""
-    scope = scope if scope is not None else ambient(cat)
-    objs = shifted_objects(cat, scope, m)
-    n = len(objs)
-    out: list[tuple[ShiftedObject, ...]] = []
+def compatible_subsets(cat: RepCategory, m: int, k: int, scope: WideSubcat | None = None,
+                       candidates: int = -1) -> list[tuple[int, ...]]:
+    """The pairwise compatible k-subsets of the valid objects of the scope whose
+    ids are in the mask candidates, as id tuples in canonical order."""
+    rows = compat_rows(cat, m)
 
-    def extend(chosen: list[int], start: int) -> None:
-        if len(chosen) == k:
-            out.append(tuple(objs[c] for c in chosen))
-            return
-        for nxt in range(start, n):
-            if all(compatible(cat, objs[nxt], objs[c]) for c in chosen):
-                chosen.append(nxt)
-                extend(chosen, nxt + 1)
-                chosen.pop()
+    def subsets(mask: int, k: int) -> list[tuple[int, ...]]:  # x, then ids above x
+        return [(x,) + rest for x in _ids(mask)
+                for rest in subsets(mask & rows[x] & -(2 << x), k - 1)] if k else [()]
 
-    extend([], 0)
-    return out
+    return subsets(object_mask(cat, scope, m) & candidates, k)
 
 
 def ordered_tuples(cat: RepCategory, m: int, k: int,
                    scope: WideSubcat | None = None) -> list[tuple[ShiftedObject, ...]]:
     """All ordered pairwise compatible k-tuples (permutations of the subsets)."""
-    from itertools import permutations
     out: list[tuple[ShiftedObject, ...]] = []
     for subset in compatible_subsets(cat, m, k, scope):
-        out.extend(permutations(subset))
+        out.extend(permutations(decode(cat, subset)))
     return out
 
 

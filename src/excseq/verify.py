@@ -1,29 +1,30 @@
 """Named verification sweeps, shared by the CLI and the test suite.
 
-The suites feed the library objects they enumerated themselves.  The bijection
-suite maps them through the memoised internal maps of `bijection`, which trust
-their input.  The duality and mutation suites read one `configs.cluster_table`
-(`verify_all` builds it once for both); the mutation suite moves through the
-trusted `configs.mutation_moves`, and every frame and exchange row pairs
-roots through the Hom/Ext table.  Every table a suite reads is checked when built.
+The suites feed the library object ids (`shiftcat.encode`) they enumerated
+themselves.  The bijection suite holds one bucket at a time, the tuples and
+sequences with last entry T (in id order), runs k = 1..n in it, sums each
+check per k over the buckets and maps through the trusted maps of `bijection`.
+The duality and mutation suites read one `configs.cluster_table`; the mutation
+suite moves through the trusted `configs.mutation_moves`.  Every table a suite
+reads is checked when built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from . import counting
-from .bijection import (_sequence_to_tuple, _tuple_to_sequence, check_transport,
-                        m_exc_sequences)
+from .bijection import _sequence_to_tuple, _sequences, _tuple_to_sequence, check_transport
 from .configs import (_mutate, all_valid_orders, cluster_table, duality_frame,
                       garside_configuration, g_vector_check, horizontal_subcat,
                       mutation_moves, order_cluster)
 from .dynkin import build_diagram
 from .errors import VerificationError
 from .repengine import category
-from .shiftcat import canonical_cluster, ordered_tuples, shifted_objects
-from .wide import ambient, marked_exc_sequences, rel_proj_poly_enumerated
+from .shiftcat import _ids, compat_rows, compatible_subsets, decode, encode, object_mask
+from .wide import ambient, marked_exc_sequences, perp, rel_proj_poly_enumerated
 
 
 @dataclass
@@ -83,43 +84,46 @@ def verify_counting(tag: str) -> Report:
 def verify_bijection(tag: str, m: int) -> Report:
     report = Report(f"bijection suite for {tag}, m={m}")
     cat = category(tag)
-    diagram = cat.quiver.diagram
     scope = ambient(cat)
-    # the suite enumerates its own tuples and takes the sequences from the
-    # tables, so it maps them along the unchecked, memoised internal paths
-    last: dict = {}
-    for k in range(1, cat.n + 1):
-        # a memo entry of rank r and length j is only reused while n - k = r - j
-        to_seq, to_tup = {}, {}
-        tuples = ordered_tuples(cat, m, k)
-        seqs = m_exc_sequences(cat, m, k)
-        images = [_tuple_to_sequence(cat, m, t, scope, to_seq) for t in tuples]
-        report.add(f"k={k}: counts agree", len(tuples) == len(seqs),
-                   f"{len(tuples)} tuples vs {len(seqs)} sequences")
-        report.add(f"k={k}: injective", len(set(images)) == len(images))
-        report.add(f"k={k}: image is the sequence set", set(images) == set(seqs))
-        report.add(f"k={k}: inverse round trips",
-                   all(_sequence_to_tuple(cat, m, img, scope, to_tup) == t
-                       for t, img in zip(tuples, images)))
-        if k >= 2:
-            # t[1:] ran through the same map in the last round
-            deletion_ok = all(last.get(t[1:]) == img[1:] for t, img in zip(tuples, images))
-            report.add(f"k={k}: compatible with deleting the first entry", deletion_ok)
-        if k < cat.n:
-            last = dict(zip(tuples, images))
-    g = counting.m_sequence_poly(diagram)
-    # the last k above is n, so `tuples` holds the complete tuples
+    rows, objects = compat_rows(cat, m), object_mask(cat, scope, m)
+    # per k: tuple and sequence counts, then the verdicts injective, image is
+    # the sequence set, inverse round trips and deletion, over all buckets
+    tally = [[0, 0, True, True, True, True] for _ in range(cat.n)]
+    worst = ""  # the last transport failure
+    for t in _ids(objects):
+        # the bucket of the tuples and sequences ending in t: both maps keep
+        # the last entry, so a check holds iff it holds in every bucket
+        t_obj = decode(cat, (t,))[0]
+        t_perp, last, memo = perp(cat, (t_obj.root,), scope), {}, {}
+        for k, counts in enumerate(tally, 1):
+            tuples = [p + (t,) for s in compatible_subsets(cat, m, k - 1, scope, rows[t])
+                      for p in permutations(s)]
+            seqs = [s + (t,) for s in _sequences(cat, m, k - 1, t_perp, memo)]
+            images = [_tuple_to_sequence(cat, m, tup, scope) for tup in tuples]
+            image_set = set(images)
+            counts[0] += len(tuples)
+            counts[1] += len(seqs)
+            counts[2] &= len(image_set) == len(images)
+            counts[3] &= image_set == set(seqs)
+            counts[4] &= all(_sequence_to_tuple(cat, m, img, scope) == tup
+                             for tup, img in zip(tuples, images))
+            # tup[1:] ends in t too, so it ran through the same map in the last round
+            counts[5] &= all(last.get(tup[1:]) == img[1:] for tup, img in zip(tuples, images))
+            last = dict(zip(tuples, images)) if k < cat.n else {}
+        transport = check_transport(cat, m, t_obj)
+        worst = f"{t_obj}: {transport.violations[0]}" if transport.violations else worst
+    for k, (n_tuples, n_seqs, *verdicts) in enumerate(tally, 1):
+        report.add(f"k={k}: counts agree", n_tuples == n_seqs,
+                   f"{n_tuples} tuples vs {n_seqs} sequences")
+        for label, ok in zip(("injective", "image is the sequence set", "inverse round trips",
+                              "compatible with deleting the first entry")[:3 + (k >= 2)], verdicts):
+            report.add(f"k={k}: {label}", ok)
+    g = counting.m_sequence_poly(cat.quiver.diagram)
+    # the last k above is n, so n_tuples counts the complete tuples
     report.add("complete tuple count matches the polynomial",
-               len(tuples) == g(m), f"{len(tuples)} vs {g(m)}")
-    transport_ok = True
-    worst = ""
-    for t_obj in shifted_objects(cat, None, m):
-        r = check_transport(cat, m, t_obj)
-        if not r.ok:
-            transport_ok = False
-            worst = f"{t_obj}: {r.violations[0]}"
+               n_tuples == g(m), f"{n_tuples} vs {g(m)}")
     report.add("every transport map is a compatibility-preserving bijection",
-               transport_ok, worst)
+               not worst, worst)
     return report
 
 
@@ -161,20 +165,22 @@ def verify_mutation(tag: str, m: int, table: dict | None = None) -> Report:
     report = Report(f"mutation suite for {tag}, m={m}")
     cat = category(tag)
     table = cluster_table(cat, m) if table is None else table
+    configs = {encode(cat, c): encode(cat, comps) for c, (_, comps) in table.items()}
     closed = True
-    for ordered, comps in table.values():
+    for (ordered, _), comps in zip(table.values(), configs.values()):
         label = " ".join(str(o) for o in ordered)
         try:
-            for k, direction, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
-                key = canonical_cluster(new_ordered)
-                closed = closed and key in table
+            for k, direction, new_comps, new_ordered in mutation_moves(
+                    cat, m, encode(cat, ordered), comps):
+                key = tuple(sorted(new_ordered))  # ids sort like objects
+                closed = closed and key in configs
                 back = _mutate(cat, m, new_comps, k, "-" if direction == "+" else "+")
                 if back != comps:
                     raise VerificationError(f"round trip failed at k={k + 1}, {direction}")
                 # order_cluster sorts its input, so a cluster in the table
                 # rederives to the configuration stored with it
-                rederived = (table[key][1] if key in table else
-                             garside_configuration(cat, m, order_cluster(cat, m, key)))
+                rederived = (configs[key] if key in configs else encode(cat, garside_configuration(
+                    cat, m, order_cluster(cat, m, decode(cat, key)))))
                 if set(rederived) != set(new_comps):
                     raise VerificationError(
                         f"rederived configuration differs at k={k + 1}, {direction}")

@@ -11,7 +11,8 @@ from excseq.bijection import (_sequence_to_tuple, _tuple_to_sequence, check_tran
                               is_m_exc_sequence, m_exc_sequences, sequence_to_tuple,
                               transport, transport_inverse, tuple_to_sequence)
 from excseq.repengine import RepCategory
-from excseq.shiftcat import ShiftedObject, compatible, ordered_tuples, shifted_objects
+from excseq.shiftcat import (ShiftedObject, compatible, decode, encode, ordered_tuples,
+                             shifted_objects)
 from excseq.wide import (ambient, left_perp, mark_relative_projectives, mutate_pair,
                          mutate_pair_inverse, perp)
 
@@ -162,16 +163,16 @@ def _reference_tuple(cat, m, terms, scope=None):
 
 @pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2)])
 def test_internal_bijection_paths_match_the_public_ones(tag, m):
-    # one memo per direction across all k, as the bijection suite shares them
+    # the internal maps take and give object ids
     cat = category(tag)
     scope = ambient(cat)
-    to_seq, to_tup = {}, {}
     for k in range(1, cat.n + 1):
         for t in ordered_tuples(cat, m, k):
-            seq = _tuple_to_sequence(cat, m, t, scope, to_seq)
-            assert seq == tuple_to_sequence(cat, m, t) == _reference_sequence(cat, m, t)
-            assert _sequence_to_tuple(cat, m, seq, scope, to_tup) == t
-            assert sequence_to_tuple(cat, m, seq) == _reference_tuple(cat, m, seq) == t
+            seq = _tuple_to_sequence(cat, m, encode(cat, t), scope)
+            objects = decode(cat, seq)
+            assert objects == tuple_to_sequence(cat, m, t) == _reference_sequence(cat, m, t)
+            assert _sequence_to_tuple(cat, m, seq, scope) == encode(cat, t)
+            assert sequence_to_tuple(cat, m, objects) == _reference_tuple(cat, m, objects) == t
 
 
 def _memo_answers(cat, m, scope=None):

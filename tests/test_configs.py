@@ -12,9 +12,10 @@ from excseq.configs import (all_valid_orders, c_vector, cluster_table, duality_f
                             validate_configuration)
 from excseq.dynkin import build_diagram, build_quiver
 from excseq.errors import VerificationError
-from excseq.bijection import is_m_exc_sequence
+from excseq.bijection import is_m_exc_sequence, m_exc_sequences
 from excseq.repengine import RepCategory
-from excseq.shiftcat import ShiftedObject, canonical_cluster, enumerate_clusters, is_valid_object
+from excseq.shiftcat import (ShiftedObject, canonical_cluster, compatible, decode, encode,
+                             enumerate_clusters, is_valid_object, shifted_objects)
 
 import oracle
 from conftest import P1, S1, S2
@@ -22,6 +23,13 @@ from conftest import P1, S1, S2
 
 def O(root, level):
     return ShiftedObject(root, level)
+
+
+def object_moves(cat, m, ordered, comps):
+    """`mutation_moves`, which runs on object ids, on objects."""
+    for k, direction, new_comps, new_ordered in mutation_moves(
+            cat, m, encode(cat, ordered), encode(cat, comps)):
+        yield k, direction, decode(cat, new_comps), decode(cat, new_ordered)
 
 
 def test_order_cluster_examples(a2):
@@ -211,6 +219,41 @@ def test_exchange_graph_a2(a2):
                    for e in [(e0, e1)])
 
 
+@pytest.mark.parametrize("tag,m", [("A2", 1), ("A3", 1), ("D4", 1), ("A3", 2), ("D4", 2),
+                                   ("A2xA1", 2), ("A3", 3)])
+def test_an_almost_complete_cluster_has_m_plus_one_complements(tag, m):
+    # Zhu (J. Algebraic Combin. 2008), Wraalsen (2009): the other n-1 entries
+    # of a cluster have exactly m+1 completions, found here by brute force on
+    # `compatible`.  The exchange graph edges that keep those entries stay
+    # among the completions and connect them all; for m >= 2 they do not join
+    # every pair of completions.
+    cat = category(tag)
+    objects = shifted_objects(cat, None, m)
+    nodes, edges = exchange_graph(cat, m)
+    node_sets = [frozenset(c) for c in nodes]
+    index = {c: i for i, c in enumerate(node_sets)}
+    neighbours = {i: set() for i in index.values()}
+    for i, j, _, _ in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    for cluster in node_sets:
+        for x in cluster:
+            rest = cluster - {x}
+            completions = {index[rest | {y}] for y in objects
+                           if y not in rest and all(compatible(cat, y, o) for o in rest)}
+            assert len(completions) == m + 1
+            # an edge keeps the n-1 entries when both its ends contain them
+            keeping = {i for i, c in enumerate(node_sets) if rest <= c}
+            assert keeping == completions
+            reached, frontier = set(), [min(completions)]
+            while frontier:
+                i = frontier.pop()
+                if i not in reached:
+                    reached.add(i)
+                    frontier += [j for j in neighbours[i] if j in keeping]
+            assert reached == completions
+
+
 def test_mutation_at_zero_shift_impossible(a2):
     ordered = order_cluster(a2, 0, enumerate_clusters(a2, 0)[0])
     comps = garside_configuration(a2, 0, ordered)
@@ -232,7 +275,7 @@ def test_recover_cluster_matches_a_rational_solve(tag, m):
         ordered = order_cluster(cat, m, cluster)
         comps = garside_configuration(cat, m, ordered)
         svs = slope_vectors(m, comps)
-        for k, direction, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
+        for k, direction, new_comps, new_ordered in object_moves(cat, m, ordered, comps):
             new_svs = slope_vectors(m, new_comps)
             s = svs[k].slope - (direction == "-")
             window = [c_vector(sv) for sv in svs if sv.slope in (s, s + 1)]
@@ -302,9 +345,21 @@ def _short_duality_frame(a2):
     (lambda a2: is_valid_object(a2, None, 1, O(S1, "x")), "level 'x' is not an integer"),
     (lambda a2: is_m_exc_sequence(a2, 1, [(S1, "x")]), "level 'x' is not an integer"),
     (_short_duality_frame, "2 cluster entries but 1 components"),
-], ids=["is_valid_object", "is_m_exc_sequence", "duality_frame"])
+    # the kernels run on object ids, so their callers encode each object strictly
+    (lambda a2: validate_configuration(a2, 1, (O(S2, 0.5), O(P1, 0))),
+     "level 0.5 is not an integer"),
+    (lambda a2: duality_frame(a2, 1, (O(S1, 0), O(P1, 0)), (O(S2, 1), O((2, 1), 0))),
+     r"\(2, 1\) is not a positive root of A2"),
+    (lambda a2: recover_cluster(a2, 1, (O(S1, 0), O(P1, 0)), (O(S2, 1), O((2, 1), 0)), 1),
+     r"\(2, 1\) is not a positive root of A2"),
+    (lambda a2: recover_cluster(a2, 1, (O(S1, -1), O(P1, 0)), (O(S2, 1), O(S1, 0)), 1),
+     r"cluster entry \(1,0\)\[-1\] has a level outside 0..1"),
+    (lambda a2: m_exc_sequences(a2, -1, 2), "shift parameter m must be >= 0"),
+], ids=["is_valid_object", "is_m_exc_sequence", "duality_frame", "validate_configuration_level",
+        "duality_frame_root", "recover_cluster_root", "recover_cluster_level", "m_exc_sequences"])
 def test_malformed_input_is_refused(a2, call, message):
-    # each raised a raw TypeError or IndexError
+    # the first three raised a raw TypeError or IndexError; the rest were
+    # accepted or refused with a misleading verification error
     with pytest.raises(InputError, match=message):
         call(a2)
 
@@ -330,7 +385,7 @@ def test_exchange_row_matches_the_exchange_matrix(tag, m):
     moves = 0
     for ordered, comps in cluster_table(cat, m).values():
         b, svs = exchange_matrix(cat, m, comps), slope_vectors(m, comps)
-        for k, direction, new_comps, _ in mutation_moves(cat, m, ordered, comps):
+        for k, direction, new_comps, _ in object_moves(cat, m, ordered, comps):
             s = svs[k].slope - (direction == "-")
             for j, (sv, new_sv) in enumerate(zip(svs, slope_vectors(m, new_comps))):
                 bkj = b[k][j]
@@ -355,7 +410,7 @@ def test_mutation_moves_match_the_public_functions(tag, m):
         legal = [(k, d) for k in range(cat.n) for d, step in (("+", 1), ("-", -1))
                  if 0 <= svs[k].slope + step <= m]
         found = []
-        for k, direction, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
+        for k, direction, new_comps, new_ordered in object_moves(cat, m, ordered, comps):
             assert mutate_configuration(cat, m, comps, k, direction) == new_comps
             assert recover_cluster(cat, m, ordered, new_comps, k) == new_ordered
             found.append((k, direction))
@@ -384,12 +439,15 @@ def test_validate_configuration_refusals(a2, comps, rank, message):
         validate_configuration(a2, 1, comps, rank=rank)
 
 
-def test_validate_configuration_refuses_a_cycle_of_extensions(monkeypatch):
+def test_validate_configuration_refuses_a_cycle_of_extensions():
     # no two exceptional modules of a Dynkin quiver extend each other both
     # ways, so the ordering refusal needs a corrupted table
     cat = RepCategory(build_quiver(build_diagram("A2")))
     validate_configuration(cat, 1, (O(S1, 0), O(S2, 0)), rank=2)
-    monkeypatch.setattr(cat, "ext", lambda a, b: int(a != b))
+    # Ext(S1, S2) is nonzero; corrupt the Hom/Ext masks so that Ext(S2, S1) is too
+    s1, s2 = cat.root_id[S1], cat.root_id[S2]
+    cat.right_nz[s2] |= 1 << s1
+    cat.ext_out[s2] |= 1 << s1
     with pytest.raises(VerificationError, match="components admit no exceptional ordering"):
         validate_configuration(cat, 1, (O(S1, 0), O(S2, 0)), rank=2)
 

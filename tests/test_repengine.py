@@ -96,16 +96,15 @@ def test_euler_consistency(tag):
 
 @pytest.mark.parametrize("tag", tags_up_to_rank(6))
 def test_pairing_matches_the_euler_form(tag):
-    # one read of the table for two roots; a negated root (a c-vector or a
-    # signed dimension vector) goes to the strict Euler form
+    # the table is the matrix of pairings over root ids; a negated root (a
+    # c-vector or a signed dimension vector) pairs to minus the entry
     cat = category(tag)
-    for a in cat.roots:
+    for i, a in enumerate(cat.roots):
         neg = tuple(-x for x in a)
-        for b in cat.roots:
-            assert cat.pairing(a, b) == cat.euler(a, b)
-            assert cat.pairing(neg, b) == cat.euler(neg, b) == -cat.euler(a, b)
+        for j, b in enumerate(cat.roots):
+            assert cat.pairings[i][j] == cat.euler(a, b) == -cat.euler(neg, b)
     with pytest.raises(InputError, match="non-integer entry"):
-        cat.pairing((0.5,) * cat.n, cat.roots[0])
+        cat.euler((0.5,) * cat.n, cat.roots[0])
 
 
 def test_euler_matches_the_double_sum(d4):

@@ -1,9 +1,13 @@
 import pytest
 
 from excseq import category, verify
+from excseq.bijection import _build_table
 from excseq.cli import main
 from excseq.configs import cluster_table, mutation_moves
+from excseq.dynkin import build_diagram, build_quiver
 from excseq.repengine import RepCategory
+from excseq.shiftcat import ShiftedObject, encode
+from excseq.wide import ambient
 from excseq.verify import (SUITES, verify_all, verify_bijection, verify_counting,
                            verify_duality, verify_mutation)
 
@@ -20,6 +24,23 @@ def test_counting_suite(tag):
 @pytest.mark.parametrize("tag,m", [("A2", 2), ("A3", 1), ("D4", 1)])
 def test_bijection_suite(tag, m):
     _assert_ok(verify_bijection(tag, m))
+
+
+def test_a_swapped_inverse_entry_fails_the_bijection_suite(monkeypatch, capsys):
+    # a seeded fault in a fresh category, not the shared one: two entries of
+    # the inverse map of P1[0]'s table trade places.  The bucket of tuples
+    # ending in P1[0] pulls back through it, so its round trips fail, and
+    # only those; the CLI then exits 1
+    cat = RepCategory(build_quiver(build_diagram("A2")))
+    t = encode(cat, [ShiftedObject((1, 1), 0)])[0]
+    inverse = _build_table(cat, 1, t, ambient(cat)).inverse
+    y1, y2 = list(inverse)[:2]
+    inverse[y1], inverse[y2] = inverse[y2], inverse[y1]
+    monkeypatch.setattr(verify, "category", lambda tag: cat)
+    assert [c.label for c in verify_bijection("A2", 1).checks if not c.ok] == [
+        "k=2: inverse round trips"]
+    assert main(["verify", "A2", "--m", "1", "bijection"]) == 1
+    assert "FAIL  k=2: inverse round trips\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1)])
@@ -49,16 +70,15 @@ def test_report_lines_format():
 
 
 def test_a_corrupted_pairing_fails_the_duality_and_mutation_suites(monkeypatch):
-    # both suites pair through the table-reading kernels; one wrong entry
-    # (here <S1, P1> on A2) must surface as FAIL lines, not pass unseen
-    pairing = RepCategory.pairing
-
-    def corrupted(self, a, b):
-        return pairing(self, a, b) + ((a, b) == ((1, 0), (1, 1)))
-
-    monkeypatch.setattr(RepCategory, "pairing", corrupted)
+    # both suites pair through the kernels that read the pairing matrix; one
+    # wrong entry (here <S1, P1> on a fresh A2, after its cluster table is
+    # built) must surface as FAIL lines, not pass unseen
+    cat = RepCategory(build_quiver(build_diagram("A2")))
+    table = cluster_table(cat, 1)
+    cat.pairings[cat.root_id[(1, 0)]][cat.root_id[(1, 1)]] += 1
+    monkeypatch.setattr(verify, "category", lambda tag: cat)
     for suite in (verify_duality, verify_mutation):
-        report = suite("A2", 1)
+        report = suite("A2", 1, table)
         assert not report.ok
         assert any("duality pairing failed" in c.detail for c in report.checks)
 
@@ -67,7 +87,7 @@ def test_mutation_suite_names_positions_one_based(monkeypatch):
     # a seeded fault in each of the two checks that name a move
     cat, m = category("A2"), 1
     ordered, comps = next(iter(cluster_table(cat, m).values()))
-    k, direction, _, _ = next(mutation_moves(cat, m, ordered, comps))
+    k, direction, _, _ = next(mutation_moves(cat, m, encode(cat, ordered), encode(cat, comps)))
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_mutate", lambda *args: ())
         detail = verify_mutation("A2", m).checks[0].detail
