@@ -22,24 +22,22 @@ gives `tuple_to_sequence`, the bijection between ordered pairwise compatible
 tuples and shifted exceptional sequences, compatible with deletion of the
 first entry.
 
-A table maps object ids (`shiftcat.encode`) to ids.  The public functions
-validate their arguments once and encode them; the maps behind them, which
-the bijection suite calls directly, trust their id tuples and only index tables.
+A table maps object ids (`shiftcat.encode`) to ids; both routes read each pair's
+move, case and parities off its `wide.PairRecord`.  The public functions validate
+and encode their arguments once; the maps behind them, which the bijection suite
+calls directly, trust their id tuples and only index tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dynkin import Root
 from .errors import InputError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_level, check_object,
-                       check_pairwise_compatible, compat_rows, decode, encode,
+from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_length, check_level,
+                       check_object, check_pairwise_compatible, compat_rows, decode, encode,
                        is_valid_object, object_mask)
-from .wide import (PairCase, WideSubcat, ambient, classify_pair, congruent, mutate_pair,
-                   mutate_pair_inverse, perp)
+from .wide import PairCase, WideSubcat, _pair_record, ambient, perp
 
 
 class _TransportTable(NamedTuple):
@@ -48,34 +46,29 @@ class _TransportTable(NamedTuple):
     inverse: dict[int, int]
 
 
-def _place(cat: RepCategory, m: int, t: int, x: int, moved: Root, step: int) -> int:
-    """`moved`, the pair mutation of object x over object t, at the unique level
-    l in {j, j + step} within 0..m with (-1)^j dim x = (-1)^l dim moved mod dim T."""
+def _place(cat: RepCategory, m: int, t: int, x: int, inverse: bool) -> int:
+    """The braid move of object x over object t (back over it if inverse) at the unique
+    level l in {j, j -+ 1} within 0..m with (-1)^j dim x = (-1)^l dim move mod dim T."""
     n = len(cat.roots)
-    j, xi = divmod(x, n)
-    levels = [lv for lv in (j, j + step)
-              if 0 <= lv <= m and congruent(j, cat.roots[xi], lv, moved, cat.roots[t % n])]
+    j, pair = x // n, _pair_record(cat, x % n, t % n, inverse)
+    levels = [lv for lv, ok in ((j, pair.same), (j + (1 if inverse else -1), pair.flip))
+              if ok and 0 <= lv <= m]
     if len(levels) != 1:
         raise _inconsistent(cat, m, "placement of {} over {} found levels {}".format(
             *decode(cat, (x, t)), levels))
-    return levels[0] * n + cat.root_id[moved]
+    return levels[0] * n + pair.z
 
 
 def _chart(cat: RepCategory, m: int, t: int, x: int) -> int:
     n = len(cat.roots)
     (k, ti), (j, xi) = divmod(t, n), divmod(x, n)
-    if j < k:
-        return x
-    tr, xr = cat.roots[ti], cat.roots[xi]
-    if j == k:
-        if cat.ext_out[xi] >> ti & 1:
-            return k * n + cat.root_id[mutate_pair(cat, xr, tr)]
-        if k == m and classify_pair(cat, xr, tr) is PairCase.EPI:
+    if j < k or j == k and not cat.ext_out[xi] >> ti & 1:
+        if j == k == m and _pair_record(cat, xi, ti, False).case is PairCase.EPI:
             raise _inconsistent(cat, m, "epi onto a relative projective at top level: "
                                 "{} over {}".format(*decode(cat, (x, t))))
         return x
-    level = j - 1 if classify_pair(cat, xr, tr) is PairCase.MONO else j
-    return level * n + cat.root_id[mutate_pair(cat, xr, tr)]
+    pair = _pair_record(cat, xi, ti, False)
+    return (j - 1 if j > k and pair.case is PairCase.MONO else j) * n + pair.z
 
 
 def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
@@ -90,32 +83,27 @@ def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
 def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _TransportTable:
     """The checked table of id t in the scope, for callers that found none in `cat.transports`."""
     n = len(cat.roots)
-    tr = cat.roots[t % n]
-    t_perp = perp(cat, (tr,), scope)
+    t_perp = perp(cat, (cat.roots[t % n],), scope)
     codomain = object_mask(cat, scope, m) & compat_rows(cat, m)[t]
     forward, inverse = {}, {}
     for x in _ids(object_mask(cat, t_perp, m)):
         chart = _chart(cat, m, t, x)
-        cong = (x if codomain >> x & 1
-                else _place(cat, m, t, x, mutate_pair(cat, cat.roots[x % n], tr), -1))
+        cong = x if codomain >> x & 1 else _place(cat, m, t, x, False)
         if chart != cong:
             raise _inconsistent(cat, m, "chart answer {} disagrees with congruence answer {} "
                                 "for {} over {}".format(*decode(cat, (chart, cong, x, t))))
         if not codomain >> chart & 1:
             raise _inconsistent(cat, m, "transport output {} not compatible with {}".format(
                 *decode(cat, (chart, t))))
-        back = chart if t_perp.mask >> chart % n & 1 else _place(
-            cat, m, t, chart, mutate_pair_inverse(cat, cat.roots[chart % n], tr), 1)
+        back = chart if t_perp.mask >> chart % n & 1 else _place(cat, m, t, chart, True)
         if back != x:
             raise _inconsistent(cat, m, "inverse placement of {} over {} gives {}, not {}".format(
                 *decode(cat, (chart, t, back, x))))
-        forward[x] = chart
-        inverse[chart] = x
+        forward[x], inverse[chart] = chart, x
     if len(inverse) != len(forward) or sum(1 << y for y in inverse) != codomain:
         raise _inconsistent(cat, m, f"transport over {decode(cat, (t,))[0]} is not a "
                             "bijection onto its compatible set")
-    table = cat.transports[m, t, scope.mask] = _TransportTable(t_perp, forward, inverse)
-    return table
+    return cat.transports.setdefault((m, t, scope.mask), _TransportTable(t_perp, forward, inverse))
 
 
 def _image(cat: RepCategory, m: int, t_obj: ShiftedObject, obj, scope: WideSubcat | None,
@@ -219,10 +207,8 @@ def is_m_exc_sequence(cat: RepCategory, m: int, terms,
 def m_exc_sequences(cat: RepCategory, m: int, k: int,
                     scope: WideSubcat | None = None) -> list[tuple[ShiftedObject, ...]]:
     """Enumerate shifted exceptional sequences of length k, deterministically."""
-    if k < 0:
-        raise InputError("length must be >= 0")
     scope = scope if scope is not None else ambient(cat)
-    return [decode(cat, s) for s in _sequences(cat, m, k, scope, {})]
+    return [decode(cat, s) for s in _sequences(cat, m, check_length(k), scope, {})]
 
 
 def _sequences(cat: RepCategory, m: int, k: int, scope: WideSubcat,
@@ -240,13 +226,12 @@ def _sequences(cat: RepCategory, m: int, k: int, scope: WideSubcat,
     return memo[scope.mask, k]
 
 
-@dataclass
-class TransportReport:
+class TransportReport(NamedTuple):
     t_obj: ShiftedObject
     m: int
     domain_size: int
     codomain_size: int
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]  # mutable: the checks append to it
 
     @property
     def ok(self) -> bool:
@@ -260,7 +245,7 @@ def check_transport(cat: RepCategory, m: int, t_obj: ShiftedObject,
     t_obj, table = _transport_table(cat, m, t_obj, scope)
     rows, images = compat_rows(cat, m), table.forward
     domain = tuple(images)
-    report = TransportReport(t_obj, m, len(domain), len(table.inverse))
+    report = TransportReport(t_obj, m, len(domain), len(table.inverse), [])
     for i, a in enumerate(domain):
         for b in domain[i + 1:]:
             if rows[a] >> b & 1 != rows[images[a]] >> images[b] & 1:

@@ -13,7 +13,8 @@ as an integer combination of the old columns, with coefficients its Euler
 pairings against the new c-vectors; the new frame is then verified.
 
 Each vector is a root signed by the parity of its level, so each pairing is
-a sign times an entry of `RepCategory.pairings`.  The kernels `_check_frame`,
+a sign times an entry of `RepCategory.pairings`, and each slope-vector update
+a signed root kept in `RepCategory.pair_mutations`.  The kernels `_check_frame`,
 `_mutate`, `_recover` and `_validate` run on object ids (`shiftcat.encode`),
 trust their input and check their results; the public functions check theirs
 (each vector once by the strict `RepCategory.euler`) and encode it.
@@ -22,7 +23,6 @@ trust their input and check their results; the public functions check theirs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
@@ -32,8 +32,7 @@ from .errors import InputError, VerificationError
 from .repengine import RepCategory
 from .shiftcat import (ShiftedObject, _inconsistent, check_pairwise_compatible,
                        compat_rows, decode, encode, enumerate_clusters)
-from .wide import (WideSubcat, ambient, is_exceptional_sequence, is_relatively_projective,
-                   left_perp, perp)
+from .wide import WideSubcat, ambient, is_exceptional_sequence, left_perp, perp
 
 
 class SlopeVector(NamedTuple):
@@ -169,8 +168,7 @@ def _validate(cat: RepCategory, m: int, comps: tuple[int, ...], ordered=()) -> N
                                 "entry {0}".format(*decode(cat, (t, c))))
 
 
-@dataclass(frozen=True)
-class DualityFrame:
+class DualityFrame(NamedTuple):
     v_cols: tuple[tuple[int, ...], ...]
     c_cols: tuple[tuple[int, ...], ...]
     d_diag: tuple[int, ...]
@@ -232,8 +230,7 @@ def g_vector_check(frame: DualityFrame) -> bool:
                     for i in range(n)]
 
 
-@dataclass(frozen=True)
-class HorizontalSubcat:
+class HorizontalSubcat(NamedTuple):
     slope: int
     signed_modules: tuple[tuple[Root, int], ...]  # (+1 at this slope, -1 one above)
     objects: tuple[Root, ...]
@@ -288,16 +285,15 @@ def exchange_matrix(cat: RepCategory, m: int, comps) -> tuple[tuple[int, ...], .
                        for j in range(n)) for k in range(n))
 
 
-def _signed_root(cat: RepCategory, m: int, vec) -> tuple[Root, int]:
-    if all(x >= 0 for x in vec) and any(x > 0 for x in vec):
-        root, eps = tuple(vec), +1
-    elif all(x <= 0 for x in vec) and any(x < 0 for x in vec):
-        root, eps = tuple(-x for x in vec), -1
-    else:
+def _signed_root(cat: RepCategory, m: int, vec: list[int]) -> tuple[int, int]:
+    """(root id, eps) with vec = eps * that root, else an invariant failure."""
+    for eps in (1, -1):
+        i = cat.root_id.get(tuple([eps * x for x in vec]))
+        if i is not None:
+            return i, eps
+    if not (all(x >= 0 for x in vec) or all(x <= 0 for x in vec)) or not any(vec):
         raise _inconsistent(cat, m, f"mixed-sign vector {vec} is not a signed root")
-    if root not in cat.root_set:
-        raise _inconsistent(cat, m, f"{root} is not a positive root")
-    return root, eps
+    raise _inconsistent(cat, m, f"{tuple(abs(x) for x in vec)} is not a positive root")
 
 
 def _check_position(k, n: int) -> None:
@@ -331,24 +327,31 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
 
 def _mutate(cat: RepCategory, m: int, comps: tuple[int, ...], k: int,
             direction: str) -> tuple[int, ...]:
-    """`mutate_configuration` on ids, for a legal move, short of validating the result."""
-    n, ck, p = len(cat.roots), comps[k], cat.pairings
+    """`mutate_configuration` on ids, for a legal move, short of validating the result.
+    `cat.pair_mutations` keeps the signed root id of each update c_j + |b_kj| c_k under
+    (root id j, root id k, sign of c_j, sign of c_k), once it is found to be a signed root."""
+    n, ck, p, updates = len(cat.roots), comps[k], cat.pairings, cat.pair_mutations
+    kr, kl = ck % n, ck // n
     slopes = [m - c // n for c in comps]
     s = slopes[k] if direction == "+" else slopes[k] - 1
     new = list(comps)
     for j, c in enumerate(comps):
         if j == k or slopes[j] not in (s, s + 1):
             continue
+        jr, jl = c % n, c // n
         # b_kj = <c_j, c_k> - <c_k, c_j> (row k of `exchange_matrix`), signs (-1)^(l_j + l_k)
-        bkj = (p[c % n][ck % n] - p[ck % n][c % n]) * (-1) ** (c // n + ck // n)
+        bkj = (p[jr][kr] - p[kr][jr]) * (-1) ** (jl + kl)
         if bkj <= 0 if direction == "+" else bkj >= 0:
             continue
         # j and k are both window columns, so the update keeps the window's span
-        vj, vk = (signed_dim(m, o) for o in decode(cat, (c, ck)))  # the c-vectors
-        root, eps = _signed_root(cat, m, [a + abs(bkj) * b for a, b in zip(vj, vk)])
+        key = (jr, kr, (-1) ** (m - jl), (-1) ** (m - kl))  # c_j = (-1)^(m - l_j) root j
+        if key not in updates:
+            updates[key] = _signed_root(cat, m, [key[2] * a + abs(bkj) * key[3] * b
+                                                 for a, b in zip(cat.roots[jr], cat.roots[kr])])
+        root, eps = updates[key]
         # place at the slope in {s, s+1} whose sign (-1)^slope matches the
         # updated vector; s and s+1 differ in parity, so exactly one does
-        new[j] = (m - (s if (-1) ** s == eps else s + 1)) * n + cat.root_id[root]
+        new[j] = (m - (s if (-1) ** s == eps else s + 1)) * n + root
     new[k] = ck + (-n if direction == "+" else n)
     return tuple(new)
 
@@ -382,16 +385,15 @@ def _recover(cat: RepCategory, m: int, ordered: tuple[int, ...], new_comps: tupl
     row = [cat.pairings[x % n][c % n] * (-1) ** (x // n + c // n) for c in new_comps]
     if row[k] != -cat.pairings[x % n][x % n]:
         raise _inconsistent(cat, m, "self-coefficient of the exchanged entry is not -1")
-    v_old = [signed_dim(m, o) for o in decode(cat, ordered)]
+    v_old = [[(-1) ** (m - o // n) * a for a in cat.roots[o % n]] for o in ordered]
     vec = [sum(g * v[i] for g, v in zip(row, v_old)) for i in range(cat.n)]
     root, eps = _signed_root(cat, m, vec)
     slope_c = m - new_comps[k] // n
-    choices = [st for st in (slope_c, slope_c + 1)
-               if 0 <= st <= m and (-1) ** st == eps]
+    choices = [st for st in (slope_c, slope_c + 1) if 0 <= st <= m and (-1) ** st == eps]
     if len(choices) != 1:
-        raise _inconsistent(cat, m, f"no slope placement for recovered entry {root}")
-    new = (m - choices[0]) * n + cat.root_id[root]
-    if new // n == m and not is_relatively_projective(cat, root, ambient(cat)):
+        raise _inconsistent(cat, m, f"no slope placement for recovered entry {cat.roots[root]}")
+    new = (m - choices[0]) * n + root
+    if new // n == m and cat.ext_out[root]:
         raise _inconsistent(cat, m, "recovered top-level entry is not projective")
     compatible_with_new = compat_rows(cat, m)[new]
     for i, o in enumerate(ordered):

@@ -19,8 +19,8 @@ is asserted at the boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dynkin import DynkinDiagram, build_diagram, coxeter_for_tag, delete_vertex
 from .errors import InputError, InternalConsistencyError
@@ -29,8 +29,7 @@ _E_MEMO: dict[tuple[str, ...], int] = {}
 _F_MEMO: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(NamedTuple):
     coeffs: tuple[int, ...]  # ascending powers
     var: str = "x"
 

@@ -11,8 +11,8 @@ are written with an 'x' separator, e.g. "A2xA1".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, InternalConsistencyError, UnsupportedFeatureError
 
@@ -33,14 +33,12 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class CoxeterData:
+class CoxeterData(NamedTuple):
     h: int
     degrees: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     components: tuple[tuple[str, tuple[int, ...]], ...]
@@ -302,8 +300,7 @@ def positive_roots(diagram: DynkinDiagram) -> tuple[Root, ...]:
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     diagram: DynkinDiagram
     arrows: tuple[tuple[int, int], ...]
 

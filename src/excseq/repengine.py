@@ -45,9 +45,11 @@ class RepCategory:
 
     Its memo is four dicts keyed by ints, each the only store of its kind:
     `perps` holds perpendiculars by (right side, generator mask, scope mask),
-    `pair_mutations` pair mutations by (x id, t id, inverse), `compat` shifted
-    objects' compatibility rows by m and a scope's objects by (m, scope mask),
-    and `transports` the tables of T[k] by (m, object id of T[k], scope mask).
+    `pair_mutations` the braid move of each exceptional pair (`wide.PairRecord`)
+    by (x id, t id, inverse) and the signed root id of each slope-vector update
+    by (root id j, root id k, sign of c_j, sign of c_k), `compat` shifted objects'
+    compatibility rows by m and a scope's objects by (m, scope mask), and
+    `transports` the tables of T[k] by (m, object id of T[k], scope mask).
     """
 
     def __init__(self, quiver: Quiver):

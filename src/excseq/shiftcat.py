@@ -92,16 +92,23 @@ def is_valid_object(cat: RepCategory, scope: WideSubcat | None, m: int,
     return 0 <= level <= m and bool(object_mask(cat, scope, m) >> level * len(cat.roots) + i & 1)
 
 
-def check_level(level) -> int:
+def check_level(level, what: str = "level") -> int:
     """level as an int; integral non-int values such as Fraction(1) are
     accepted, non-integral or non-numeric ones refused rather than truncated."""
     try:
         j = int(level)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"level {level!r} is not an integer") from exc
+        raise InputError(f"{what} {level!r} is not an integer") from exc
     if j != level:
-        raise InputError(f"level {level!r} is not an integer")
+        raise InputError(f"{what} {level!r} is not an integer")
     return j
+
+
+def check_length(k) -> int:
+    """A length as an int >= 0, parsed like a level; a bool is refused."""
+    if isinstance(k, bool) or check_level(k, "length") < 0:
+        raise InputError(f"length {k!r} is not an integer >= 0")
+    return int(k)
 
 
 def check_object(cat: RepCategory, scope: WideSubcat | None, m: int,
@@ -175,7 +182,7 @@ def ordered_tuples(cat: RepCategory, m: int, k: int,
                    scope: WideSubcat | None = None) -> list[tuple[ShiftedObject, ...]]:
     """All ordered pairwise compatible k-tuples (permutations of the subsets)."""
     out: list[tuple[ShiftedObject, ...]] = []
-    for subset in compatible_subsets(cat, m, k, scope):
+    for subset in compatible_subsets(cat, m, check_length(k), scope):
         out.extend(permutations(decode(cat, subset)))
     return out
 

@@ -12,8 +12,8 @@ reads is checked when built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import permutations
+from typing import NamedTuple
 
 from . import counting
 from .bijection import _sequence_to_tuple, _sequences, _tuple_to_sequence, check_transport
@@ -27,17 +27,15 @@ from .shiftcat import _ids, compat_rows, compatible_subsets, decode, encode, obj
 from .wide import ambient, marked_exc_sequences, perp, rel_proj_poly_enumerated
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     label: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     title: str
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]  # mutable: `add` appends to it
 
     @property
     def ok(self) -> bool:
@@ -57,7 +55,7 @@ class Report:
 
 
 def verify_counting(tag: str) -> Report:
-    report = Report(f"counting suite for {tag}")
+    report = Report(f"counting suite for {tag}", [])
     diagram = build_diagram(tag)
     e_rec = counting.count_complete_exc_sequences(diagram)
     e_closed = counting.count_closed_form(diagram)
@@ -82,7 +80,7 @@ def verify_counting(tag: str) -> Report:
 
 
 def verify_bijection(tag: str, m: int) -> Report:
-    report = Report(f"bijection suite for {tag}, m={m}")
+    report = Report(f"bijection suite for {tag}, m={m}", [])
     cat = category(tag)
     scope = ambient(cat)
     rows, objects = compat_rows(cat, m), object_mask(cat, scope, m)
@@ -128,7 +126,7 @@ def verify_bijection(tag: str, m: int) -> Report:
 
 
 def verify_duality(tag: str, m: int, table: dict | None = None) -> Report:
-    report = Report(f"duality suite for {tag}, m={m}")
+    report = Report(f"duality suite for {tag}, m={m}", [])
     cat = category(tag)
     table = cluster_table(cat, m) if table is None else table
     expected = counting.fomin_reading_count(cat.quiver.diagram, m)
@@ -162,7 +160,7 @@ def verify_duality(tag: str, m: int, table: dict | None = None) -> Report:
 
 
 def verify_mutation(tag: str, m: int, table: dict | None = None) -> Report:
-    report = Report(f"mutation suite for {tag}, m={m}")
+    report = Report(f"mutation suite for {tag}, m={m}", [])
     cat = category(tag)
     table = cluster_table(cat, m) if table is None else table
     configs = {encode(cat, c): encode(cat, comps) for c, (_, comps) in table.items()}
@@ -193,7 +191,7 @@ def verify_mutation(tag: str, m: int, table: dict | None = None) -> Report:
 
 
 def verify_all(tag: str, m: int) -> Report:
-    report = Report(f"all suites for {tag}, m={m}")
+    report = Report(f"all suites for {tag}, m={m}", [])
     table = cluster_table(category(tag), m)
     for sub in (verify_counting(tag), verify_bijection(tag, m),
                 verify_duality(tag, m, table), verify_mutation(tag, m, table)):

@@ -14,16 +14,16 @@ terms, so it flags the relatively projective terms as it goes;
 The mutation of an exceptional pair (X, T) -> (T, Y) is found by a filtered
 search: Y is the unique exceptional module such that (T, Y) is exceptional,
 dim Y = +-dim X + s*dim T for an integer s, and X, T and Y, T span the same
-rank-2 wide subcategory.  Uniqueness is asserted once per distinct pair,
-whose answer the category's `pair_mutations` keeps; this doubles as a
-structural check, and the inverse move is the same search mirrored.  These
-memos live on the category and are freed with it.
+rank-2 wide subcategory.  Uniqueness is asserted once per pair, whose
+`PairRecord` (Y's id, its case and placement parities) the category's
+`pair_mutations` keeps; this doubles as a structural check, and the inverse
+move is the same search mirrored.  These memos are freed with the category.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import counting
 from .dynkin import Root
@@ -32,18 +32,26 @@ from .linalg import rank
 from .repengine import RepCategory
 
 
-@dataclass(frozen=True)
 class WideSubcat:
     """The wide subcategory whose objects are the roots with ids in `mask`.
     It compares and hashes on the mask; `objects` (those roots in id order)
     and `rank` are derived from it."""
-    mask: int
-    objects: tuple[Root, ...] = field(compare=False)
-    rank: int = field(compare=False)
+    __slots__ = ("mask", "objects", "rank", "__weakref__")
+
+    def __init__(self, mask: int, objects: tuple[Root, ...], rank: int):
+        self.mask, self.objects, self.rank = mask, objects, rank
+
+    def __eq__(self, other) -> bool:
+        return self.mask == other.mask if type(other) is WideSubcat else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mask,))
+
+    def __repr__(self) -> str:
+        return f"WideSubcat(mask={self.mask!r}, objects={self.objects!r}, rank={self.rank!r})"
 
 
-@dataclass(frozen=True)
-class ExcSequence:
+class ExcSequence(NamedTuple):
     terms: tuple[Root, ...]
     rel_proj_flags: tuple[bool, ...]
 
@@ -61,6 +69,14 @@ class PairCase(Enum):
     ORTHOGONAL = "orthogonal"
     EXTENSION = "extension"
     EPI = "epi"
+
+
+class PairRecord(NamedTuple):
+    """The braid move (X, T) -> (T, Z), or (T, X) -> (Z, T) inverse, of a pair of root ids."""
+    z: int  # the id of the move's new root
+    same: bool  # dim X - dim Z is a multiple of dim T: Z keeps X's level
+    flip: bool  # dim X + dim Z is: Z lies one level off
+    case: PairCase  # `classify_pair` of the pair, in its order
 
 
 def ambient(cat: RepCategory) -> WideSubcat:
@@ -235,43 +251,37 @@ def is_multiple(w, t) -> bool:
     return all(wi == s * ti for wi, ti in zip(w, t))
 
 
-def congruent(i: int, x, j: int, y, t) -> bool:
-    """(-1)^i x and (-1)^j y agree modulo integer multiples of t."""
-    si, sj = (-1) ** i, (-1) ** j
-    return is_multiple(tuple(si * a - sj * b for a, b in zip(x, y)), t)
-
-
 def mutate_pair(cat: RepCategory, x, t) -> Root:
     """The braid move (X, T) -> (T, Y) on exceptional pairs; returns Y."""
-    return _mutate_pair(cat, cat.check_root(x), cat.check_root(t), False)
+    x, t = cat.check_root(x), cat.check_root(t)
+    return cat.roots[_pair_record(cat, cat.root_id[x], cat.root_id[t], False).z]
 
 
 def mutate_pair_inverse(cat: RepCategory, y, t) -> Root:
     """The braid move (T, Y) -> (X, T) on exceptional pairs; returns X."""
-    return _mutate_pair(cat, cat.check_root(y), cat.check_root(t), True)
+    y, t = cat.check_root(y), cat.check_root(t)
+    return cat.roots[_pair_record(cat, cat.root_id[y], cat.root_id[t], True).z]
 
 
-def _mutate_pair(cat: RepCategory, x: Root, t: Root, inverse: bool) -> Root:
-    """Z with (x, t) -> (t, Z) forward or (t, x) -> (Z, t) inverse, kept in
-    `cat.pair_mutations` under (x id, t id, inverse)."""
-    xi, ti = cat.root_id[x], cat.root_id[t]
+def _pair_record(cat: RepCategory, xi: int, ti: int, inverse: bool) -> PairRecord:
+    """The record of (x, t), or of (t, x) if inverse, searched for once per category."""
     key = (xi, ti, inverse)
-    z = cat.pair_mutations.get(key)
-    if z is not None:
-        return z
+    record = cat.pair_mutations.get(key)
+    if record is not None:
+        return record
+    x, t = cat.roots[xi], cat.roots[ti]
+    pair = (t, x) if inverse else (x, t)
     before, after = (cat.left_nz, cat.right_nz) if inverse else (cat.right_nz, cat.left_nz)
     if xi == ti or before[ti] >> xi & 1:
-        pair = (t, x) if inverse else (x, t)
         raise InputError(f"({pair[0]}, {pair[1]}) is not an exceptional pair")
-    target = perp(cat, (x, t)).mask
-    found = [z for i, z in enumerate(cat.roots)
-             if not after[ti] >> i & 1
-             and (congruent(0, z, 0, x, t) or congruent(0, z, 1, x, t))
-             and perp(cat, (z, t)).mask == target]
+    target, found = perp(cat, (x, t)).mask, []
+    for i, z in enumerate(cat.roots):
+        if not after[ti] >> i & 1:
+            same, flip = (is_multiple([a - s * b for a, b in zip(x, z)], t) for s in (1, -1))
+            if (same or flip) and perp(cat, (z, t)).mask == target:
+                found.append((i, same, flip))
     if len(found) != 1:
         name = "inverse pair mutation" if inverse else "pair mutation"
-        raise InternalConsistencyError(
-            f"{cat.quiver.diagram.type_tag}: {name} of ({x}, {t}) found "
-            f"{len(found)} candidates")
-    cat.pair_mutations[key] = found[0]
-    return found[0]
+        raise InternalConsistencyError(f"{cat.quiver.diagram.type_tag}: {name} of ({x}, {t}) "
+                                       f"found {len(found)} candidates")
+    return cat.pair_mutations.setdefault(key, PairRecord(*found[0], classify_pair(cat, *pair)))

@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from excseq import category
+from excseq import build_diagram, category
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +43,10 @@ def tags_up_to_rank(limit: int) -> list[str]:
 
     extend([], 0, 0)
     return out
+
+
+def orientations(tag: str) -> list[tuple[tuple[int, int], ...]]:
+    """Every orientation of the diagram's edges, as arrows for `build_quiver`."""
+    edges = [(u, v) for u, v, _, _ in build_diagram(tag).edges]
+    return [tuple((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips))
+            for flips in product((False, True), repeat=len(edges))]

@@ -1,10 +1,11 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from excseq import InputError, InternalConsistencyError, bijection, category
+from excseq import InputError, InternalConsistencyError, category
 from excseq.configs import cluster_table
 from excseq.dynkin import build_diagram, build_quiver
 from excseq.bijection import (_sequence_to_tuple, _tuple_to_sequence, check_transport,
@@ -47,13 +48,30 @@ def test_transport_inverse_rejects_incompatible(a2):
         transport_inverse(a2, 1, O(P1, 0), O(S2, 1))  # S2[1] clashes with P1[0]
 
 
-def test_invariant_failure_names_the_category(a2, monkeypatch):
-    # a fresh category, so no transport table of A2 is reused from the memo
+def test_invariant_failure_names_the_category(a2):
+    # a fresh category, so no transport table of A2 is reused from the memo;
+    # its record of the pair (S2, P1) is seeded with neither placement parity
     cat = RepCategory(a2.quiver)
-    monkeypatch.setattr(bijection, "congruent", lambda *args: False)
-    with pytest.raises(InternalConsistencyError) as info:
+    mutate_pair(cat, S2, P1)
+    key = (cat.root_id[S2], cat.root_id[P1], False)
+    cat.pair_mutations[key] = cat.pair_mutations[key]._replace(same=False, flip=False)
+    with pytest.raises(InternalConsistencyError, match="placement of") as info:
         transport(cat, 1, O(P1, 0), O(S2, 1))
     assert "A2" in str(info.value) and "m=1" in str(info.value)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, True, False, "1", None])
+def test_lengths_are_parsed_strictly(a2, k):
+    # a negative or non-integral length gave [], and True gave the 1-tuples
+    for enumerate_ in (ordered_tuples, m_exc_sequences):
+        with pytest.raises(InputError, match="length"):
+            enumerate_(a2, 1, k)
+
+
+def test_integral_lengths_are_accepted(a2):
+    for enumerate_ in (ordered_tuples, m_exc_sequences):
+        assert enumerate_(a2, 1, Fraction(2)) == enumerate_(a2, 1, 2.0) == enumerate_(a2, 1, 2)
+        assert len(enumerate_(a2, 1, 2)) == 10 and enumerate_(a2, 1, 0) == [()]
 
 
 def test_tuple_to_sequence_examples(a2):

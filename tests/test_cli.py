@@ -1,6 +1,9 @@
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,3 +327,13 @@ def test_package_keeps_the_oracle_out():
     assert not [stem for stem, names in imported.items() if "oracle" in names]
     assert not {"Approximation", "HomSpace", "ReflectionOracle", "Representation",
                 "euler_form"} & set(vars(excseq))
+
+
+def test_the_cli_starts_without_dataclasses():
+    # importing dataclasses (with inspect) and building dataclasses cost the
+    # CLI about 25 ms of start-up, so the package's record types do without them
+    code = "import sys, excseq.cli; print('dataclasses' in sys.modules)"
+    src = str(Path(excseq.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

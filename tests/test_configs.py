@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -64,7 +63,7 @@ def test_g_vector_check_fails_on_a_negated_c_column(a2):
     for j in range(2):
         cols = list(frame.c_cols)
         cols[j] = tuple(-x for x in cols[j])
-        assert not g_vector_check(replace(frame, c_cols=tuple(cols)))
+        assert not g_vector_check(frame._replace(c_cols=tuple(cols)))
 
 
 def test_duality_frame_rejects_wrong_pairing(a2):

@@ -1,6 +1,5 @@
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import pytest
 
@@ -8,7 +7,7 @@ from excseq import (InputError, InternalConsistencyError, PairCase, build_diagra
                     build_quiver, category, classify_pair, perp)
 from excseq.repengine import RepCategory
 
-from conftest import P1, S1, S2, tags_up_to_rank
+from conftest import P1, S1, S2, orientations, tags_up_to_rank
 from oracle import ReflectionOracle, inverse, mat, matmul
 
 
@@ -209,16 +208,10 @@ def test_hom_respects_sink_reflection():
             assert cat.hom(a, b) == reflected.hom(reflect(a), reflect(b))
 
 
-def _orientations(tag: str) -> list[tuple[tuple[int, int], ...]]:
-    edges = [(u, v) for u, v, _, _ in build_diagram(tag).edges]
-    return [tuple((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips))
-            for flips in product((False, True), repeat=len(edges))]
-
-
 TAGS_RANK6 = tags_up_to_rank(6)
 ORACLE_CASES = ([(tag, None) for tag in TAGS_RANK6]
                 + [(tag, arrows) for tag in ("A2", "A3", "A4", "D4")
-                   for arrows in _orientations(tag)])
+                   for arrows in orientations(tag)])
 
 
 def test_oracle_tag_set():

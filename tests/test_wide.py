@@ -9,11 +9,12 @@ from excseq import (InputError, PairCase, ambient, category, classify_pair,
                     mark_relative_projectives, marked_exc_sequences, mutate_pair,
                     mutate_pair_inverse, perp, rel_proj_poly_enumerated,
                     relative_projectives)
-from excseq import linalg
-from excseq.wide import is_multiple
+from excseq import build_diagram, build_quiver, linalg
+from excseq.repengine import RepCategory
+from excseq.wide import _pair_record, is_multiple
 
 import oracle
-from conftest import P1, S1, S2, tags_up_to_rank
+from conftest import P1, S1, S2, orientations, tags_up_to_rank
 
 
 def test_perp_examples(a2):
@@ -220,3 +221,57 @@ def test_is_multiple_matches_a_search():
         for t in vectors:
             want = any(all(a == s * b for a, b in zip(w, t)) for s in range(-2, 3))
             assert is_multiple(w, t) == want, (w, t)
+
+
+PAIR_CASES = ([(tag, None) for tag in tags_up_to_rank(6) if tag != "A1"]  # A1: no pairs
+              + [(tag, arrows) for tag in tags_up_to_rank(4) if tag != "A1"
+                 for arrows in orientations(tag)])
+
+
+@pytest.mark.parametrize("tag,arrows", PAIR_CASES,
+                         ids=[f"{t}-{a}" if a else t for t, a in PAIR_CASES])
+def test_pair_records_match_the_public_moves(tag, arrows):
+    # the record of each exceptional pair (x, t) forward and (t, x) inverse
+    # agrees with the public functions, and the moves have closed forms:
+    # forward |x - <x,t> t|, inverse |y - <t,y> t| (the sign that makes a root)
+    cat = category(tag) if arrows is None else RepCategory(
+        build_quiver(build_diagram(tag), arrows))
+
+    def positive(v):
+        return v if min(v) >= 0 else tuple(-a for a in v)
+
+    pairs = 0
+    for xi, x in enumerate(cat.roots):
+        for ti, t in enumerate(cat.roots):
+            if xi == ti or cat.hom(t, x) or cat.ext(t, x):
+                continue
+            pairs += 1
+            forward, back = _pair_record(cat, xi, ti, False), _pair_record(cat, ti, xi, True)
+            y, z = cat.roots[forward.z], cat.roots[back.z]
+            assert y == mutate_pair(cat, x, t) == positive(
+                tuple(a - cat.euler(x, t) * b for a, b in zip(x, t))), (x, t)
+            assert z == mutate_pair_inverse(cat, t, x) == positive(
+                tuple(a - cat.euler(x, t) * b for a, b in zip(t, x))), (x, t)
+            assert forward.case is back.case is classify_pair(cat, x, t)
+            for record, a, b, c in ((forward, x, y, t), (back, t, z, x)):
+                assert record.same == is_multiple(tuple(u - v for u, v in zip(a, b)), c)
+                assert record.flip == is_multiple(tuple(u + v for u, v in zip(a, b)), c)
+    assert pairs
+
+
+@pytest.mark.parametrize("tag", tags_up_to_rank(5))
+def test_braid_moves_reach_every_complete_sequence(tag):
+    # the braid group acts transitively on complete exceptional sequences
+    # (Crawley-Boevey 1993); each forward move permutes a finite set, so the
+    # forward moves alone reach the whole orbit
+    cat = category(tag)
+    everything = complete_exc_sequences(cat)
+    seen, todo = {everything[0]}, [everything[0]]
+    while todo:
+        seq = todo.pop()
+        for i in range(len(seq) - 1):
+            moved = seq[:i] + (seq[i + 1], mutate_pair(cat, seq[i], seq[i + 1])) + seq[i + 2:]
+            if moved not in seen:
+                seen.add(moved)
+                todo.append(moved)
+    assert seen == set(everything)
