@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_length, check_level,
-                       check_object, check_pairwise_compatible, compat_rows, decode, encode,
+from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_length, check_object,
+                       check_pair, check_pairwise_compatible, compat_rows, decode, encode,
                        is_valid_object, object_mask)
 from .wide import PairCase, WideSubcat, _pair_record, ambient, perp
 
@@ -138,9 +138,8 @@ def tuple_to_sequence(cat: RepCategory, m: int, tup,
     The tuple is validated once (every entry a valid object of the scope, the
     entries pairwise compatible); `_tuple_to_sequence` then trusts it."""
     scope = scope if scope is not None else ambient(cat)
-    tup = tuple(tup)
     checked = [check_object(cat, scope, m, o) for o in tup]
-    check_pairwise_compatible(cat, tup)
+    check_pairwise_compatible(cat, checked)
     return decode(cat, _tuple_to_sequence(cat, m, encode(cat, checked), scope))
 
 
@@ -148,10 +147,10 @@ def sequence_to_tuple(cat: RepCategory, m: int, terms,
                       scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
     """Shifted exceptional sequence -> ordered compatible tuple (inverse map).
 
-    The terms are validated once (integral levels, `is_m_exc_sequence`);
-    `_sequence_to_tuple` then trusts them."""
+    The terms are validated once ((root, level) pairs, integral levels,
+    `is_m_exc_sequence`); `_sequence_to_tuple` then trusts them."""
     scope = scope if scope is not None else ambient(cat)
-    terms = tuple([ShiftedObject(root, check_level(level)) for root, level in terms])
+    terms = tuple(map(check_pair, terms))
     if not is_m_exc_sequence(cat, m, terms, scope):
         raise InputError("terms do not form a shifted exceptional sequence")
     return decode(cat, _sequence_to_tuple(cat, m, encode(cat, terms), scope))

@@ -22,14 +22,14 @@ from pathlib import Path
 
 from . import counting
 from .configs import cluster_table, exchange_graph, mutate, order_cluster
-from .dynkin import build_diagram
+from .dynkin import DynkinDiagram, build_diagram
 from .errors import (ExcseqError, InputError, InternalConsistencyError,
                      UnsupportedFeatureError, VerificationError)
-from .repengine import category
+from .repengine import RepCategory, category
 from .serialize import (cluster_from_dict, cluster_to_dict, configuration_to_dict,
                         dumps_canonical, exc_sequence_to_dict, sequence_to_dict)
 from .shiftcat import enumerate_clusters
-from .verify import SUITES
+from .verify import SUITES, verify_counting
 from .wide import marked_exc_sequences
 from .bijection import m_exc_sequences
 
@@ -71,7 +71,9 @@ def _resolve_tag_and_word(args, choices, flag_value, what: str):
     return tag, word
 
 
-def _check_limits(diagram, m: int, rank_limit: int, m_limit: int, max_rank: int | None) -> None:
+def _diagram(args, tag: str, rank_limit: int, m_limit: int) -> DynkinDiagram:
+    """The diagram of tag, if it and --m are within the command's limits."""
+    diagram, m, max_rank = build_diagram(tag), args.m, args.max_rank
     if max_rank is not None and max_rank < 1:
         raise InputError(f"--max-rank must be at least 1, got {max_rank}")
     cap = rank_limit if max_rank is None else min(rank_limit, max_rank)
@@ -79,12 +81,21 @@ def _check_limits(diagram, m: int, rank_limit: int, m_limit: int, max_rank: int 
         raise InputError(f"rank {diagram.rank} exceeds the limit {cap} for this command")
     if not 0 <= m <= m_limit:
         raise InputError(f"m={m} outside the supported range 0..{m_limit}")
+    return diagram
+
+
+def _category(args, tag: str, rank_limit: int, m_limit: int, refusal: str) -> RepCategory:
+    """The category of tag within the command's limits, built once and handed
+    down; a valued type has no quiver and is refused with the message refusal."""
+    diagram = _diagram(args, tag, rank_limit, m_limit)
+    if not diagram.is_simply_laced:
+        raise UnsupportedFeatureError(refusal)
+    return category(diagram.type_tag)
 
 
 def cmd_count(args) -> int:
     tag = _resolve_tag(args)
-    diagram = build_diagram(tag)
-    _check_limits(diagram, args.m, COUNT_RANK_LIMIT, M_LIMIT, args.max_rank)
+    diagram = _diagram(args, tag, COUNT_RANK_LIMIT, M_LIMIT)
     e = counting.count_complete_exc_sequences(diagram)
     f = counting.rel_proj_poly(diagram)
     g = counting.m_sequence_poly(diagram)
@@ -128,12 +139,9 @@ def cmd_enumerate(args) -> int:
     tag, what = _resolve_tag_and_word(
         args, {"clusters", "exc-seqs", "m-exc-seqs", "configs"}, None,
         "enumeration kind")
-    diagram = build_diagram(tag)
-    _check_limits(diagram, args.m, ENUM_RANK_LIMIT, ENUM_M_LIMIT, args.max_rank)
-    if not diagram.is_simply_laced:
-        raise UnsupportedFeatureError(f"enumeration needs a simply-laced type, got {tag}")
-    cat = category(diagram.type_tag)
-    m = args.m
+    cat = _category(args, tag, ENUM_RANK_LIMIT, ENUM_M_LIMIT,
+                    f"enumeration needs a simply-laced type, got {tag}")
+    diagram, m = cat.quiver.diagram, args.m
     g = counting.m_sequence_poly(diagram)
     # each kind gives its items and how to write one as a JSON record or a text line
     if what == "clusters":
@@ -180,12 +188,11 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     tag, suite = _resolve_tag_and_word(
         args, set(SUITES), args.suite_opt, "verification suite")
-    diagram = build_diagram(tag)
-    rank_limit = COUNT_RANK_LIMIT if suite == "counting" else ENUM_RANK_LIMIT
-    _check_limits(diagram, args.m, rank_limit, ENUM_M_LIMIT, args.max_rank)
-    if suite != "counting" and not diagram.is_simply_laced:
-        raise UnsupportedFeatureError(f"suite {suite!r} needs a simply-laced type")
-    report = SUITES[suite](diagram.type_tag, args.m)
+    if suite == "counting":  # valued types included, so on the diagram alone
+        report = verify_counting(_diagram(args, tag, COUNT_RANK_LIMIT, ENUM_M_LIMIT))
+    else:
+        report = SUITES[suite](_category(args, tag, ENUM_RANK_LIMIT, ENUM_M_LIMIT,
+                                         f"suite {suite!r} needs a simply-laced type"), args.m)
     _write("\n".join(report.lines()) + "\n", args.out)
     return 0 if report.ok else 1
 
@@ -210,12 +217,8 @@ def _load_cluster_payload(raw: str):
 
 
 def cmd_mutate(args) -> int:
-    tag = _resolve_tag(args)
-    diagram = build_diagram(tag)
-    _check_limits(diagram, args.m, ENUM_RANK_LIMIT, M_LIMIT, args.max_rank)
-    if not diagram.is_simply_laced:
-        raise UnsupportedFeatureError("mutation needs a simply-laced type")
-    cat = category(diagram.type_tag)
+    cat = _category(args, _resolve_tag(args), ENUM_RANK_LIMIT, M_LIMIT,
+                    "mutation needs a simply-laced type")
     m, objects = cluster_from_dict(cat, _load_cluster_payload(args.cluster), args.m)
     direction = {"plus": "+", "minus": "-", "+": "+", "-": "-"}.get(args.dir)
     if direction is None:
@@ -225,7 +228,7 @@ def cmd_mutate(args) -> int:
         raise InputError(f"--k must be in 1..{cat.n} (position in the ordered cluster)")
     result = mutate(cat, m, ordered, args.k - 1, direction)
     payload = {
-        "type": diagram.type_tag,
+        "type": cat.quiver.diagram.type_tag,
         "m": m,
         "k": args.k,
         "dir": direction,
@@ -239,16 +242,13 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    tag = _resolve_tag(args)
-    diagram = build_diagram(tag)
-    _check_limits(diagram, args.m, ENUM_RANK_LIMIT, ENUM_M_LIMIT, args.max_rank)
-    if not diagram.is_simply_laced:
-        raise UnsupportedFeatureError("the exchange graph needs a simply-laced type")
-    cat = category(diagram.type_tag)
+    cat = _category(args, _resolve_tag(args), ENUM_RANK_LIMIT, ENUM_M_LIMIT,
+                    "the exchange graph needs a simply-laced type")
     nodes, edges = exchange_graph(cat, args.m)
+    type_tag = cat.quiver.diagram.type_tag
     if args.format == "json":
         payload = {
-            "type": diagram.type_tag,
+            "type": type_tag,
             "m": args.m,
             "nodes": [cluster_to_dict(args.m, c) for c in nodes],
             "edges": [{"from": a, "to": b, "k": k + 1, "dir": d}
@@ -256,7 +256,7 @@ def cmd_graph(args) -> int:
         }
         _write(dumps_canonical(payload), args.out)
     else:
-        lines = [f"digraph exchange_{diagram.type_tag}_m{args.m} {{"]
+        lines = [f"digraph exchange_{type_tag}_m{args.m} {{"]
         for i, cluster in enumerate(nodes):
             label = " ".join(str(o) for o in cluster)
             lines.append(f'  c{i} [label="{label}"];')

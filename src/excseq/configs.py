@@ -30,7 +30,7 @@ from .bijection import _tuple_to_sequence, tuple_to_sequence
 from .dynkin import Root, root_str
 from .errors import InputError, VerificationError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _inconsistent, check_pairwise_compatible,
+from .shiftcat import (ShiftedObject, _inconsistent, check_object, check_pairwise_compatible,
                        compat_rows, decode, encode, enumerate_clusters)
 from .wide import WideSubcat, ambient, is_exceptional_sequence, left_perp, perp
 
@@ -70,14 +70,21 @@ def _free(after: list[int], placed: int) -> list[int]:
     return [i for i, need in enumerate(after) if not (placed >> i & 1 or need & ~placed)]
 
 
+def _cluster_entries(cat: RepCategory, m: int, objects) -> list[ShiftedObject]:
+    """The entries sorted, each checked by `check_object`, pairwise compatible and
+    so none repeated, since no object is compatible with itself."""
+    objects = sorted([check_object(cat, None, m, o) for o in objects])
+    check_pairwise_compatible(cat, objects)
+    return objects
+
+
 def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...]:
     """Order a cluster so that the reversed tuple is an exceptional sequence.
 
     Canonical choice: among currently available entries take highest level
     first, then lexicographically smallest root.
     """
-    objects = sorted(set(objects))
-    check_pairwise_compatible(cat, objects)
+    objects = _cluster_entries(cat, m, objects)
     after, placed, order = _ordering_constraints(cat, encode(cat, objects)), 0, []
     for _ in objects:
         avail = _free(after, placed)
@@ -95,7 +102,7 @@ def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObj
     """Every ordering of the cluster whose reversal is an exceptional sequence.
     Kept for the duality suite's check that the configuration does not depend
     on the chosen order."""
-    objects = sorted(set(objects))
+    objects = _cluster_entries(cat, m, objects)
     after = _ordering_constraints(cat, encode(cat, objects))
     out: list[tuple[ShiftedObject, ...]] = []
 
@@ -251,7 +258,7 @@ def horizontal_subcat(cat: RepCategory, m: int, comps, s: int) -> HorizontalSubc
     """
     if not 0 <= s <= m - 1:
         raise InputError(f"slope index {s} out of range for m={m}")
-    comps = tuple(comps)
+    comps = decode(cat, encode(cat, comps))  # strict roots and levels
     sel = _selected_at(m, comps, s)
     if not sel:
         return HorizontalSubcat(s, (), (), 0)

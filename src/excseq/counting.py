@@ -34,10 +34,7 @@ class IntPoly(NamedTuple):
     var: str = "x"
 
     def __call__(self, value) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(value) + c
-        return acc
+        return _peval(self.coeffs, Fraction(value))
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, self.var)
@@ -129,18 +126,12 @@ def _e_of_key(key: tuple[str, ...]) -> int:
     if not key:
         result = 1
     elif len(key) > 1:
-        prod = 1
-        for tag in key:
-            prod *= _e_of_key((tag,))
-        result = _shuffle_factor(key) * prod
+        result = _shuffle_factor(key) * math.prod(_e_of_key((tag,)) for tag in key)
     else:
         tag = key[0]
         h = coxeter_for_tag(tag).h
         rank = build_diagram(tag).rank
-        total = Fraction(0)
-        for v in range(rank):
-            total += _e_of_key(_pieces_key(tag, v))
-        value = Fraction(h, 2) * total
+        value = Fraction(h, 2) * sum(_e_of_key(_pieces_key(tag, v)) for v in range(rank))
         if value.denominator != 1:
             raise InternalConsistencyError(f"non-integral sequence count for {tag}")
         result = int(value)
@@ -165,9 +156,7 @@ def _f_of_key(key: tuple[str, ...]) -> tuple[Fraction, ...]:
         inner: list[Fraction] = []
         for v in range(rank):
             inner = _padd(inner, list(_f_of_key(_pieces_key(tag, v))))
-        # multiply by (x + h/2 - 1)
-        factor = [Fraction(h, 2) - 1, Fraction(1)]
-        result = tuple(_pmul(factor, inner))
+        result = tuple(_pmul([Fraction(h, 2) - 1, Fraction(1)], inner))  # times (x + h/2 - 1)
     _F_MEMO[key] = result
     return result
 
@@ -255,11 +244,7 @@ def m_count_identity_holds(diagram: DynkinDiagram) -> bool:
     g = m_sequence_poly(diagram)
     n = diagram.rank
     scaled = _pscale(list(fomin_reading_poly(diagram)), Fraction(math.factorial(n)))
-    gl = [Fraction(c) for c in g.coeffs]
-    length = max(len(gl), len(scaled))
-    gl += [Fraction(0)] * (length - len(gl))
-    scaled += [Fraction(0)] * (length - len(scaled))
-    return gl == scaled
+    return _trim(g.coeffs) == _trim(scaled)
 
 
 # ----- real-root location via exact Sturm chains -----
@@ -272,8 +257,7 @@ def _trim(p):
 
 
 def _pdivmod(a, b):
-    a = _trim(a)
-    b = _trim(b)
+    a, b = _trim(a), _trim(b)
     if not b:
         raise ZeroDivisionError
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
@@ -339,10 +323,8 @@ def _variations_at(chain, x: Fraction) -> int:
 def _variations_at_inf(chain, positive: bool) -> int:
     signs = []
     for p in chain:
-        lead = p[-1]
-        deg = len(p) - 1
-        s = _sign(lead)
-        if not positive and deg % 2 == 1:
+        s = _sign(p[-1])  # the sign at +inf is the leading coefficient's
+        if not positive and (len(p) - 1) % 2 == 1:  # and flips at -inf for odd degree
             s = -s
         signs.append(s)
     return _variations(signs)

@@ -111,9 +111,19 @@ def check_length(k) -> int:
     return int(k)
 
 
+def check_pair(obj) -> ShiftedObject:
+    """obj, a (root, level) pair, as a shifted object with an int level; the root is unchecked."""
+    try:
+        root, level = obj
+    except (TypeError, ValueError):
+        raise InputError(f"{obj!r} is not a (root, level) pair") from None
+    return ShiftedObject(root, check_level(level))
+
+
 def check_object(cat: RepCategory, scope: WideSubcat | None, m: int,
                  obj: ShiftedObject) -> ShiftedObject:
-    obj = ShiftedObject(cat.check_root(obj.root), check_level(obj.level))
+    root, level = check_pair(obj)
+    obj = ShiftedObject(cat.check_root(root), level)
     if not is_valid_object(cat, scope, m, obj):
         raise InputError(f"{obj} is not a valid shifted object here (m={m})")
     return obj

@@ -1,6 +1,8 @@
 """Named verification sweeps, shared by the CLI and the test suite.
 
-The suites feed the library object ids (`shiftcat.encode`) they enumerated
+Each suite runs on the `RepCategory` its caller built, in any orientation;
+`verify_all` hands its category and cluster table to every suite it runs.  The
+suites feed the library object ids (`shiftcat.encode`) they enumerated
 themselves.  The bijection suite holds one bucket at a time, the tuples and
 sequences with last entry T (in id order), runs k = 1..n in it, sums each
 check per k over the buckets and maps through the trusted maps of `bijection`.
@@ -20,9 +22,9 @@ from .bijection import _sequence_to_tuple, _sequences, _tuple_to_sequence, check
 from .configs import (_mutate, all_valid_orders, cluster_table, duality_frame,
                       garside_configuration, g_vector_check, horizontal_subcat,
                       mutation_moves, order_cluster)
-from .dynkin import build_diagram
+from .dynkin import DynkinDiagram, build_quiver
 from .errors import VerificationError
-from .repengine import category
+from .repengine import RepCategory
 from .shiftcat import _ids, compat_rows, compatible_subsets, decode, encode, object_mask
 from .wide import ambient, marked_exc_sequences, perp, rel_proj_poly_enumerated
 
@@ -54,9 +56,10 @@ class Report(NamedTuple):
         return out
 
 
-def verify_counting(tag: str) -> Report:
-    report = Report(f"counting suite for {tag}", [])
-    diagram = build_diagram(tag)
+def verify_counting(diagram: DynkinDiagram, cat: RepCategory | None = None) -> Report:
+    """The counting identities of the diagram; a simply-laced one of rank <= 5 is
+    also enumerated, in cat if given, else in its default orientation."""
+    report = Report(f"counting suite for {diagram.type_tag}", [])
     e_rec = counting.count_complete_exc_sequences(diagram)
     e_closed = counting.count_closed_form(diagram)
     report.add("recursion equals closed form", e_rec == e_closed,
@@ -70,7 +73,7 @@ def verify_counting(tag: str) -> Report:
                counting.m_count_identity_holds(diagram))
     report.add("real roots confined to [-1, 0)", counting.real_root_check(g))
     if diagram.is_simply_laced and diagram.rank <= 5:
-        cat = category(tag)
+        cat = cat if cat is not None else RepCategory(build_quiver(diagram))
         seqs = marked_exc_sequences(cat)
         report.add("enumerated sequence count matches", len(seqs) == e_rec,
                    f"{len(seqs)} vs {e_rec}")
@@ -79,9 +82,8 @@ def verify_counting(tag: str) -> Report:
     return report
 
 
-def verify_bijection(tag: str, m: int) -> Report:
-    report = Report(f"bijection suite for {tag}, m={m}", [])
-    cat = category(tag)
+def verify_bijection(cat: RepCategory, m: int) -> Report:
+    report = Report(f"bijection suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     scope = ambient(cat)
     rows, objects = compat_rows(cat, m), object_mask(cat, scope, m)
     # per k: tuple and sequence counts, then the verdicts injective, image is
@@ -125,9 +127,8 @@ def verify_bijection(tag: str, m: int) -> Report:
     return report
 
 
-def verify_duality(tag: str, m: int, table: dict | None = None) -> Report:
-    report = Report(f"duality suite for {tag}, m={m}", [])
-    cat = category(tag)
+def verify_duality(cat: RepCategory, m: int, table: dict | None = None) -> Report:
+    report = Report(f"duality suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     table = cluster_table(cat, m) if table is None else table
     expected = counting.fomin_reading_count(cat.quiver.diagram, m)
     report.add("cluster count matches the product formula",
@@ -159,9 +160,8 @@ def verify_duality(tag: str, m: int, table: dict | None = None) -> Report:
     return report
 
 
-def verify_mutation(tag: str, m: int, table: dict | None = None) -> Report:
-    report = Report(f"mutation suite for {tag}, m={m}", [])
-    cat = category(tag)
+def verify_mutation(cat: RepCategory, m: int, table: dict | None = None) -> Report:
+    report = Report(f"mutation suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     table = cluster_table(cat, m) if table is None else table
     configs = {encode(cat, c): encode(cat, comps) for c, (_, comps) in table.items()}
     closed = True
@@ -190,17 +190,19 @@ def verify_mutation(tag: str, m: int, table: dict | None = None) -> Report:
     return report
 
 
-def verify_all(tag: str, m: int) -> Report:
-    report = Report(f"all suites for {tag}, m={m}", [])
-    table = cluster_table(category(tag), m)
-    for sub in (verify_counting(tag), verify_bijection(tag, m),
-                verify_duality(tag, m, table), verify_mutation(tag, m, table)):
+def verify_all(cat: RepCategory, m: int) -> Report:
+    report = Report(f"all suites for {cat.quiver.diagram.type_tag}, m={m}", [])
+    table = cluster_table(cat, m)
+    for sub in (verify_counting(cat.quiver.diagram, cat), verify_bijection(cat, m),
+                verify_duality(cat, m, table), verify_mutation(cat, m, table)):
         report.checks.extend(sub.checks)
     return report
 
 
+# every suite by name, on a category the caller built; the CLI runs `counting`
+# on the bare diagram, since a valued type has no category
 SUITES = {
-    "counting": lambda tag, m: verify_counting(tag),
+    "counting": lambda cat, m: verify_counting(cat.quiver.diagram, cat),
     "bijection": verify_bijection,
     "duality": verify_duality,
     "mutation": verify_mutation,

@@ -97,6 +97,19 @@ def test_non_integral_levels_are_refused(a2):
             call()
 
 
+def test_sequence_to_tuple_refuses_a_term_that_is_no_pair(a2):
+    # a 1-tuple term raised ValueError on unpacking, an int term TypeError
+    for term in (((1, 0),), 5):
+        with pytest.raises(InputError, match=r"is not a \(root, level\) pair$"):
+            sequence_to_tuple(a2, 1, [term])
+
+
+def test_tuple_to_sequence_reads_plain_pairs(a2):
+    # each entry is checked as a pair, and the checked entries are paired up
+    assert tuple_to_sequence(a2, 1, [(S1, 0), (P1, 0)]) == \
+        tuple_to_sequence(a2, 1, [O(S1, 0), O(P1, 0)])
+
+
 def test_is_m_exc_sequence(a2):
     assert is_m_exc_sequence(a2, 1, (O(S2, 1), O(P1, 0)))
     assert is_m_exc_sequence(a2, 1, (O(S1, 1), O(S2, 1)))

@@ -117,6 +117,30 @@ def test_enumerate_rejects_valued(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("enumerate", "B3", "clusters"), "enumeration needs a simply-laced type, got B3"),
+    (("verify", "B3", "bijection"), "suite 'bijection' needs a simply-laced type"),
+    (("verify", "B3", "all"), "suite 'all' needs a simply-laced type"),
+    (("mutate", "B3", "--cluster", "{}", "--k", "1", "--dir", "+"),
+     "mutation needs a simply-laced type"),
+    (("graph", "B3"), "the exchange graph needs a simply-laced type"),
+])
+def test_every_command_refuses_a_valued_type(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_verify_counting_runs_on_a_valued_type(capsys):
+    code, out, _ = run(capsys, "verify", "B3", "counting")
+    assert code == 0 and out.endswith("PASS  counting suite for B3\n")
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("```")[0] for block in readme.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "A2", "--m", "1", "all")
     assert code == 0

@@ -40,6 +40,26 @@ def test_order_cluster_examples(a2):
     assert ordered == (O(P1, 0), O(S2, 0))
 
 
+def test_order_cluster_refuses_a_repeated_entry(a2):
+    # sorted(set(...)) dropped the repeat and returned a 2-tuple on A2
+    for order in (order_cluster, all_valid_orders):
+        with pytest.raises(InputError, match=r"^\(1,0\)\[0\] and \(1,0\)\[0\] are not compatible$"):
+            order(a2, 1, [O(S1, 0), O(S1, 0), O(P1, 0)])
+
+
+def test_order_cluster_refuses_a_level_outside_0_to_m(a2):
+    # (1,0)[5] was accepted at m=1
+    for order in (order_cluster, all_valid_orders):
+        with pytest.raises(InputError, match=r"^\(1,0\)\[5\] is not a valid shifted object"):
+            order(a2, 1, [O(S1, 5), O(P1, 0)])
+
+
+def test_order_cluster_reads_a_list_root_as_its_tuple(a2):
+    # a list root is unhashable, and set() raised a bare TypeError on it
+    for order in (order_cluster, all_valid_orders):
+        assert order(a2, 1, [O(list(S1), 0), O(P1, 0)]) == order(a2, 1, [O(S1, 0), O(P1, 0)])
+
+
 def test_garside_examples(a2):
     assert garside_configuration(a2, 1, (O(S1, 0), O(P1, 0))) == (O(S2, 1), O(P1, 0))
     assert garside_configuration(a2, 1, (O(P1, 0), O(S1, 0))) == (O(P1, 0), O(S1, 0))
@@ -113,6 +133,12 @@ def test_horizontal_subcat_range(a2):
     comps = (O(S2, 1), O(P1, 0))
     with pytest.raises(InputError):
         horizontal_subcat(a2, 1, comps, 1)
+
+
+def test_horizontal_subcat_refuses_a_component_that_is_no_root(a2):
+    # (9,9) sits in the slope-2 window, which slope 0 reads by root id: KeyError
+    with pytest.raises(InputError, match=r"^\(9, 9\) is not a positive root of A2$"):
+        horizontal_subcat(a2, 2, [O(S1, 2), O((9, 9), 0)], 0)
 
 
 @pytest.mark.parametrize("tag,m", [("A3", 2)])
@@ -310,7 +336,7 @@ def test_mutation_suite_fails_a_move_off_the_cluster_set(monkeypatch):
             yield k, direction, new_comps, new_ordered[:1]
 
     monkeypatch.setattr(verify, "mutation_moves", off_set)
-    report = verify.verify_mutation("A2", 1)
+    report = verify.verify_mutation(category("A2"), 1)
     assert not report.ok
     assert report.checks[-1].label == "exchange graph closes on the cluster set"
     assert not report.checks[-1].ok

@@ -1,6 +1,6 @@
 import pytest
 
-from excseq import category, verify
+from excseq import category, cli, verify
 from excseq.bijection import _build_table
 from excseq.cli import main
 from excseq.configs import cluster_table, mutation_moves
@@ -11,6 +11,8 @@ from excseq.wide import ambient
 from excseq.verify import (SUITES, verify_all, verify_bijection, verify_counting,
                            verify_duality, verify_mutation)
 
+from conftest import orientations
+
 
 def _assert_ok(report):
     assert report.ok, [(c.label, c.detail) for c in report.checks if not c.ok]
@@ -18,44 +20,62 @@ def _assert_ok(report):
 
 @pytest.mark.parametrize("tag", ["A2", "A3", "B4", "F4"])
 def test_counting_suite(tag):
-    _assert_ok(verify_counting(tag))
+    _assert_ok(verify_counting(build_diagram(tag)))
 
 
 @pytest.mark.parametrize("tag,m", [("A2", 2), ("A3", 1), ("D4", 1)])
 def test_bijection_suite(tag, m):
-    _assert_ok(verify_bijection(tag, m))
+    _assert_ok(verify_bijection(category(tag), m))
 
 
 def test_a_swapped_inverse_entry_fails_the_bijection_suite(monkeypatch, capsys):
     # a seeded fault in a fresh category, not the shared one: two entries of
     # the inverse map of P1[0]'s table trade places.  The bucket of tuples
     # ending in P1[0] pulls back through it, so its round trips fail, and
-    # only those; the CLI then exits 1
+    # only those; the CLI, whose lookup hands it this category, then exits 1
     cat = RepCategory(build_quiver(build_diagram("A2")))
     t = encode(cat, [ShiftedObject((1, 1), 0)])[0]
     inverse = _build_table(cat, 1, t, ambient(cat)).inverse
     y1, y2 = list(inverse)[:2]
     inverse[y1], inverse[y2] = inverse[y2], inverse[y1]
-    monkeypatch.setattr(verify, "category", lambda tag: cat)
-    assert [c.label for c in verify_bijection("A2", 1).checks if not c.ok] == [
+    assert [c.label for c in verify_bijection(cat, 1).checks if not c.ok] == [
         "k=2: inverse round trips"]
+    monkeypatch.setattr(cli, "category", lambda tag: cat)
     assert main(["verify", "A2", "--m", "1", "bijection"]) == 1
     assert "FAIL  k=2: inverse round trips\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1)])
 def test_duality_suite(tag, m):
-    _assert_ok(verify_duality(tag, m))
+    _assert_ok(verify_duality(category(tag), m))
 
 
 @pytest.mark.parametrize("tag,m", [("A3", 1), ("D4", 1)])
 def test_mutation_suite(tag, m):
-    _assert_ok(verify_mutation(tag, m))
+    _assert_ok(verify_mutation(category(tag), m))
+
+
+@pytest.mark.parametrize("tag,arrows", [
+    pytest.param(tag, arrows, id="-".join([tag] + [f"{u}>{v}" for u, v in arrows]))
+    for tag in ("A3", "D4") for arrows in orientations(tag)])
+def test_every_suite_passes_in_every_orientation(tag, arrows):
+    # the bijection holds for every hereditary algebra, so every orientation
+    # passes; the suites run on the category they are handed
+    cat = RepCategory(build_quiver(build_diagram(tag), arrows))
+    assert cat.quiver.arrows == arrows
+    for m in (0, 1, 2):
+        report = verify_all(cat, m)
+        _assert_ok(report)
+        assert report.title == f"all suites for {tag}, m={m}"
+
+
+def test_the_suites_look_up_no_category():
+    assert not hasattr(verify, "category")
 
 
 def test_product_algebra_end_to_end():
     # disconnected quivers run through the whole stack
-    _assert_ok(verify_all("A2xA1", 1))
+    _assert_ok(verify_all(category("A2xA1"), 1))
 
 
 def test_suite_table_names():
@@ -63,22 +83,21 @@ def test_suite_table_names():
 
 
 def test_report_lines_format():
-    report = verify_counting("A1")
+    report = verify_counting(build_diagram("A1"))
     lines = report.lines()
     assert lines[-1].startswith("PASS")
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
 
 
-def test_a_corrupted_pairing_fails_the_duality_and_mutation_suites(monkeypatch):
+def test_a_corrupted_pairing_fails_the_duality_and_mutation_suites():
     # both suites pair through the kernels that read the pairing matrix; one
     # wrong entry (here <S1, P1> on a fresh A2, after its cluster table is
     # built) must surface as FAIL lines, not pass unseen
     cat = RepCategory(build_quiver(build_diagram("A2")))
     table = cluster_table(cat, 1)
     cat.pairings[cat.root_id[(1, 0)]][cat.root_id[(1, 1)]] += 1
-    monkeypatch.setattr(verify, "category", lambda tag: cat)
     for suite in (verify_duality, verify_mutation):
-        report = suite("A2", 1, table)
+        report = suite(cat, 1, table)
         assert not report.ok
         assert any("duality pairing failed" in c.detail for c in report.checks)
 
@@ -90,7 +109,7 @@ def test_mutation_suite_names_positions_one_based(monkeypatch):
     k, direction, _, _ = next(mutation_moves(cat, m, encode(cat, ordered), encode(cat, comps)))
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_mutate", lambda *args: ())
-        detail = verify_mutation("A2", m).checks[0].detail
+        detail = verify_mutation(cat, m).checks[0].detail
     assert detail == f"round trip failed at k={k + 1}, {direction}"
 
     def unmoved(cat, m, ordered, comps):
@@ -99,9 +118,9 @@ def test_mutation_suite_names_positions_one_based(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "mutation_moves", unmoved)
-        detail = verify_mutation("A2", m).checks[0].detail
+        detail = verify_mutation(cat, m).checks[0].detail
     assert detail == f"rederived configuration differs at k={k + 1}, {direction}"
-    assert k == 0 and verify_mutation("A2", m).ok
+    assert k == 0 and verify_mutation(cat, m).ok
 
 
 @pytest.mark.parametrize("tag,m", [("A3", "2"), ("D4", "1")])
