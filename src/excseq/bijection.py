@@ -35,8 +35,8 @@ from typing import NamedTuple
 from .errors import InputError
 from .repengine import RepCategory
 from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_length, check_object,
-                       check_pair, check_pairwise_compatible, compat_rows, decode, encode,
-                       is_valid_object, object_mask)
+                       check_objects, check_pair, compat_rows, decode, encode, is_valid_object,
+                       object_mask)
 from .wide import PairCase, WideSubcat, _pair_record, ambient, perp
 
 
@@ -135,22 +135,19 @@ def tuple_to_sequence(cat: RepCategory, m: int, tup,
                       scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
     """Ordered compatible tuple -> shifted exceptional sequence of equal length.
 
-    The tuple is validated once (every entry a valid object of the scope, the
-    entries pairwise compatible); `_tuple_to_sequence` then trusts it."""
+    The tuple is validated once (`check_objects`); `_tuple_to_sequence` then trusts it."""
     scope = scope if scope is not None else ambient(cat)
-    checked = [check_object(cat, scope, m, o) for o in tup]
-    check_pairwise_compatible(cat, checked)
-    return decode(cat, _tuple_to_sequence(cat, m, encode(cat, checked), scope))
+    return decode(cat, _tuple_to_sequence(cat, m, check_objects(cat, scope, m, tup), scope))
 
 
 def sequence_to_tuple(cat: RepCategory, m: int, terms,
                       scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
     """Shifted exceptional sequence -> ordered compatible tuple (inverse map).
 
-    The terms are validated once ((root, level) pairs, integral levels,
-    `is_m_exc_sequence`); `_sequence_to_tuple` then trusts them."""
+    The terms are validated once (`is_m_exc_sequence`, which parses each as a
+    (root, level) pair); `_sequence_to_tuple` then trusts them."""
     scope = scope if scope is not None else ambient(cat)
-    terms = tuple(map(check_pair, terms))
+    terms = tuple(terms)
     if not is_m_exc_sequence(cat, m, terms, scope):
         raise InputError("terms do not form a shifted exceptional sequence")
     return decode(cat, _sequence_to_tuple(cat, m, encode(cat, terms), scope))
@@ -196,7 +193,7 @@ def is_m_exc_sequence(cat: RepCategory, m: int, terms,
     """Levels within 0..m, underlying modules an exceptional sequence, and
     level-m terms relatively projective in the perpendicular of later terms."""
     cur = scope if scope is not None else ambient(cat)
-    for root, level in reversed(tuple(terms)):
+    for root, level in reversed(tuple(map(check_pair, terms))):
         if not is_valid_object(cat, cur, m, ShiftedObject(root, level)):
             return False
         cur = perp(cat, (root,), cur)

@@ -16,9 +16,9 @@ Each vector is a root signed by the parity of its level, so each pairing is
 a sign times an entry of `RepCategory.pairings`, and each slope-vector update
 a signed root kept in `RepCategory.pair_mutations`.  The kernels `_check_frame`,
 `_mutate`, `_recover` and `_validate` run on object ids (`shiftcat.encode`),
-trust their input and check their results; the public functions check theirs
-(each vector once by the strict `RepCategory.euler`) and encode it.
-`mutation_moves` runs the kernels alone, on the ids of a `cluster_table` entry.
+trust their input and check their results.  Each public function parses its
+objects once (`encode`, `check_objects`), so each vector is a sign times a checked
+root.  `mutate` and `mutation_moves` (on a `cluster_table` entry's ids) move by `_move`.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .bijection import _tuple_to_sequence, tuple_to_sequence
+from .bijection import _tuple_to_sequence
 from .dynkin import Root, root_str
 from .errors import InputError, VerificationError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _inconsistent, check_object, check_pairwise_compatible,
-                       compat_rows, decode, encode, enumerate_clusters)
+from .counting import check_level
+from .shiftcat import (ShiftedObject, _inconsistent, check_objects, check_pair, compat_rows,
+                       decode, encode, enumerate_clusters)
 from .wide import WideSubcat, ambient, is_exceptional_sequence, left_perp, perp
 
 
@@ -44,7 +45,7 @@ class SlopeVector(NamedTuple):
 
 
 def slope_vectors(m: int, comps) -> tuple[SlopeVector, ...]:
-    return tuple(SlopeVector(c.root, m - c.level) for c in comps)
+    return tuple(SlopeVector(root, m - level) for root, level in map(check_pair, comps))
 
 
 def c_vector(sv: SlopeVector) -> tuple[int, ...]:
@@ -53,8 +54,8 @@ def c_vector(sv: SlopeVector) -> tuple[int, ...]:
 
 
 def signed_dim(m: int, obj: ShiftedObject) -> tuple[int, ...]:
-    sign = (-1) ** (m - obj.level)
-    return tuple(sign * x for x in obj.root)
+    root, level = check_pair(obj)
+    return tuple((-1) ** (m - level) * x for x in root)
 
 
 def _ordering_constraints(cat: RepCategory, ids) -> list[int]:
@@ -70,39 +71,35 @@ def _free(after: list[int], placed: int) -> list[int]:
     return [i for i, need in enumerate(after) if not (placed >> i & 1 or need & ~placed)]
 
 
-def _cluster_entries(cat: RepCategory, m: int, objects) -> list[ShiftedObject]:
-    """The entries sorted, each checked by `check_object`, pairwise compatible and
-    so none repeated, since no object is compatible with itself."""
-    objects = sorted([check_object(cat, None, m, o) for o in objects])
-    check_pairwise_compatible(cat, objects)
-    return objects
-
-
 def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...]:
     """Order a cluster so that the reversed tuple is an exceptional sequence.
 
     Canonical choice: among currently available entries take highest level
     first, then lexicographically smallest root.
     """
-    objects = _cluster_entries(cat, m, objects)
-    after, placed, order = _ordering_constraints(cat, encode(cat, objects)), 0, []
-    for _ in objects:
+    return decode(cat, _order(cat, m, check_objects(cat, None, m, objects)))
+
+
+def _order(cat: RepCategory, m: int, ids: tuple[int, ...]) -> tuple[int, ...]:
+    """`order_cluster` on the ids of a checked cluster."""
+    objects = decode(cat, ids)
+    after, placed, order = _ordering_constraints(cat, ids), 0, []
+    for _ in ids:
         avail = _free(after, placed)
         if not avail:
             raise _inconsistent(cat, m, "no exceptional ordering of the cluster exists")
         order.append(min(avail, key=lambda i: (-objects[i].level, objects[i].root)))
         placed |= 1 << order[-1]
-    ordered = tuple(objects[i] for i in order)
-    if not is_exceptional_sequence(cat, [o.root for o in reversed(ordered)]):
+    if not is_exceptional_sequence(cat, [objects[i].root for i in reversed(order)]):
         raise _inconsistent(cat, m, "ordering failed to produce an exceptional sequence")
-    return ordered
+    return tuple(ids[i] for i in order)
 
 
 def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObject, ...]]:
     """Every ordering of the cluster whose reversal is an exceptional sequence.
     Kept for the duality suite's check that the configuration does not depend
     on the chosen order."""
-    objects = _cluster_entries(cat, m, objects)
+    objects = sorted(decode(cat, check_objects(cat, None, m, objects)))
     after = _ordering_constraints(cat, encode(cat, objects))
     out: list[tuple[ShiftedObject, ...]] = []
 
@@ -125,13 +122,18 @@ def garside_configuration(cat: RepCategory, m: int, ordered,
     complete cluster whose reversal is exceptional is validated as a configuration.
     """
     scope = scope if scope is not None else ambient(cat)
-    ordered = tuple(ordered)
-    comps = tuple_to_sequence(cat, m, ordered, scope)
-    if len(ordered) == scope.rank and is_exceptional_sequence(
-            cat, [o.root for o in reversed(ordered)]):
+    return decode(cat, _garside(cat, m, ordered, scope)[1])
+
+
+def _garside(cat: RepCategory, m: int, ordered, scope: WideSubcat):
+    """The ids of ordered, checked by `check_objects`, and of its Garside configuration."""
+    ids = check_objects(cat, scope, m, ordered)
+    comps = _tuple_to_sequence(cat, m, ids, scope)
+    if len(ids) == scope.rank and is_exceptional_sequence(
+            cat, [o.root for o in reversed(decode(cat, ids))]):
         # the configuration reading only applies to properly ordered clusters
-        _validate(cat, m, encode(cat, comps), encode(cat, ordered))
-    return comps
+        _validate(cat, m, comps, ids)
+    return ids, comps
 
 
 def validate_configuration(cat: RepCategory, m: int, comps,
@@ -184,29 +186,25 @@ class DualityFrame(NamedTuple):
 
 def duality_frame(cat: RepCategory, m: int, ordered, comps) -> DualityFrame:
     """Build and verify the exact duality frame V^t E C = D for a dual pair."""
-    ordered, comps = tuple(ordered), tuple(comps)
-    n = len(ordered)
-    if len(comps) != n:
-        raise InputError(f"{n} cluster entries but {len(comps)} components")
+    ids, comp_ids = _dual_pair(cat, ordered, comps)
+    ordered, comps = decode(cat, ids), decode(cat, comp_ids)
     v_cols = tuple(signed_dim(m, o) for o in ordered)
     c_cols = tuple(c_vector(sv) for sv in slope_vectors(m, comps))
     d_diag = tuple(cat.hom(o.root, o.root) for o in ordered)  # all 1 over the rationals
-    _check_vectors(cat, v_cols, c_cols)
-    _check_frame(cat, m, encode(cat, ordered), encode(cat, comps))
+    _check_frame(cat, m, ids, comp_ids)
     return DualityFrame(v_cols, c_cols, d_diag, cat.E)
 
 
-def _check_vectors(cat: RepCategory, xs, ys) -> None:
-    """Check each vector once through the strict `RepCategory.euler`, with the
-    message of the first pairing <x, y> (x in xs, then y in ys) to refuse it."""
-    for y in ys:
-        cat.euler(xs[0], y)
-    for x in xs[1:]:
-        cat.euler(x, ys[0])
+def _dual_pair(cat: RepCategory, ordered, comps) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ids of a cluster and a configuration (`encode`), refused unless equally long."""
+    ids, comp_ids = encode(cat, ordered), encode(cat, comps)
+    if len(comp_ids) != len(ids):
+        raise InputError(f"{len(ids)} cluster entries but {len(comp_ids)} components")
+    return ids, comp_ids
 
 
 def _check_frame(cat: RepCategory, m: int, ordered, comps) -> None:
-    """The checks of `duality_frame` on the ids of a dual pair with checked vectors."""
+    """The checks of `duality_frame` on the ids of a dual pair."""
     n = len(cat.roots)
     for i, o in enumerate(ordered):
         row, level = cat.pairings[o % n], o // n
@@ -256,8 +254,9 @@ def horizontal_subcat(cat: RepCategory, m: int, comps, s: int) -> HorizontalSubc
     Verified against the intersection of perpendiculars of the other
     horizontal subcategories whenever the selection is nonempty.
     """
-    if not 0 <= s <= m - 1:
+    if isinstance(s, bool) or not 0 <= check_level(s, "slope index") <= m - 1:
         raise InputError(f"slope index {s} out of range for m={m}")
+    s = int(s)
     comps = decode(cat, encode(cat, comps))  # strict roots and levels
     sel = _selected_at(m, comps, s)
     if not sel:
@@ -311,23 +310,25 @@ def _check_position(k, n: int) -> None:
         raise InputError(f"position {k} out of range")
 
 
-def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
-                         direction: str) -> tuple[ShiftedObject, ...]:
-    """Mutate the configuration at position k, raising (+) or lowering (-)
-    the slope of its slope vector by one and updating the coupled entries."""
-    comps = tuple(comps)
+def _check_move(cat: RepCategory, m: int, comps: tuple[int, ...], k, direction) -> None:
+    """Refuse a malformed move at k of the configuration comps, or one leaving 0..m."""
     _check_position(k, len(comps))
     if direction not in ("+", "-"):
         raise InputError("direction must be '+' or '-'")
-    svs = slope_vectors(m, comps)
-    sk = svs[k].slope
+    sk = m - comps[k] // len(cat.roots)
     if direction == "+" and sk + 1 > m:
         raise InputError(f"slope {sk} has no headroom to mutate upward (m={m})")
     if direction == "-" and sk - 1 < 0:
         raise InputError(f"slope {sk} cannot mutate downward")
-    cs = [c_vector(sv) for sv in svs]
-    _check_vectors(cat, cs, cs[:1])  # as the first row of `exchange_matrix` would
-    result = _mutate(cat, m, encode(cat, comps), k, direction)
+
+
+def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
+                         direction: str) -> tuple[ShiftedObject, ...]:
+    """Mutate the configuration at position k, raising (+) or lowering (-)
+    the slope of its slope vector by one and updating the coupled entries."""
+    comps = encode(cat, comps)
+    _check_move(cat, m, comps, k, direction)
+    result = _mutate(cat, m, comps, k, direction)
     _validate(cat, m, result)
     return decode(cat, result)
 
@@ -370,19 +371,16 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     Only entry k moves, so G = V_old^t E C_new equals D off row k, and the
     new signed column is sum_j G_kj v_j over the old signed columns v_j (all
     f_j are 1 over a quiver), with self-coefficient G_kk = -f_k.  The frame
-    V^t E C = D of the result, checked by `duality_frame`, proves it.
+    V^t E C = D of the result, checked by `_check_frame`, proves it.
     """
-    ordered, new_comps = tuple(ordered), tuple(new_comps)
-    _check_position(k, len(ordered))
-    _check_vectors(cat, [signed_dim(m, ordered[k])],
-                   [c_vector(sv) for sv in slope_vectors(m, new_comps)])
-    ids = encode(cat, ordered)
-    for o, x in zip(ordered, ids):
+    ids, new_comps = _dual_pair(cat, ordered, new_comps)
+    _check_position(k, len(ids))
+    for x in ids:
         if not 0 <= x < (m + 1) * len(cat.roots):
-            raise InputError(f"cluster entry {o} has a level outside 0..{m}")
-    candidate = decode(cat, _recover(cat, m, ids, encode(cat, new_comps), k))
-    duality_frame(cat, m, candidate, new_comps)
-    return candidate
+            raise InputError(f"cluster entry {decode(cat, (x,))[0]} has a level outside 0..{m}")
+    candidate = _recover(cat, m, ids, new_comps, k)
+    _check_frame(cat, m, candidate, new_comps)
+    return decode(cat, candidate)
 
 
 def _recover(cat: RepCategory, m: int, ordered: tuple[int, ...], new_comps: tuple[int, ...],
@@ -418,11 +416,21 @@ class MutationResult(NamedTuple):
 
 
 def mutate(cat: RepCategory, m: int, ordered, k: int, direction: str) -> MutationResult:
-    ordered = tuple(ordered)
-    comps = garside_configuration(cat, m, ordered)
-    new_comps = mutate_configuration(cat, m, comps, k, direction)
-    new_ordered = recover_cluster(cat, m, ordered, new_comps, k)
-    return MutationResult(ordered, comps, new_ordered, new_comps)
+    """The move at position k of an ordered cluster, checked, made as `mutation_moves` makes it."""
+    ids, comps = _garside(cat, m, ordered, ambient(cat))
+    _check_move(cat, m, comps, k, direction)
+    new_comps, new_ordered = _move(cat, m, ids, comps, k, direction)
+    return MutationResult(*(decode(cat, x) for x in (ids, comps, new_ordered, new_comps)))
+
+
+def _move(cat: RepCategory, m: int, ids: tuple[int, ...], comps: tuple[int, ...], k: int,
+          direction: str):
+    """A legal move on ids: the new configuration, validated, and the new ordered cluster."""
+    new_comps = _mutate(cat, m, comps, k, direction)
+    _validate(cat, m, new_comps)
+    new_ordered = _recover(cat, m, ids, new_comps, k)
+    _check_frame(cat, m, new_ordered, new_comps)
+    return new_comps, new_ordered
 
 
 def mutation_moves(cat: RepCategory, m: int, ordered: tuple[int, ...], comps: tuple[int, ...]):
@@ -432,11 +440,7 @@ def mutation_moves(cat: RepCategory, m: int, ordered: tuple[int, ...], comps: tu
     for k, c in enumerate(comps):
         for direction, step in (("+", 1), ("-", -1)):
             if 0 <= m - c // n + step <= m:
-                new_comps = _mutate(cat, m, comps, k, direction)
-                _validate(cat, m, new_comps)
-                new_ordered = _recover(cat, m, ordered, new_comps, k)
-                _check_frame(cat, m, new_ordered, new_comps)
-                yield k, direction, new_comps, new_ordered
+                yield (k, direction, *_move(cat, m, ordered, comps, k, direction))
 
 
 def cluster_table(cat: RepCategory, m: int) -> dict:
@@ -444,11 +448,10 @@ def cluster_table(cat: RepCategory, m: int) -> dict:
     ordered form and that form's Garside configuration, found on ids."""
     table, scope = {}, ambient(cat)
     for cluster in enumerate_clusters(cat, m):
-        ordered = order_cluster(cat, m, cluster)
-        ids = encode(cat, ordered)
-        comps = _tuple_to_sequence(cat, m, ids, scope)
-        _validate(cat, m, comps, ids)
-        table[cluster] = ordered, decode(cat, comps)
+        ordered = _order(cat, m, encode(cat, cluster))
+        comps = _tuple_to_sequence(cat, m, ordered, scope)
+        _validate(cat, m, comps, ordered)
+        table[cluster] = decode(cat, ordered), decode(cat, comps)
     return table
 
 

@@ -229,9 +229,28 @@ def fomin_reading_poly(diagram: DynkinDiagram) -> tuple[Fraction, ...]:
     return tuple(poly)
 
 
+def check_level(level, what: str = "level") -> int:
+    """level as an int; integral non-int values such as Fraction(1) are
+    accepted, non-integral or non-numeric ones refused rather than truncated."""
+    try:
+        j = int(level)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} {level!r} is not an integer") from exc
+    if j != level:
+        raise InputError(f"{what} {level!r} is not an integer")
+    return j
+
+
+def check_shift(m) -> int:
+    """m as an int, parsed like a length; each caller refuses m < 0 with its own message."""
+    if isinstance(m, bool):
+        raise InputError(f"shift parameter m {m!r} is not an integer")
+    return check_level(m, "shift parameter m")
+
+
 def fomin_reading_count(diagram: DynkinDiagram, m: int) -> int:
     """Number of shifted clusters with parameter m (an exact integer)."""
-    if m < 0:
+    if check_shift(m) < 0:
         raise InputError("cluster counts need m >= 0")
     value = _peval(list(fomin_reading_poly(diagram)), Fraction(m))
     if value.denominator != 1:

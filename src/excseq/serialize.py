@@ -15,7 +15,7 @@ import json
 from .configs import slope_vectors
 from .errors import InputError
 from .repengine import RepCategory
-from .shiftcat import ShiftedObject, check_object, check_pairwise_compatible
+from .shiftcat import ShiftedObject, check_objects
 
 
 def dumps_canonical(payload) -> str:
@@ -53,9 +53,7 @@ def cluster_from_dict(cat: RepCategory, data, expect_m: int | None = None):
     if expect_m is not None and m != expect_m:
         raise InputError(f"cluster declares m={m}, command asked for m={expect_m}")
     objects = tuple(object_from_dict(o) for o in raw)
-    for o in objects:
-        check_object(cat, None, m, o)
-    check_pairwise_compatible(cat, objects)
+    check_objects(cat, None, m, objects)
     if len(objects) != cat.n:
         raise InputError(f"a cluster here has {cat.n} objects, got {len(objects)}")
     return m, objects

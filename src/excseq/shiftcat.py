@@ -16,6 +16,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
+from .counting import check_level, check_shift
 from .dynkin import Root, root_str
 from .errors import InputError, InternalConsistencyError
 from .repengine import RepCategory
@@ -41,10 +42,11 @@ def canonical_cluster(objects: Iterable[ShiftedObject]) -> tuple[ShiftedObject, 
 
 
 def encode(cat: RepCategory, objects) -> tuple[int, ...]:
-    """The ids of objects parsed strictly (`check_root`, `check_level`); a level
-    outside 0..m gives an id outside 0..(m+1)N-1 that no other object has."""
+    """The ids of objects, each parsed as a (root, level) pair by `check_pair` and `check_root`;
+    a level outside 0..m gives an id outside 0..(m+1)N-1 that no other object has."""
     n, root_id = len(cat.roots), cat.root_id
-    return tuple([check_level(o.level) * n + root_id[cat.check_root(o.root)] for o in objects])
+    return tuple([level * n + root_id[cat.check_root(root)]
+                  for root, level in map(check_pair, objects)])
 
 
 def decode(cat: RepCategory, ids) -> tuple[ShiftedObject, ...]:
@@ -57,6 +59,7 @@ def _ids(mask: int) -> list[int]:  # the set bits, ascending
 
 def object_mask(cat: RepCategory, scope: WideSubcat | None, m: int) -> int:
     """The ids of the scope's valid objects at m, kept in `cat.compat` under (m, mask)."""
+    m = check_shift(m)
     if m < 0:
         raise InputError("shift parameter m must be >= 0")
     scope, n = scope if scope is not None else ambient(cat), len(cat.roots)
@@ -73,6 +76,7 @@ def shifted_objects(cat: RepCategory, scope: WideSubcat | None, m: int) -> tuple
 
 def compat_rows(cat: RepCategory, m: int) -> list[int]:
     """Row x: the ids in 0..(m+1)N-1 compatible with id x, by `compatible`, kept by m."""
+    m = check_shift(m)
     if m not in cat.compat:
         objects = decode(cat, range((m + 1) * len(cat.roots)))
         cat.compat[m] = [sum(1 << y for y, b in enumerate(objects) if compatible(cat, a, b))
@@ -84,24 +88,12 @@ def is_valid_object(cat: RepCategory, scope: WideSubcat | None, m: int,
                     obj: ShiftedObject) -> bool:
     """obj lies in the scope at a level in 0..m, and at m only if it is
     relatively projective there; a level that is not an integer is refused."""
-    level = check_level(obj.level)
+    mask, level = object_mask(cat, scope, m), check_level(obj.level)  # no id above (m+1)N-1
     try:
         i = cat.root_id[obj.root]
     except (KeyError, TypeError):
         return False
-    return 0 <= level <= m and bool(object_mask(cat, scope, m) >> level * len(cat.roots) + i & 1)
-
-
-def check_level(level, what: str = "level") -> int:
-    """level as an int; integral non-int values such as Fraction(1) are
-    accepted, non-integral or non-numeric ones refused rather than truncated."""
-    try:
-        j = int(level)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} {level!r} is not an integer") from exc
-    if j != level:
-        raise InputError(f"{what} {level!r} is not an integer")
-    return j
+    return level >= 0 and bool(mask >> level * len(cat.roots) + i & 1)
 
 
 def check_length(k) -> int:
@@ -197,9 +189,11 @@ def ordered_tuples(cat: RepCategory, m: int, k: int,
     return out
 
 
-def check_pairwise_compatible(cat: RepCategory, objects: Iterable[ShiftedObject]) -> None:
-    objects = list(objects)
+def check_objects(cat: RepCategory, scope: WideSubcat | None, m: int, objects) -> tuple[int, ...]:
+    """The ids of objects, each checked by `check_object`, once they are pairwise compatible."""
+    objects = [check_object(cat, scope, m, o) for o in objects]
     for i in range(len(objects)):
         for j in range(i + 1, len(objects)):
             if not compatible(cat, objects[i], objects[j]):
                 raise InputError(f"{objects[i]} and {objects[j]} are not compatible")
+    return encode(cat, objects)

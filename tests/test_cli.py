@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 import excseq
 from excseq import InputError, category, mark_relative_projectives
 from excseq.cli import main
-from excseq.serialize import cluster_from_dict, dumps_canonical, object_from_dict
+from excseq.serialize import cluster_from_dict, cluster_to_dict, dumps_canonical, object_from_dict
+from excseq.shiftcat import enumerate_clusters
 
 import oracle
 
@@ -361,3 +363,21 @@ def test_the_cli_starts_without_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_mutate_output_is_pinned(capsys):
+    # every cluster of A3 at m=2 and D4 at m=1, every --k in 0..n+1 (the ends are
+    # refused) and both directions: exit code, stdout and stderr of each call
+    digest, calls = hashlib.sha256(), 0
+    for tag, m in (("A3", 2), ("D4", 1)):
+        cat = category(tag)
+        for cluster in enumerate_clusters(cat, m):
+            payload = json.dumps(cluster_to_dict(m, cluster))
+            for k in range(cat.n + 2):
+                for direction in "+-":
+                    code, out, err = run(capsys, "mutate", tag, "--m", str(m), "--cluster",
+                                         payload, "--k", str(k), "--dir", direction)
+                    digest.update(f"{code}\n{out}{err}".encode())
+                    calls += 1
+    assert calls == 1150
+    assert digest.hexdigest() == "a05d99125d9074670085c449b4080e8888baf1d7c3e8a0739b0457bb36b3adfa"

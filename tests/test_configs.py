@@ -11,7 +11,7 @@ from excseq.configs import (all_valid_orders, c_vector, cluster_table, duality_f
                             validate_configuration)
 from excseq.dynkin import build_diagram, build_quiver
 from excseq.errors import VerificationError
-from excseq.bijection import is_m_exc_sequence, m_exc_sequences
+from excseq.bijection import is_m_exc_sequence, m_exc_sequences, transport
 from excseq.repengine import RepCategory
 from excseq.shiftcat import (ShiftedObject, canonical_cluster, compatible, decode, encode,
                              enumerate_clusters, is_valid_object, shifted_objects)
@@ -133,6 +133,13 @@ def test_horizontal_subcat_range(a2):
     comps = (O(S2, 1), O(P1, 0))
     with pytest.raises(InputError):
         horizontal_subcat(a2, 1, comps, 1)
+
+
+@pytest.mark.parametrize("s", [0.5, "0", True])
+def test_horizontal_subcat_refuses_a_slope_index_that_is_no_integer(a2, s):
+    # 0.5 gave an empty window, "0" raised a raw TypeError and True was read as 1
+    with pytest.raises(InputError, match="^slope index "):
+        horizontal_subcat(a2, 2, (O(S2, 1), O(P1, 0)), s)
 
 
 def test_horizontal_subcat_refuses_a_component_that_is_no_root(a2):
@@ -380,8 +387,11 @@ def _short_duality_frame(a2):
     (lambda a2: recover_cluster(a2, 1, (O(S1, -1), O(P1, 0)), (O(S2, 1), O(S1, 0)), 1),
      r"cluster entry \(1,0\)\[-1\] has a level outside 0..1"),
     (lambda a2: m_exc_sequences(a2, -1, 2), "shift parameter m must be >= 0"),
+    (lambda a2: is_m_exc_sequence(a2, 1, [((1, 0),)]),
+     r"^\(\(1, 0\),\) is not a \(root, level\) pair$"),
 ], ids=["is_valid_object", "is_m_exc_sequence", "duality_frame", "validate_configuration_level",
-        "duality_frame_root", "recover_cluster_root", "recover_cluster_level", "m_exc_sequences"])
+        "duality_frame_root", "recover_cluster_root", "recover_cluster_level", "m_exc_sequences",
+        "is_m_exc_sequence_term"])
 def test_malformed_input_is_refused(a2, call, message):
     # the first three raised a raw TypeError or IndexError; the rest were
     # accepted or refused with a misleading verification error
@@ -389,14 +399,41 @@ def test_malformed_input_is_refused(a2, call, message):
         call(a2)
 
 
+def _pair(root, level):
+    return root, level
+
+
+def _config(o):  # the Garside configuration of the A2 cluster (S1[0], P1[0]) at m=1
+    return [o(S2, 1), o(P1, 0)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda a2, o: transport(a2, 1, o(P1, 0), o(S2, 0)),
+    lambda a2, o: garside_configuration(a2, 1, [o(S1, 0), o(P1, 0)]),
+    lambda a2, o: validate_configuration(a2, 1, _config(o)),
+    lambda a2, o: duality_frame(a2, 1, [o(S1, 0), o(P1, 0)], _config(o)),
+    lambda a2, o: horizontal_subcat(a2, 1, _config(o), 0),
+    lambda a2, o: mutate_configuration(a2, 1, _config(o), 1, "-"),
+    lambda a2, o: recover_cluster(a2, 1, [o(S1, 0), o(P1, 0)], [
+        o(*c) for c in mutate_configuration(a2, 1, _config(o), 1, "-")], 1),
+    lambda a2, o: mutate(a2, 1, [o(S1, 0), o(P1, 0)], 1, "-"),
+], ids=["transport", "garside_configuration", "validate_configuration", "duality_frame",
+        "horizontal_subcat", "mutate_configuration", "recover_cluster", "mutate"])
+def test_public_functions_take_plain_pairs(a2, call):
+    # each raised AttributeError on a plain (root, level) tuple
+    assert call(a2, _pair) == call(a2, O)
+
+
 def test_configuration_pairings_keep_their_strict_checks(a2):
-    # c-vectors and signed columns are checked once by the strict Euler
-    # pairing before the unchecked row products run
+    # every entry is parsed once, as a positive root, before the unchecked
+    # row products run
     ordered = (O(S1, 0), O(P1, 0))
-    for comps in ((O(S2, 1), O((1.5, 1), 0)), (O(S2, 1), O((1, 1, 0), 0))):
-        with pytest.raises(InputError, match="non-integer entry|need 2 entries each"):
+    wrong_length = r"^\(1, 1, 0\) is not a positive root of A2$"
+    for comps, message in (((O(S2, 1), O((1.5, 1), 0)), "non-integer entry"),
+                           ((O(S2, 1), O((1, 1, 0), 0)), wrong_length)):
+        with pytest.raises(InputError, match=message):
             mutate_configuration(a2, 1, comps, 0, "+")
-        with pytest.raises(InputError, match="non-integer entry|need 2 entries each"):
+        with pytest.raises(InputError, match=message):
             duality_frame(a2, 1, ordered, comps)
     with pytest.raises(InputError, match="non-integer entry"):
         duality_frame(a2, 1, (O(S1, 0), O((1, 0.5), 0)), (O(S2, 1), O(P1, 0)))

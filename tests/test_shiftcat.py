@@ -1,9 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from excseq import InputError, build_diagram, category, m_sequence_poly
+from excseq import (InputError, build_diagram, category, fomin_reading_count, m_sequence_poly,
+                    tuple_to_sequence)
+from excseq.configs import cluster_table
+from excseq.verify import verify_all
 from excseq.shiftcat import (ShiftedObject, check_object, compatible, enumerate_clusters,
                              ordered_tuples, shifted_objects)
 from excseq.wide import ambient, perp, relative_projectives
@@ -95,3 +99,20 @@ def test_single_zero_cluster(a3):
     clusters = enumerate_clusters(a3, 0)
     assert len(clusters) == 1
     assert all(o.level == 0 and a3.is_projective(o.root) for o in clusters[0])
+
+
+@pytest.mark.parametrize("m", [1.5, "1", True, None])
+@pytest.mark.parametrize("call", [
+    enumerate_clusters,
+    lambda a2, m: tuple_to_sequence(a2, m, [ShiftedObject(S1, 0)]),
+    cluster_table,
+    verify_all,
+    lambda a2, m: fomin_reading_count(a2.quiver.diagram, m),
+], ids=["enumerate_clusters", "tuple_to_sequence", "cluster_table", "verify_all",
+        "fomin_reading_count"])
+def test_shift_parameter_is_parsed_strictly(a2, call, m):
+    # each raised a raw TypeError or a false InternalConsistencyError, or ran
+    # at m=1 for True
+    message = f"^shift parameter m {re.escape(repr(m))} is not an integer$"
+    with pytest.raises(InputError, match=message):
+        call(a2, m)
