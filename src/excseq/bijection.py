@@ -200,11 +200,9 @@ def is_m_exc_sequence(cat: RepCategory, m: int, terms,
     return True
 
 
-def m_exc_sequences(cat: RepCategory, m: int, k: int,
-                    scope: WideSubcat | None = None) -> list[tuple[ShiftedObject, ...]]:
+def m_exc_sequences(cat: RepCategory, m: int, k: int) -> list[tuple[ShiftedObject, ...]]:
     """Enumerate shifted exceptional sequences of length k, deterministically."""
-    scope = scope if scope is not None else ambient(cat)
-    return [decode(cat, s) for s in _sequences(cat, m, check_length(k), scope, {})]
+    return [decode(cat, s) for s in _sequences(cat, m, check_length(k), ambient(cat), {})]
 
 
 def _sequences(cat: RepCategory, m: int, k: int, scope: WideSubcat,
@@ -234,11 +232,10 @@ class TransportReport(NamedTuple):
         return not self.violations
 
 
-def check_transport(cat: RepCategory, m: int, t_obj: ShiftedObject,
-                    scope: WideSubcat | None = None) -> TransportReport:
+def check_transport(cat: RepCategory, m: int, t_obj: ShiftedObject) -> TransportReport:
     """Compatibility preservation for one transport map; its bijectivity and
     round trip are asserted when its table is built."""
-    t_obj, table = _transport_table(cat, m, t_obj, scope)
+    t_obj, table = _transport_table(cat, m, t_obj, None)
     rows, images = compat_rows(cat, m), table.forward
     domain = tuple(images)
     report = TransportReport(t_obj, m, len(domain), len(table.inverse), [])

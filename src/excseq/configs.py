@@ -1,7 +1,8 @@
 """Dual configurations, tropical duality, and slope-vector mutation.
 
 An ordered cluster (T_1[k_1], ..., T_n[k_n]) is one whose reversal is a
-complete exceptional sequence.  The Garside braid move shuffles each entry
+complete exceptional sequence, found by one search (`_orders`) over the Hom/Ext
+constraints (`_ordering_constraints`).  The Garside braid move shuffles each entry
 over all later entries and yields the dual configuration, component j paired
 with tuple entry j.  Tropical duality is the exact matrix identity
 V^t E C = D, where V holds the signed dimension vectors (-1)^(m-k) dim T of
@@ -30,7 +31,7 @@ from .bijection import _tuple_to_sequence
 from .dynkin import Root, root_str
 from .errors import InputError, VerificationError
 from .repengine import RepCategory
-from .counting import check_level
+from .counting import check_level, check_shift
 from .shiftcat import (ShiftedObject, _inconsistent, check_objects, check_pair, compat_rows,
                        decode, encode, enumerate_clusters)
 from .wide import WideSubcat, ambient, is_exceptional_sequence, left_perp, perp
@@ -66,9 +67,19 @@ def _ordering_constraints(cat: RepCategory, ids) -> list[int]:
             for i, a in enumerate(ids)]
 
 
-def _free(after: list[int], placed: int) -> list[int]:
-    """The unplaced positions whose predecessors are all in the mask placed."""
-    return [i for i, need in enumerate(after) if not (placed >> i & 1 or need & ~placed)]
+def _orders(after: list[int], key=None):
+    """Every order placing each position after those in its `after` bits, depth first with
+    the free positions taken in key order (ascending by default): the first is the greedy one."""
+    positions = sorted(range(len(after)), key=key)
+
+    def extend(order: tuple[int, ...], placed: int):
+        if len(order) == len(after):
+            yield order
+        for i in positions:
+            if not (placed >> i & 1 or after[i] & ~placed):
+                yield from extend(order + (i,), placed | 1 << i)
+
+    return extend((), 0)
 
 
 def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...]:
@@ -82,17 +93,12 @@ def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...
 
 def _order(cat: RepCategory, m: int, ids: tuple[int, ...]) -> tuple[int, ...]:
     """`order_cluster` on the ids of a checked cluster."""
-    objects = decode(cat, ids)
-    after, placed, order = _ordering_constraints(cat, ids), 0, []
-    for _ in ids:
-        avail = _free(after, placed)
-        if not avail:
-            raise _inconsistent(cat, m, "no exceptional ordering of the cluster exists")
-        order.append(min(avail, key=lambda i: (-objects[i].level, objects[i].root)))
-        placed |= 1 << order[-1]
-    if not is_exceptional_sequence(cat, [objects[i].root for i in reversed(order)]):
-        raise _inconsistent(cat, m, "ordering failed to produce an exceptional sequence")
-    return tuple(ids[i] for i in order)
+    n = len(cat.roots)
+    for order in _orders(_ordering_constraints(cat, ids), lambda i: (-(ids[i] // n), ids[i])):
+        if not is_exceptional_sequence(cat, [cat.roots[ids[i] % n] for i in reversed(order)]):
+            raise _inconsistent(cat, m, "ordering failed to produce an exceptional sequence")
+        return tuple(ids[i] for i in order)  # the first order, by (-level, root)
+    raise _inconsistent(cat, m, "no exceptional ordering of the cluster exists")
 
 
 def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObject, ...]]:
@@ -100,38 +106,27 @@ def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObj
     Kept for the duality suite's check that the configuration does not depend
     on the chosen order."""
     objects = sorted(decode(cat, check_objects(cat, None, m, objects)))
-    after = _ordering_constraints(cat, encode(cat, objects))
-    out: list[tuple[ShiftedObject, ...]] = []
-
-    def extend(order: list[int], placed: int) -> None:
-        if len(order) == len(objects):
-            out.append(tuple(objects[i] for i in order))
-        for i in _free(after, placed):
-            extend(order + [i], placed | 1 << i)
-
-    extend([], 0)
-    return out
+    return [tuple(objects[i] for i in order)
+            for order in _orders(_ordering_constraints(cat, encode(cat, objects)))]
 
 
-def garside_configuration(cat: RepCategory, m: int, ordered,
-                          scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
+def garside_configuration(cat: RepCategory, m: int, ordered) -> tuple[ShiftedObject, ...]:
     """Dual configuration of an ordered cluster via iterated braid moves.
 
     The braid move over the last entry is the inverse transport over it, so
     this is `tuple_to_sequence`, whose tables check every move both ways.  A
     complete cluster whose reversal is exceptional is validated as a configuration.
     """
-    scope = scope if scope is not None else ambient(cat)
-    return decode(cat, _garside(cat, m, ordered, scope)[1])
+    return decode(cat, _garside(cat, m, ordered, ambient(cat))[1])
 
 
 def _garside(cat: RepCategory, m: int, ordered, scope: WideSubcat):
     """The ids of ordered, checked by `check_objects`, and of its Garside configuration."""
     ids = check_objects(cat, scope, m, ordered)
     comps = _tuple_to_sequence(cat, m, ids, scope)
-    if len(ids) == scope.rank and is_exceptional_sequence(
-            cat, [o.root for o in reversed(decode(cat, ids))]):
-        # the configuration reading only applies to properly ordered clusters
+    # only a properly ordered cluster reads as a configuration: no entry needs a later one first
+    if len(ids) == scope.rank and not any(
+            need >> i for i, need in enumerate(_ordering_constraints(cat, ids))):
         _validate(cat, m, comps, ids)
     return ids, comps
 
@@ -153,24 +148,18 @@ def _validate(cat: RepCategory, m: int, comps: tuple[int, ...], ordered=()) -> N
     for c in comps:
         if not 0 <= c // n <= m:
             raise VerificationError(f"component level out of range: {decode(cat, (c,))[0]}")
-    # one pass over the pairs checks the maps and builds `_ordering_constraints`
-    after = [0] * len(comps)
-    for i, a in enumerate(comps):
-        nonzero, ext_out, level = cat.right_nz[a % n], cat.ext_out[a % n], a // n
+    # a nonzero Hom from a component must go to a lower level, a nonzero Ext to one not higher
+    after = _ordering_constraints(cat, comps)
+    for a, need in zip(comps, after):
+        ext_out, level = cat.ext_out[a % n], a // n
         for j, b in enumerate(comps):
-            if i != j and nonzero >> b % n & 1:
+            if need >> j & 1:
                 ext = ext_out >> b % n & 1
                 if b // n >= level + ext:
                     raise VerificationError("forbidden {} {} -> {}".format(
                         "extension" if ext else "morphism", *decode(cat, (a, b))))
-                after[i] |= 1 << j
-    # the underlying modules must admit an exceptional ordering
-    placed = 0
-    for _ in comps:
-        free = _free(after, placed)
-        if not free:
-            raise VerificationError("components admit no exceptional ordering")
-        placed |= 1 << free[0]
+    if next(_orders(after), None) is None:
+        raise VerificationError("components admit no exceptional ordering")
     for t, c in zip(ordered, comps):
         if c // n - t // n not in (0, 1):
             raise _inconsistent(cat, m, "component slope of {1} strays from its cluster "
@@ -254,7 +243,8 @@ def horizontal_subcat(cat: RepCategory, m: int, comps, s: int) -> HorizontalSubc
     Verified against the intersection of perpendiculars of the other
     horizontal subcategories whenever the selection is nonempty.
     """
-    if isinstance(s, bool) or not 0 <= check_level(s, "slope index") <= m - 1:
+    m = check_shift(m)
+    if not 0 <= check_level(s, "slope index") <= m - 1:
         raise InputError(f"slope index {s} out of range for m={m}")
     s = int(s)
     comps = decode(cat, encode(cat, comps))  # strict roots and levels

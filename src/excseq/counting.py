@@ -231,20 +231,18 @@ def fomin_reading_poly(diagram: DynkinDiagram) -> tuple[Fraction, ...]:
 
 def check_level(level, what: str = "level") -> int:
     """level as an int; integral non-int values such as Fraction(1) are
-    accepted, non-integral or non-numeric ones refused rather than truncated."""
+    accepted, bools and non-integral or non-numeric values refused rather than truncated."""
     try:
         j = int(level)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} {level!r} is not an integer") from exc
-    if j != level:
+    if j != level or isinstance(level, bool):
         raise InputError(f"{what} {level!r} is not an integer")
     return j
 
 
 def check_shift(m) -> int:
-    """m as an int, parsed like a length; each caller refuses m < 0 with its own message."""
-    if isinstance(m, bool):
-        raise InputError(f"shift parameter m {m!r} is not an integer")
+    """m as an int, parsed like a level; each caller refuses m < 0 with its own message."""
     return check_level(m, "shift parameter m")
 
 

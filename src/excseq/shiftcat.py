@@ -3,12 +3,12 @@
 An object is a pair (root, level) standing for the module at that root placed
 at shift level 0..m; level m is reserved for the relative projectives of the
 ambient scope.  No derived-category machinery is materialized: compatibility
-is decided by three Hom/Ext vanishing cases on the underlying modules.
-Clusters are found by canonical-order backtracking over the compatibility
-graph; every maximal compatible set must have exactly rank-many objects.
-Inside, an object is the id level * N + root id over the N sorted roots
-(`encode`, `decode`): ids sort canonically, a set of objects is a mask, and
-the kernels of `bijection`, `configs` and `verify` run on ids and `compat_rows`.
+is decided by three Hom/Ext vanishing cases on the underlying modules, read off
+the Hom/Ext masks into one table, `compat_rows`.  Clusters are found by
+canonical-order backtracking over its rows; every maximal compatible set must
+have exactly rank-many objects.  Inside, an object is the id level * N + root
+id over the N sorted roots (`encode`, `decode`): ids sort canonically, a set of
+objects is a mask, and the `bijection`, `configs` and `verify` kernels run on ids.
 """
 
 from __future__ import annotations
@@ -75,12 +75,16 @@ def shifted_objects(cat: RepCategory, scope: WideSubcat | None, m: int) -> tuple
 
 
 def compat_rows(cat: RepCategory, m: int) -> list[int]:
-    """Row x: the ids in 0..(m+1)N-1 compatible with id x, by `compatible`, kept by m."""
+    """Row x: the ids in 0..(m+1)N-1 compatible with id x (`compatible`), kept by m: no Hom/Ext
+    from x to a lower level, none into x from a higher one, no Ext either way at x's level."""
     m = check_shift(m)
     if m not in cat.compat:
-        objects = decode(cat, range((m + 1) * len(cat.roots)))
-        cat.compat[m] = [sum(1 << y for y, b in enumerate(objects) if compatible(cat, a, b))
-                         for a in objects]
+        n, full = len(cat.roots), (1 << len(cat.roots)) - 1
+        ext_in = [sum(1 << j for j, x in enumerate(cat.ext_out) if x >> r & 1) for r in range(n)]
+        cat.compat[m] = [sum((~(cat.right_nz[r] if j < level else cat.left_nz[r] if j > level
+                                else cat.ext_out[r] | ext_in[r] | 1 << r) & full) << j * n
+                             for j in range(m + 1))
+                         for level in range(m + 1) for r in range(n)]
     return cat.compat[m]
 
 
@@ -97,8 +101,8 @@ def is_valid_object(cat: RepCategory, scope: WideSubcat | None, m: int,
 
 
 def check_length(k) -> int:
-    """A length as an int >= 0, parsed like a level; a bool is refused."""
-    if isinstance(k, bool) or check_level(k, "length") < 0:
+    """A length as an int >= 0, parsed like a level."""
+    if check_level(k, "length") < 0:
         raise InputError(f"length {k!r} is not an integer >= 0")
     return int(k)
 
@@ -134,16 +138,12 @@ def compatible(cat: RepCategory, a: ShiftedObject, b: ShiftedObject) -> bool:
     return cat.ext(a.root, b.root) == 0 and cat.ext(b.root, a.root) == 0
 
 
-def enumerate_clusters(cat: RepCategory, m: int,
-                       scope: WideSubcat | None = None) -> tuple[tuple[ShiftedObject, ...], ...]:
+def enumerate_clusters(cat: RepCategory, m: int) -> tuple[tuple[ShiftedObject, ...], ...]:
     """All maximal pairwise compatible sets, each sorted, list sorted."""
-    scope = scope if scope is not None else ambient(cat)
-    objs = shifted_objects(cat, scope, m)
-    n = len(objs)
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            adj[i][j] = adj[j][i] = compatible(cat, objs[i], objs[j])
+    scope = ambient(cat)
+    ids = _ids(object_mask(cat, scope, m))
+    rows, objs, n = compat_rows(cat, m), decode(cat, ids), len(ids)
+    adj = [[bool(rows[a] >> b & 1) for b in ids] for a in ids]
     found: list[tuple[ShiftedObject, ...]] = []
 
     def extend(chosen: list[int], start: int) -> None:
@@ -180,11 +180,10 @@ def compatible_subsets(cat: RepCategory, m: int, k: int, scope: WideSubcat | Non
     return subsets(object_mask(cat, scope, m) & candidates, k)
 
 
-def ordered_tuples(cat: RepCategory, m: int, k: int,
-                   scope: WideSubcat | None = None) -> list[tuple[ShiftedObject, ...]]:
+def ordered_tuples(cat: RepCategory, m: int, k: int) -> list[tuple[ShiftedObject, ...]]:
     """All ordered pairwise compatible k-tuples (permutations of the subsets)."""
     out: list[tuple[ShiftedObject, ...]] = []
-    for subset in compatible_subsets(cat, m, check_length(k), scope):
+    for subset in compatible_subsets(cat, m, check_length(k)):
         out.extend(permutations(decode(cat, subset)))
     return out
 
@@ -192,8 +191,9 @@ def ordered_tuples(cat: RepCategory, m: int, k: int,
 def check_objects(cat: RepCategory, scope: WideSubcat | None, m: int, objects) -> tuple[int, ...]:
     """The ids of objects, each checked by `check_object`, once they are pairwise compatible."""
     objects = [check_object(cat, scope, m, o) for o in objects]
-    for i in range(len(objects)):
-        for j in range(i + 1, len(objects)):
-            if not compatible(cat, objects[i], objects[j]):
+    ids, rows = encode(cat, objects), compat_rows(cat, m) if objects else ()
+    for i, x in enumerate(ids):
+        for j in range(i + 1, len(ids)):
+            if not rows[x] >> ids[j] & 1:
                 raise InputError(f"{objects[i]} and {objects[j]} are not compatible")
-    return encode(cat, objects)
+    return ids

@@ -83,6 +83,7 @@ def verify_counting(diagram: DynkinDiagram, cat: RepCategory | None = None) -> R
 
 
 def verify_bijection(cat: RepCategory, m: int) -> Report:
+    m = counting.check_shift(m)
     report = Report(f"bijection suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     scope = ambient(cat)
     rows, objects = compat_rows(cat, m), object_mask(cat, scope, m)
@@ -128,6 +129,7 @@ def verify_bijection(cat: RepCategory, m: int) -> Report:
 
 
 def verify_duality(cat: RepCategory, m: int, table: dict | None = None) -> Report:
+    m = counting.check_shift(m)
     report = Report(f"duality suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     table = cluster_table(cat, m) if table is None else table
     expected = counting.fomin_reading_count(cat.quiver.diagram, m)
@@ -161,6 +163,7 @@ def verify_duality(cat: RepCategory, m: int, table: dict | None = None) -> Repor
 
 
 def verify_mutation(cat: RepCategory, m: int, table: dict | None = None) -> Report:
+    m = counting.check_shift(m)
     report = Report(f"mutation suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     table = cluster_table(cat, m) if table is None else table
     configs = {encode(cat, c): encode(cat, comps) for c, (_, comps) in table.items()}
@@ -191,6 +194,7 @@ def verify_mutation(cat: RepCategory, m: int, table: dict | None = None) -> Repo
 
 
 def verify_all(cat: RepCategory, m: int) -> Report:
+    m = counting.check_shift(m)
     report = Report(f"all suites for {cat.quiver.diagram.type_tag}, m={m}", [])
     table = cluster_table(cat, m)
     for sub in (verify_counting(cat.quiver.diagram, cat), verify_bijection(cat, m),

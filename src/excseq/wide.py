@@ -143,37 +143,32 @@ def is_relatively_projective(cat: RepCategory, x: Root, w: WideSubcat) -> bool:
     return bool(w.mask >> i & 1) and not cat.ext_out[i] & w.mask
 
 
-def mark_relative_projectives(cat: RepCategory, terms,
-                              within: WideSubcat | None = None) -> ExcSequence:
+def mark_relative_projectives(cat: RepCategory, terms) -> ExcSequence:
     """Flag each term that is projective in the perpendicular of its later terms."""
-    scope = within if within is not None else ambient(cat)
     terms = tuple(cat.check_root(t) for t in terms)
     if not is_exceptional_sequence(cat, terms):
         raise InputError("terms do not form an exceptional sequence")
-    flags = [False] * len(terms)
-    cur = scope
+    flags, cur = [False] * len(terms), ambient(cat)
     for j in reversed(range(len(terms))):
         if not cur.mask >> cat.root_id[terms[j]] & 1:
             raise InputError(f"term {terms[j]} escapes the scope of its later terms")
         flags[j] = is_relatively_projective(cat, terms[j], cur)
         cur = perp(cat, (terms[j],), cur)
-    if len(terms) == scope.rank and terms and not flags[0]:
+    if len(terms) == cat.n and terms and not flags[0]:
         raise InternalConsistencyError(
             f"{cat.quiver.diagram.type_tag}: first term of a complete sequence "
             "must be relatively projective")
     return ExcSequence(terms, tuple(flags))
 
 
-def marked_exc_sequences(cat: RepCategory,
-                         within: WideSubcat | None = None) -> tuple[ExcSequence, ...]:
-    """All complete exceptional sequences of the scope, deterministically
-    ordered, each flagged as `mark_relative_projectives` would flag it.
+def marked_exc_sequences(cat: RepCategory) -> tuple[ExcSequence, ...]:
+    """All complete exceptional sequences, deterministically ordered, each
+    flagged as `mark_relative_projectives` would flag it.
 
     A term is picked from the perpendicular of its later terms, which is the
     subcategory its flag is decided in.  The (terms, flags) of each visited
     subcategory are memoised by mask for this call only.
     """
-    scope = within if within is not None else ambient(cat)
     tag = cat.quiver.diagram.type_tag
     memo: dict[int, tuple] = {}
 
@@ -201,13 +196,12 @@ def marked_exc_sequences(cat: RepCategory,
         memo[mask] = result
         return result
 
-    return tuple(ExcSequence(terms, flags) for terms, flags in sequences(scope))
+    return tuple(ExcSequence(terms, flags) for terms, flags in sequences(ambient(cat)))
 
 
-def complete_exc_sequences(cat: RepCategory,
-                           within: WideSubcat | None = None) -> tuple[tuple[Root, ...], ...]:
-    """All complete exceptional sequences of the scope, deterministically ordered."""
-    return tuple(s.terms for s in marked_exc_sequences(cat, within))
+def complete_exc_sequences(cat: RepCategory) -> tuple[tuple[Root, ...], ...]:
+    """All complete exceptional sequences, deterministically ordered."""
+    return tuple(s.terms for s in marked_exc_sequences(cat))
 
 
 def rel_proj_poly_enumerated(cat: RepCategory, marked=None) -> counting.IntPoly:

@@ -256,3 +256,11 @@ def test_a_dropped_category_and_its_memo_are_freed():
     del cat
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("tag", ["E7", "E8"])
+def test_projectives_round_trip_at_rank_7_and_8(tag):
+    cat = category(tag)
+    for m in range(1, 7):
+        tup = tuple(O(p, m) for p in cat.projective_roots)
+        assert sequence_to_tuple(cat, m, tuple_to_sequence(cat, m, tup)) == tup

@@ -1,4 +1,6 @@
 
+from itertools import permutations
+
 import pytest
 
 from excseq import InputError, InternalConsistencyError, category, configs, verify
@@ -15,6 +17,7 @@ from excseq.bijection import is_m_exc_sequence, m_exc_sequences, transport
 from excseq.repengine import RepCategory
 from excseq.shiftcat import (ShiftedObject, canonical_cluster, compatible, decode, encode,
                              enumerate_clusters, is_valid_object, shifted_objects)
+from excseq.wide import is_exceptional_sequence
 
 import oracle
 from conftest import P1, S1, S2
@@ -110,6 +113,20 @@ def test_configuration_order_independence(tag, m):
         configs = {frozenset(garside_configuration(cat, m, o))
                    for o in all_valid_orders(cat, m, cluster)}
         assert len(configs) == 1
+
+
+@pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1)])
+def test_valid_orders_are_the_exceptional_permutations(tag, m):
+    # the orders of a cluster whose reversal is exceptional, in the order of
+    # `permutations` of the sorted cluster; `order_cluster` takes the one with
+    # the smallest (-level, root) keys, read left to right
+    cat = category(tag)
+    for cluster in enumerate_clusters(cat, m):
+        want = [p for p in permutations(sorted(cluster))
+                if is_exceptional_sequence(cat, [o.root for o in reversed(p)])]
+        assert all_valid_orders(cat, m, cluster) == want
+        assert order_cluster(cat, m, cluster) == min(
+            want, key=lambda p: [(-o.level, o.root) for o in p])
 
 
 def test_horizontal_subcat_whole(a2):

@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from excseq import (InputError, build_diagram, category, fomin_reading_count, m_sequence_poly,
-                    tuple_to_sequence)
+from excseq import (InputError, build_diagram, build_quiver, category, fomin_reading_count,
+                    m_sequence_poly, tuple_to_sequence)
+from excseq.bijection import is_m_exc_sequence
 from excseq.configs import cluster_table
+from excseq.repengine import RepCategory
 from excseq.verify import verify_all
-from excseq.shiftcat import (ShiftedObject, check_object, compatible, enumerate_clusters,
-                             ordered_tuples, shifted_objects)
+from excseq.shiftcat import (ShiftedObject, check_object, compat_rows, compatible, decode,
+                             enumerate_clusters, ordered_tuples, shifted_objects)
 from excseq.wide import ambient, perp, relative_projectives
 
-from conftest import P1, S1, S2
+from conftest import P1, S1, S2, orientations, tags_up_to_rank
 
 
 def test_objects_a2_m1(a2):
@@ -49,6 +51,17 @@ def test_check_object_refuses_non_integral_levels(a2):
             check_object(a2, None, 1, ShiftedObject(S1, level))
     obj = check_object(a2, None, 1, ShiftedObject(S1, Fraction(0)))
     assert obj == ShiftedObject(S1, 0) and type(obj.level) is int
+
+
+@pytest.mark.parametrize("call", [
+    lambda a2: tuple_to_sequence(a2, 1, [((1, 1), True)]),
+    lambda a2: check_object(a2, None, 1, ShiftedObject(S1, True)),
+    lambda a2: is_m_exc_sequence(a2, 1, [(S1, True)]),
+], ids=["tuple_to_sequence", "check_object", "is_m_exc_sequence"])
+def test_a_bool_level_is_refused(a2, call):
+    # True == 1, so it used to pass as level 1
+    with pytest.raises(InputError, match="^level True is not an integer$"):
+        call(a2)
 
 
 def test_compatibility_cases(a2):
@@ -116,3 +129,26 @@ def test_shift_parameter_is_parsed_strictly(a2, call, m):
     message = f"^shift parameter m {re.escape(repr(m))} is not an integer$"
     with pytest.raises(InputError, match=message):
         call(a2, m)
+
+
+def rows_by_compatible(cat, m):
+    """The rows of `compat_rows`, built pair by pair from `compatible`."""
+    objects = decode(cat, range((m + 1) * len(cat.roots)))
+    return [sum(1 << y for y, b in enumerate(objects) if compatible(cat, a, b))
+            for a in objects]
+
+
+@pytest.mark.parametrize("tag,arrows", [
+    pytest.param(tag, arrows, id="-".join([tag] + [f"{u}>{v}" for u, v in arrows or ()]))
+    for tag, arrows in [(tag, None) for tag in tags_up_to_rank(6)]
+    + [(tag, arrows) for tag in tags_up_to_rank(4) for arrows in orientations(tag)]])
+def test_compat_rows_match_compatible(tag, arrows):
+    cat = RepCategory(build_quiver(build_diagram(tag), arrows))
+    for m in range(4):
+        assert compat_rows(cat, m) == rows_by_compatible(cat, m)
+
+
+@pytest.mark.parametrize("tag", ["E7", "E8"])
+def test_compat_rows_match_compatible_at_rank_7_and_8(tag):
+    cat = category(tag)
+    assert compat_rows(cat, 1) == rows_by_compatible(cat, 1)

@@ -1,9 +1,12 @@
+import re
+from fractions import Fraction
+
 import pytest
 
-from excseq import category, cli, verify
+from excseq import InputError, category, cli, verify
 from excseq.bijection import _build_table
 from excseq.cli import main
-from excseq.configs import cluster_table, mutation_moves
+from excseq.configs import cluster_table, horizontal_subcat, mutation_moves
 from excseq.dynkin import build_diagram, build_quiver
 from excseq.repengine import RepCategory
 from excseq.shiftcat import ShiftedObject, encode
@@ -132,3 +135,21 @@ def test_verify_all_prints_the_four_suites(capsys, tag, m):
         outputs[suite] = capsys.readouterr().out.splitlines()
     assert outputs.pop("all") == [line for lines in outputs.values() for line in lines[:-1]] + [
         f"PASS  all suites for {tag}, m={m}"]
+
+
+def test_the_suites_read_an_integral_m_as_its_int():
+    a2 = category("A2")
+    assert verify_all(a2, Fraction(1)).lines() == verify_all(a2, 1).lines()
+    for suite in (verify_bijection, verify_duality, verify_mutation):
+        assert suite(a2, 1.0).lines() == suite(a2, 1).lines()
+
+
+@pytest.mark.parametrize("m", [1.5, "1", None])
+@pytest.mark.parametrize("call", [
+    verify_bijection, verify_duality, verify_mutation, verify_all,
+    lambda a2, m: horizontal_subcat(a2, m, [((0, 1), 1), ((1, 1), 0)], 0),
+], ids=["bijection", "duality", "mutation", "all", "horizontal_subcat"])
+def test_the_suites_parse_m(call, m):
+    message = f"^shift parameter m {re.escape(repr(m))} is not an integer$"
+    with pytest.raises(InputError, match=message):
+        call(category("A2"), m)
