@@ -23,21 +23,23 @@ tuples and shifted exceptional sequences, compatible with deletion of the
 first entry.
 
 A table maps object ids (`shiftcat.encode`) to ids; both routes read each pair's
-move, case and parities off its `wide.PairRecord`.  The public functions validate
-and encode their arguments once; the maps behind them, which the bijection suite
-calls directly, trust their id tuples and only index tables.
+move, case and parities off its `wide.PairRecord`, which one loop reads once per
+entry.  The public functions validate and encode their arguments once; the maps
+behind them (`_to_sequences`, `_to_tuples`), which the bijection suite hands a
+whole round, trust their id tuples, map each on its own and only index tables.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InputError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_length, check_object,
+from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_length, check_m, check_object,
                        check_objects, check_pair, compat_rows, decode, encode, is_valid_object,
                        object_mask)
-from .wide import PairCase, WideSubcat, _pair_record, ambient, perp
+from .wide import PairCase, PairRecord, WideSubcat, _pair_record, _perp_of, ambient, perp
 
 
 class _TransportTable(NamedTuple):
@@ -46,29 +48,17 @@ class _TransportTable(NamedTuple):
     inverse: dict[int, int]
 
 
-def _place(cat: RepCategory, m: int, t: int, x: int, inverse: bool) -> int:
-    """The braid move of object x over object t (back over it if inverse) at the unique
+def _place(cat: RepCategory, m: int, x: int, t: int, pair: PairRecord, inverse: bool) -> int:
+    """pair's braid move of object x over object t (back over it if inverse) at the unique
     level l in {j, j -+ 1} within 0..m with (-1)^j dim x = (-1)^l dim move mod dim T."""
     n = len(cat.roots)
-    j, pair = x // n, _pair_record(cat, x % n, t % n, inverse)
+    j = x // n
     levels = [lv for lv, ok in ((j, pair.same), (j + (1 if inverse else -1), pair.flip))
               if ok and 0 <= lv <= m]
     if len(levels) != 1:
         raise _inconsistent(cat, m, "placement of {} over {} found levels {}".format(
             *decode(cat, (x, t)), levels))
     return levels[0] * n + pair.z
-
-
-def _chart(cat: RepCategory, m: int, t: int, x: int) -> int:
-    n = len(cat.roots)
-    (k, ti), (j, xi) = divmod(t, n), divmod(x, n)
-    if j < k or j == k and not cat.ext_out[xi] >> ti & 1:
-        if j == k == m and _pair_record(cat, xi, ti, False).case is PairCase.EPI:
-            raise _inconsistent(cat, m, "epi onto a relative projective at top level: "
-                                "{} over {}".format(*decode(cat, (x, t))))
-        return x
-    pair = _pair_record(cat, xi, ti, False)
-    return (j - 1 if j > k and pair.case is PairCase.MONO else j) * n + pair.z
 
 
 def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
@@ -81,21 +71,37 @@ def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
 
 
 def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _TransportTable:
-    """The checked table of id t in the scope, for callers that found none in `cat.transports`."""
-    n = len(cat.roots)
-    t_perp = perp(cat, (cat.roots[t % n],), scope)
+    """The checked table of id t in the scope, for callers that found none in `cat.transports`.
+    Each entry reads its pair's forward record once, for both routes, and the record of
+    its image's inverse move once, for the inverse placement."""
+    n, records, ext_out = len(cat.roots), cat.pair_mutations, cat.ext_out
+    k, ti = divmod(t, n)
+    t_perp = _perp_of(cat, 1 << ti, scope, True)
     codomain = object_mask(cat, scope, m) & compat_rows(cat, m)[t]
     forward, inverse = {}, {}
     for x in _ids(object_mask(cat, t_perp, m)):
-        chart = _chart(cat, m, t, x)
-        cong = x if codomain >> x & 1 else _place(cat, m, t, x, False)
+        j, xi = divmod(x, n)
+        # chart route: x stays below level k, and at level k unless it has extensions into T
+        stays, fixed = j < k or j == k and not ext_out[xi] >> ti & 1, codomain >> x & 1
+        pair = (None if stays and fixed and not j == k == m
+                else records.get((xi, ti, False)) or _pair_record(cat, xi, ti, False))
+        if not stays:
+            chart = (j - 1 if j > k and pair.case is PairCase.MONO else j) * n + pair.z
+        elif j == k == m and pair.case is PairCase.EPI:
+            raise _inconsistent(cat, m, "epi onto a relative projective at top level: "
+                                "{} over {}".format(*decode(cat, (x, t))))
+        else:
+            chart = x
+        cong = x if fixed else _place(cat, m, x, t, pair, False)
         if chart != cong:
             raise _inconsistent(cat, m, "chart answer {} disagrees with congruence answer {} "
                                 "for {} over {}".format(*decode(cat, (chart, cong, x, t))))
         if not codomain >> chart & 1:
             raise _inconsistent(cat, m, "transport output {} not compatible with {}".format(
                 *decode(cat, (chart, t))))
-        back = chart if t_perp.mask >> chart % n & 1 else _place(cat, m, t, chart, True)
+        yi = chart % n
+        back = chart if t_perp.mask >> yi & 1 else _place(
+            cat, m, chart, t, records.get((yi, ti, True)) or _pair_record(cat, yi, ti, True), True)
         if back != x:
             raise _inconsistent(cat, m, "inverse placement of {} over {} gives {}, not {}".format(
                 *decode(cat, (chart, t, back, x))))
@@ -135,9 +141,9 @@ def tuple_to_sequence(cat: RepCategory, m: int, tup,
                       scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
     """Ordered compatible tuple -> shifted exceptional sequence of equal length.
 
-    The tuple is validated once (`check_objects`); `_tuple_to_sequence` then trusts it."""
-    scope = scope if scope is not None else ambient(cat)
-    return decode(cat, _tuple_to_sequence(cat, m, check_objects(cat, scope, m, tup), scope))
+    The tuple is validated once (`check_objects`); `_to_sequences` then trusts it."""
+    m, scope = check_m(m), scope if scope is not None else ambient(cat)
+    return decode(cat, next(_to_sequences(cat, m, [check_objects(cat, scope, m, tup)], scope)))
 
 
 def sequence_to_tuple(cat: RepCategory, m: int, terms,
@@ -145,47 +151,54 @@ def sequence_to_tuple(cat: RepCategory, m: int, terms,
     """Shifted exceptional sequence -> ordered compatible tuple (inverse map).
 
     The terms are validated once (`is_m_exc_sequence`, which parses each as a
-    (root, level) pair); `_sequence_to_tuple` then trusts them."""
-    scope = scope if scope is not None else ambient(cat)
+    (root, level) pair); `_to_tuples` then trusts them."""
+    m, scope = check_m(m), scope if scope is not None else ambient(cat)
     terms = tuple(terms)
     if not is_m_exc_sequence(cat, m, terms, scope):
         raise InputError("terms do not form a shifted exceptional sequence")
-    return decode(cat, _sequence_to_tuple(cat, m, encode(cat, terms), scope))
+    return decode(cat, next(_to_tuples(cat, m, [encode(cat, terms)], scope)))
 
 
-def _tuple_to_sequence(cat: RepCategory, m: int, tup: tuple[int, ...],
-                       scope: WideSubcat) -> tuple[int, ...]:
-    """`tuple_to_sequence` on the ids of a valid compatible tuple of the scope,
-    unchecked: pull the others back over the last entry, and go on in its perp."""
-    get, tail = cat.transports.get, ()
+def _to_sequences(cat: RepCategory, m: int, tuples, scope: WideSubcat):
+    """`tuple_to_sequence` on the ids of valid compatible tuples of the scope, unchecked,
+    yielded in turn.  Each tuple is mapped on its own: pull the others back over the last
+    entry, and go on in its perp, one table step at a time."""
+    get = cat.transports.get
     try:
-        while len(tup) > 1:
-            t = tup[-1]
-            table = get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
-            tup, scope = tuple(map(table.inverse.__getitem__, tup[:-1])), table.perp
-            tail = (t, *tail)
+        for tup in tuples:
+            cur, tail = scope, ()
+            while len(tup) > 1:
+                t = tup[-1]
+                table = get((m, t, cur.mask)) or _build_table(cat, m, t, cur)
+                tup, cur = (itemgetter(*tup[:-1])(table.inverse) if len(tup) > 2
+                            else (table.inverse[tup[0]],)), table.perp
+                tail = (t, *tail)
+            yield tup + tail
     except KeyError as exc:  # validated input never gets here
         raise _inconsistent(cat, m, "{} is outside the transport table of {}".format(
             *decode(cat, (exc.args[0], t)))) from None
-    return tup + tail
 
 
-def _sequence_to_tuple(cat: RepCategory, m: int, terms: tuple[int, ...],
-                       scope: WideSubcat) -> tuple[int, ...]:
-    """`sequence_to_tuple` on the ids of a shifted exceptional sequence of the scope,
-    unchecked: carry the first term over the second, that over the third..."""
-    get, tables = cat.transports.get, []
-    for t in reversed(terms[1:]):
-        tables.append(get((m, t, scope.mask)) or _build_table(cat, m, t, scope))
-        scope = tables[-1].perp
-    tup = terms[:1]
-    try:
-        for t, table in zip(terms[1:], reversed(tables)):
-            tup = (*map(table.forward.__getitem__, tup), t)
-    except KeyError as exc:
-        raise _inconsistent(cat, m, "{} is outside the transport table of {}".format(
-            *decode(cat, (exc.args[0], t)))) from None
-    return tup
+def _to_tuples(cat: RepCategory, m: int, sequences, scope: WideSubcat):
+    """`sequence_to_tuple` on the ids of shifted exceptional sequences of the scope,
+    unchecked, yielded in turn.  Each sequence is mapped on its own: carry the first term
+    over the second, that over the third..."""
+    get = cat.transports.get
+    for terms in sequences:
+        images, cur = [], scope  # the forward maps of the terms after the first, last first
+        for t in terms[:0:-1]:
+            table = get((m, t, cur.mask)) or _build_table(cat, m, t, cur)
+            images.append(table.forward)
+            cur = table.perp
+        tup = terms[:1]
+        try:
+            for t in terms[1:]:
+                image = images.pop()
+                tup = itemgetter(*tup)(image) + (t,) if len(tup) > 1 else (image[tup[0]], t)
+        except KeyError as exc:
+            raise _inconsistent(cat, m, "{} is outside the transport table of {}".format(
+                *decode(cat, (exc.args[0], t)))) from None
+        yield tup
 
 
 def is_m_exc_sequence(cat: RepCategory, m: int, terms,
@@ -213,7 +226,7 @@ def _sequences(cat: RepCategory, m: int, k: int, scope: WideSubcat,
     if (scope.mask, k) not in memo:
         n, objects, seqs = len(cat.roots), object_mask(cat, scope, m), []
         for i in _ids(scope.mask):
-            prefixes = _sequences(cat, m, k - 1, perp(cat, (cat.roots[i],), scope), memo)
+            prefixes = _sequences(cat, m, k - 1, _perp_of(cat, 1 << i, scope, True), memo)
             seqs += [s + (u,) for u in range(i, objects.bit_length(), n) if objects >> u & 1
                      for s in prefixes]
         memo[scope.mask, k] = seqs

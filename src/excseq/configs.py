@@ -2,9 +2,10 @@
 
 An ordered cluster (T_1[k_1], ..., T_n[k_n]) is one whose reversal is a
 complete exceptional sequence, found by one search (`_orders`) over the Hom/Ext
-constraints (`_ordering_constraints`).  The Garside braid move shuffles each entry
-over all later entries and yields the dual configuration, component j paired
-with tuple entry j.  Tropical duality is the exact matrix identity
+constraints (`_ordering_constraints`); validating a configuration peels free
+positions off the same constraints to see that an order exists.  The Garside
+braid move shuffles each entry over all later entries and yields the dual
+configuration, component j paired with tuple entry j.  Tropical duality is the exact matrix identity
 V^t E C = D, where V holds the signed dimension vectors (-1)^(m-k) dim T of
 the cluster, C the c-vectors of the configuration, D the diagonal of
 endomorphism dimensions (the identity over a quiver) and E the Euler
@@ -17,9 +18,11 @@ Each vector is a root signed by the parity of its level, so each pairing is
 a sign times an entry of `RepCategory.pairings`, and each slope-vector update
 a signed root kept in `RepCategory.pair_mutations`.  The kernels `_check_frame`,
 `_mutate`, `_recover` and `_validate` run on object ids (`shiftcat.encode`),
-trust their input and check their results.  Each public function parses its
-objects once (`encode`, `check_objects`), so each vector is a sign times a checked
-root.  `mutate` and `mutation_moves` (on a `cluster_table` entry's ids) move by `_move`.
+trust their input and check their results, as do `_frame` and `_horizontal`, which
+the duality suite calls on the cluster table's ids.  Each public function parses m
+(`check_m`) and its objects once (`encode`, `check_objects`), so each vector is a
+sign times a checked root.  `mutate` and `mutation_moves` (on a `cluster_table`
+entry's ids) move by `_move`.
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .bijection import _tuple_to_sequence
+from .bijection import _to_sequences
 from .dynkin import Root, root_str
 from .errors import InputError, VerificationError
 from .repengine import RepCategory
 from .counting import check_level, check_shift
-from .shiftcat import (ShiftedObject, _inconsistent, check_objects, check_pair, compat_rows,
-                       decode, encode, enumerate_clusters)
-from .wide import WideSubcat, ambient, is_exceptional_sequence, left_perp, perp
+from .shiftcat import (ShiftedObject, _inconsistent, check_m, check_objects, check_pair,
+                       compat_rows, decode, encode, enumerate_clusters)
+from .wide import WideSubcat, _perp_of, ambient
 
 
 class SlopeVector(NamedTuple):
@@ -88,14 +91,18 @@ def order_cluster(cat: RepCategory, m: int, objects) -> tuple[ShiftedObject, ...
     Canonical choice: among currently available entries take highest level
     first, then lexicographically smallest root.
     """
+    m = check_m(m)
     return decode(cat, _order(cat, m, check_objects(cat, None, m, objects)))
 
 
 def _order(cat: RepCategory, m: int, ids: tuple[int, ...]) -> tuple[int, ...]:
     """`order_cluster` on the ids of a checked cluster."""
-    n = len(cat.roots)
+    n, pairings = len(cat.roots), cat.pairings
     for order in _orders(_ordering_constraints(cat, ids), lambda i: (-(ids[i] // n), ids[i])):
-        if not is_exceptional_sequence(cat, [cat.roots[ids[i] % n] for i in reversed(order)]):
+        # on the pairings, not the masks the order was found on: no Hom or Ext from a term
+        # of the reversal to an earlier one
+        terms = [ids[i] % n for i in reversed(order)]
+        if any(pairings[b][a] for j, b in enumerate(terms) for a in terms[:j]):
             raise _inconsistent(cat, m, "ordering failed to produce an exceptional sequence")
         return tuple(ids[i] for i in order)  # the first order, by (-level, root)
     raise _inconsistent(cat, m, "no exceptional ordering of the cluster exists")
@@ -105,6 +112,7 @@ def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObj
     """Every ordering of the cluster whose reversal is an exceptional sequence.
     Kept for the duality suite's check that the configuration does not depend
     on the chosen order."""
+    m = check_m(m)
     objects = sorted(decode(cat, check_objects(cat, None, m, objects)))
     return [tuple(objects[i] for i in order)
             for order in _orders(_ordering_constraints(cat, encode(cat, objects)))]
@@ -117,13 +125,13 @@ def garside_configuration(cat: RepCategory, m: int, ordered) -> tuple[ShiftedObj
     this is `tuple_to_sequence`, whose tables check every move both ways.  A
     complete cluster whose reversal is exceptional is validated as a configuration.
     """
-    return decode(cat, _garside(cat, m, ordered, ambient(cat))[1])
+    return decode(cat, _garside(cat, check_m(m), ordered, ambient(cat))[1])
 
 
 def _garside(cat: RepCategory, m: int, ordered, scope: WideSubcat):
     """The ids of ordered, checked by `check_objects`, and of its Garside configuration."""
     ids = check_objects(cat, scope, m, ordered)
-    comps = _tuple_to_sequence(cat, m, ids, scope)
+    comps = next(_to_sequences(cat, m, [ids], scope))
     # only a properly ordered cluster reads as a configuration: no entry needs a later one first
     if len(ids) == scope.rank and not any(
             need >> i for i, need in enumerate(_ordering_constraints(cat, ids))):
@@ -134,7 +142,7 @@ def _garside(cat: RepCategory, m: int, ordered, scope: WideSubcat):
 def validate_configuration(cat: RepCategory, m: int, comps,
                            rank: int | None = None) -> None:
     """Check the defining conditions of a dual configuration."""
-    comps = tuple(comps)
+    m, comps = check_m(m), tuple(comps)
     if rank is not None and len(comps) != rank:
         raise VerificationError(f"expected {rank} components, got {len(comps)}")
     _validate(cat, m, encode(cat, comps))
@@ -142,24 +150,36 @@ def validate_configuration(cat: RepCategory, m: int, comps,
 
 def _validate(cat: RepCategory, m: int, comps: tuple[int, ...], ordered=()) -> None:
     """`validate_configuration` on ids; given the ordered cluster, also the Garside slope rule."""
-    n = len(cat.roots)
+    n, right_nz, ext_out = len(cat.roots), cat.right_nz, cat.ext_out
     if len(set(comps)) != len(comps):
         raise VerificationError("components are not pairwise distinct")
     for c in comps:
         if not 0 <= c // n <= m:
             raise VerificationError(f"component level out of range: {decode(cat, (c,))[0]}")
-    # a nonzero Hom from a component must go to a lower level, a nonzero Ext to one not higher
-    after = _ordering_constraints(cat, comps)
-    for a, need in zip(comps, after):
-        ext_out, level = cat.ext_out[a % n], a // n
-        for j, b in enumerate(comps):
-            if need >> j & 1:
-                ext = ext_out >> b % n & 1
-                if b // n >= level + ext:
+    # a nonzero Hom from a component must go to a lower level, a nonzero Ext to one not
+    # higher; bit j of after[i] is set when component j must precede component i
+    split, after = [divmod(c, n) for c in comps], []
+    for a, (level, r) in zip(comps, split):
+        nonzero, ext, need, bit = right_nz[r], ext_out[r], 0, 1
+        for b, (b_level, b_r) in zip(comps, split):
+            if nonzero >> b_r & 1 and b != a:
+                need |= bit
+                if b_level >= level + (ext >> b_r & 1):
                     raise VerificationError("forbidden {} {} -> {}".format(
-                        "extension" if ext else "morphism", *decode(cat, (a, b))))
-    if next(_orders(after), None) is None:
-        raise VerificationError("components admit no exceptional ordering")
+                        "extension" if ext >> b_r & 1 else "morphism", *decode(cat, (a, b))))
+            bit <<= 1
+        after.append(need)
+    # an order exists iff peeling off the positions with nothing left to precede them empties all
+    placed, everything = 0, (1 << len(comps)) - 1
+    while placed != everything:
+        free, bit = placed, 1
+        for need in after:
+            if not need & ~placed:
+                free |= bit
+            bit <<= 1
+        if free == placed:
+            raise VerificationError("components admit no exceptional ordering")
+        placed = free
     for t, c in zip(ordered, comps):
         if c // n - t // n not in (0, 1):
             raise _inconsistent(cat, m, "component slope of {1} strays from its cluster "
@@ -175,12 +195,21 @@ class DualityFrame(NamedTuple):
 
 def duality_frame(cat: RepCategory, m: int, ordered, comps) -> DualityFrame:
     """Build and verify the exact duality frame V^t E C = D for a dual pair."""
-    ids, comp_ids = _dual_pair(cat, ordered, comps)
-    ordered, comps = decode(cat, ids), decode(cat, comp_ids)
-    v_cols = tuple(signed_dim(m, o) for o in ordered)
-    c_cols = tuple(c_vector(sv) for sv in slope_vectors(m, comps))
-    d_diag = tuple(cat.hom(o.root, o.root) for o in ordered)  # all 1 over the rationals
-    _check_frame(cat, m, ids, comp_ids)
+    return _frame(cat, check_shift(m), *_dual_pair(cat, ordered, comps))
+
+
+def _frame(cat: RepCategory, m: int, ordered: tuple[int, ...],
+           comps: tuple[int, ...]) -> DualityFrame:
+    """`duality_frame` on the ids of a dual pair: a column is its root signed by
+    (-1)^(m - level), which for a component is (-1)^slope."""
+    n, roots = len(cat.roots), cat.roots
+
+    def signed(x: int) -> tuple[int, ...]:
+        return tuple([-a for a in roots[x % n]]) if (m - x // n) & 1 else roots[x % n]
+
+    v_cols, c_cols = tuple(map(signed, ordered)), tuple(map(signed, comps))
+    d_diag = tuple(max(cat.pairings[o % n][o % n], 0) for o in ordered)  # dim End: 1 for a root
+    _check_frame(cat, m, ordered, comps)
     return DualityFrame(v_cols, c_cols, d_diag, cat.E)
 
 
@@ -198,7 +227,7 @@ def _check_frame(cat: RepCategory, m: int, ordered, comps) -> None:
     for i, o in enumerate(ordered):
         row, level = cat.pairings[o % n], o // n
         for j, c in enumerate(comps):
-            value = -row[c % n] if (level + c // n) % 2 else row[c % n]
+            value = -row[c % n] if (level ^ c // n) & 1 else row[c % n]
             want = row[o % n] if i == j else 0
             if value != want:
                 raise VerificationError(
@@ -231,12 +260,6 @@ class HorizontalSubcat(NamedTuple):
     rank: int
 
 
-def _selected_at(m: int, comps, s: int) -> tuple[tuple[Root, int], ...]:
-    sel = [(c.root, +1) for c in comps if m - c.level == s]
-    sel += [(c.root, -1) for c in comps if m - c.level == s + 1]
-    return tuple(sel)
-
-
 def horizontal_subcat(cat: RepCategory, m: int, comps, s: int) -> HorizontalSubcat:
     """Wide subcategory spanned by the components of slopes s and s+1.
 
@@ -246,29 +269,35 @@ def horizontal_subcat(cat: RepCategory, m: int, comps, s: int) -> HorizontalSubc
     m = check_shift(m)
     if not 0 <= check_level(s, "slope index") <= m - 1:
         raise InputError(f"slope index {s} out of range for m={m}")
-    s = int(s)
-    comps = decode(cat, encode(cat, comps))  # strict roots and levels
-    sel = _selected_at(m, comps, s)
+    return _horizontal(cat, m, encode(cat, comps), int(s))  # strict roots and levels
+
+
+def _horizontal(cat: RepCategory, m: int, comps: tuple[int, ...], s: int) -> HorizontalSubcat:
+    """`horizontal_subcat` on the ids of components.  Window w holds the components of
+    slopes w and w+1; the span is checked against the right perpendiculars of the windows
+    above s+1 and the left perpendiculars of those below s-1, including the one-sided
+    windows at -1 and m."""
+    n, amb = len(cat.roots), ambient(cat)
+    sel = [(x % n, +1) for x in comps if m - x // n == s]
+    sel += [(x % n, -1) for x in comps if m - x // n == s + 1]
     if not sel:
         return HorizontalSubcat(s, (), (), 0)
-    mods = [root for root, _ in sel]
-    span = left_perp(cat, perp(cat, mods).objects)
+    right = _perp_of(cat, sum({1 << i for i, _ in sel}), amb, True).mask
+    span = _perp_of(cat, right, amb, False) if right else amb
     if span.rank != len(sel):
         raise VerificationError(
             f"horizontal subcategory at slope {s} has rank {span.rank}, expected {len(sel)}")
-    # intersection formula against every other slope window, including the
-    # one-sided windows at -1 and m
-    rhs = ambient(cat).mask
-    for t in range(s + 2, m + 1):
-        for root, _ in _selected_at(m, comps, t):
-            rhs &= ~cat.right_nz[cat.root_id[root]]
-    for r in range(-1, s - 1):
-        for root, _ in _selected_at(m, comps, r):
-            rhs &= ~cat.left_nz[cat.root_id[root]]
+    rhs, slopes = amb.mask, [m - x // n for x in comps]
+    for windows, nonzero in ((range(s + 2, m + 1), cat.right_nz), (range(-1, s - 1), cat.left_nz)):
+        for w in windows:
+            for x, slope in zip(comps, slopes):
+                if slope in (w, w + 1):
+                    rhs &= ~nonzero[x % n]
     if rhs != span.mask:
         raise VerificationError(
             f"horizontal subcategory at slope {s} fails the intersection identity")
-    return HorizontalSubcat(s, sel, span.objects, span.rank)
+    return HorizontalSubcat(s, tuple((cat.roots[i], sign) for i, sign in sel), span.objects,
+                            span.rank)
 
 
 def exchange_matrix(cat: RepCategory, m: int, comps) -> tuple[tuple[int, ...], ...]:
@@ -316,7 +345,7 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
                          direction: str) -> tuple[ShiftedObject, ...]:
     """Mutate the configuration at position k, raising (+) or lowering (-)
     the slope of its slope vector by one and updating the coupled entries."""
-    comps = encode(cat, comps)
+    m, comps = check_shift(m), encode(cat, comps)
     _check_move(cat, m, comps, k, direction)
     result = _mutate(cat, m, comps, k, direction)
     _validate(cat, m, result)
@@ -330,26 +359,28 @@ def _mutate(cat: RepCategory, m: int, comps: tuple[int, ...], k: int,
     (root id j, root id k, sign of c_j, sign of c_k), once it is found to be a signed root."""
     n, ck, p, updates = len(cat.roots), comps[k], cat.pairings, cat.pair_mutations
     kr, kl = ck % n, ck // n
-    slopes = [m - c // n for c in comps]
-    s = slopes[k] if direction == "+" else slopes[k] - 1
+    s = m - kl if direction == "+" else m - kl - 1
+    sign_k = -1 if (m - kl) & 1 else 1  # c_j = (-1)^(m - l_j) root j
     new = list(comps)
     for j, c in enumerate(comps):
-        if j == k or slopes[j] not in (s, s + 1):
-            continue
         jr, jl = c % n, c // n
+        if j == k or not s <= m - jl <= s + 1:
+            continue
         # b_kj = <c_j, c_k> - <c_k, c_j> (row k of `exchange_matrix`), signs (-1)^(l_j + l_k)
-        bkj = (p[jr][kr] - p[kr][jr]) * (-1) ** (jl + kl)
+        bkj = p[jr][kr] - p[kr][jr]
+        if (jl ^ kl) & 1:
+            bkj = -bkj
         if bkj <= 0 if direction == "+" else bkj >= 0:
             continue
         # j and k are both window columns, so the update keeps the window's span
-        key = (jr, kr, (-1) ** (m - jl), (-1) ** (m - kl))  # c_j = (-1)^(m - l_j) root j
+        key = (jr, kr, -1 if (m - jl) & 1 else 1, sign_k)
         if key not in updates:
-            updates[key] = _signed_root(cat, m, [key[2] * a + abs(bkj) * key[3] * b
+            updates[key] = _signed_root(cat, m, [key[2] * a + abs(bkj) * sign_k * b
                                                  for a, b in zip(cat.roots[jr], cat.roots[kr])])
         root, eps = updates[key]
-        # place at the slope in {s, s+1} whose sign (-1)^slope matches the
-        # updated vector; s and s+1 differ in parity, so exactly one does
-        new[j] = (m - (s if (-1) ** s == eps else s + 1)) * n + root
+        # place at the slope in {s, s+1} whose parity is the updated vector's sign;
+        # s and s+1 differ in parity, so exactly one does
+        new[j] = (m - (s if s & 1 == (eps < 0) else s + 1)) * n + root
     new[k] = ck + (-n if direction == "+" else n)
     return tuple(new)
 
@@ -363,7 +394,7 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     f_j are 1 over a quiver), with self-coefficient G_kk = -f_k.  The frame
     V^t E C = D of the result, checked by `_check_frame`, proves it.
     """
-    ids, new_comps = _dual_pair(cat, ordered, new_comps)
+    m, (ids, new_comps) = check_shift(m), _dual_pair(cat, ordered, new_comps)
     _check_position(k, len(ids))
     for x in ids:
         if not 0 <= x < (m + 1) * len(cat.roots):
@@ -377,14 +408,19 @@ def _recover(cat: RepCategory, m: int, ordered: tuple[int, ...], new_comps: tupl
              k: int) -> tuple[int, ...]:
     """`recover_cluster` on the ids of checked input, short of the frame check."""
     n, x = len(cat.roots), ordered[k]
-    row = [cat.pairings[x % n][c % n] * (-1) ** (x // n + c // n) for c in new_comps]
-    if row[k] != -cat.pairings[x % n][x % n]:
+    xl, pairs = x // n, cat.pairings[x % n]
+    # row k of G, signed by (-1)^(l_x + l_c)
+    row = [-pairs[c % n] if (xl ^ c // n) & 1 else pairs[c % n] for c in new_comps]
+    if row[k] != -pairs[x % n]:
         raise _inconsistent(cat, m, "self-coefficient of the exchanged entry is not -1")
-    v_old = [[(-1) ** (m - o // n) * a for a in cat.roots[o % n]] for o in ordered]
-    vec = [sum(g * v[i] for g, v in zip(row, v_old)) for i in range(cat.n)]
+    vec = [0] * cat.n
+    for g, o in zip(row, ordered):  # plus g times the old signed column (-1)^(m - l_o) root o
+        if g:
+            g = -g if (m - o // n) & 1 else g
+            vec = [a + g * b for a, b in zip(vec, cat.roots[o % n])]
     root, eps = _signed_root(cat, m, vec)
     slope_c = m - new_comps[k] // n
-    choices = [st for st in (slope_c, slope_c + 1) if 0 <= st <= m and (-1) ** st == eps]
+    choices = [st for st in (slope_c, slope_c + 1) if 0 <= st <= m and st & 1 == (eps < 0)]
     if len(choices) != 1:
         raise _inconsistent(cat, m, f"no slope placement for recovered entry {cat.roots[root]}")
     new = (m - choices[0]) * n + root
@@ -407,6 +443,7 @@ class MutationResult(NamedTuple):
 
 def mutate(cat: RepCategory, m: int, ordered, k: int, direction: str) -> MutationResult:
     """The move at position k of an ordered cluster, checked, made as `mutation_moves` makes it."""
+    m = check_shift(m)
     ids, comps = _garside(cat, m, ordered, ambient(cat))
     _check_move(cat, m, comps, k, direction)
     new_comps, new_ordered = _move(cat, m, ids, comps, k, direction)
@@ -439,7 +476,7 @@ def cluster_table(cat: RepCategory, m: int) -> dict:
     table, scope = {}, ambient(cat)
     for cluster in enumerate_clusters(cat, m):
         ordered = _order(cat, m, encode(cat, cluster))
-        comps = _tuple_to_sequence(cat, m, ordered, scope)
+        comps = next(_to_sequences(cat, m, [ordered], scope))
         _validate(cat, m, comps, ordered)
         table[cluster] = decode(cat, ordered), decode(cat, comps)
     return table
@@ -447,6 +484,7 @@ def cluster_table(cat: RepCategory, m: int) -> dict:
 
 def exchange_graph(cat: RepCategory, m: int):
     """Nodes: clusters in canonical order.  Edges: (i, j, k, dir) moves."""
+    m = check_m(m)
     table = cluster_table(cat, m)
     index = {encode(cat, c): i for i, c in enumerate(table)}
     edges = []

@@ -201,17 +201,11 @@ def m_sequence_poly(diagram: DynkinDiagram) -> IntPoly:
     """Polynomial in m counting complete shifted sequences: sum e_k (m+1)^k m^(n-k)."""
     f = rel_proj_poly(diagram)
     n = diagram.rank
-    acc: list[Fraction] = [Fraction(0)]
-    for k, e_k in enumerate(f.coeffs):
-        if e_k == 0:
-            continue
-        term = [Fraction(e_k)]
-        for _ in range(k):
-            term = _pmul(term, [Fraction(1), Fraction(1)])  # (m + 1)
-        for _ in range(n - k):
-            term = _pmul(term, [Fraction(0), Fraction(1)])  # m
-        acc = _padd(acc, term)
-    g = _to_int_poly(acc, "m")
+    acc = [0] * (n + 1)
+    for k, e_k in enumerate(f.coeffs):  # e_k (m+1)^k m^(n-k) has e_k C(k, j) at m^(n-k+j)
+        for j in range(k + 1):
+            acc[n - k + j] += e_k * math.comb(k, j)
+    g = IntPoly(tuple(acc), "m")
     if g(0) != math.factorial(n):
         raise InternalConsistencyError("shifted count at m=0 is not n!")
     if g(-1) != 0:
@@ -232,6 +226,8 @@ def fomin_reading_poly(diagram: DynkinDiagram) -> tuple[Fraction, ...]:
 def check_level(level, what: str = "level") -> int:
     """level as an int; integral non-int values such as Fraction(1) are
     accepted, bools and non-integral or non-numeric values refused rather than truncated."""
+    if type(level) is int:
+        return level
     try:
         j = int(level)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -58,6 +58,9 @@ class RepCategory:
         self.roots = positive_roots(quiver.diagram)
         self.root_set = frozenset(self.roots)
         self.root_id = {r: i for i, r in enumerate(self.roots)}
+        # the largest coefficient of each vertex over all roots: a connected
+        # diagram's highest root, which every root lies below
+        self.highest = tuple(map(max, zip(*self.roots)))
         self.E = euler_matrix(quiver)
         self._e_cols = tuple(zip(*self.E))
         # the table pairings[i][j] = <root i, root j>, and masks over root

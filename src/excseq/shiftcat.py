@@ -53,15 +53,27 @@ def decode(cat: RepCategory, ids) -> tuple[ShiftedObject, ...]:
     return tuple([ShiftedObject(cat.roots[x % len(cat.roots)], x // len(cat.roots)) for x in ids])
 
 
-def _ids(mask: int) -> list[int]:  # the set bits, ascending
-    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+def _ids(mask: int) -> list[int]:
+    """The set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def check_m(m) -> int:
+    """m as an int >= 0, parsed by `check_shift`."""
+    m = check_shift(m)
+    if m < 0:
+        raise InputError("shift parameter m must be >= 0")
+    return m
 
 
 def object_mask(cat: RepCategory, scope: WideSubcat | None, m: int) -> int:
     """The ids of the scope's valid objects at m, kept in `cat.compat` under (m, mask)."""
-    m = check_shift(m)
-    if m < 0:
-        raise InputError("shift parameter m must be >= 0")
+    m = check_m(m)
     scope, n = scope if scope is not None else ambient(cat), len(cat.roots)
     if (m, scope.mask) not in cat.compat:
         proj = sum(1 << cat.root_id[r] for r in relative_projectives(cat, scope))
@@ -77,7 +89,7 @@ def shifted_objects(cat: RepCategory, scope: WideSubcat | None, m: int) -> tuple
 def compat_rows(cat: RepCategory, m: int) -> list[int]:
     """Row x: the ids in 0..(m+1)N-1 compatible with id x (`compatible`), kept by m: no Hom/Ext
     from x to a lower level, none into x from a higher one, no Ext either way at x's level."""
-    m = check_shift(m)
+    m = check_m(m)
     if m not in cat.compat:
         n, full = len(cat.roots), (1 << len(cat.roots)) - 1
         ext_in = [sum(1 << j for j, x in enumerate(cat.ext_out) if x >> r & 1) for r in range(n)]
@@ -107,13 +119,13 @@ def check_length(k) -> int:
     return int(k)
 
 
-def check_pair(obj) -> ShiftedObject:
-    """obj, a (root, level) pair, as a shifted object with an int level; the root is unchecked."""
+def check_pair(obj) -> tuple:
+    """obj, a (root, level) pair, as (root, int level); the root is unchecked."""
     try:
         root, level = obj
     except (TypeError, ValueError):
         raise InputError(f"{obj!r} is not a (root, level) pair") from None
-    return ShiftedObject(root, check_level(level))
+    return root, check_level(level)
 
 
 def check_object(cat: RepCategory, scope: WideSubcat | None, m: int,

@@ -18,15 +18,14 @@ from itertools import permutations
 from typing import NamedTuple
 
 from . import counting
-from .bijection import _sequence_to_tuple, _sequences, _tuple_to_sequence, check_transport
-from .configs import (_mutate, all_valid_orders, cluster_table, duality_frame,
-                      garside_configuration, g_vector_check, horizontal_subcat,
-                      mutation_moves, order_cluster)
+from .bijection import _sequences, _to_sequences, _to_tuples, check_transport
+from .configs import (_dual_pair, _frame, _horizontal, _mutate, all_valid_orders, cluster_table,
+                      garside_configuration, g_vector_check, mutation_moves, order_cluster)
 from .dynkin import DynkinDiagram, build_quiver
 from .errors import VerificationError
 from .repengine import RepCategory
 from .shiftcat import _ids, compat_rows, compatible_subsets, decode, encode, object_mask
-from .wide import ambient, marked_exc_sequences, perp, rel_proj_poly_enumerated
+from .wide import _perp_of, ambient, marked_exc_sequences, rel_proj_poly_enumerated
 
 
 class Check(NamedTuple):
@@ -95,19 +94,18 @@ def verify_bijection(cat: RepCategory, m: int) -> Report:
         # the bucket of the tuples and sequences ending in t: both maps keep
         # the last entry, so a check holds iff it holds in every bucket
         t_obj = decode(cat, (t,))[0]
-        t_perp, last, memo = perp(cat, (t_obj.root,), scope), {}, {}
+        t_perp, last, memo = _perp_of(cat, 1 << t % len(cat.roots), scope, True), {}, {}
         for k, counts in enumerate(tally, 1):
             tuples = [p + (t,) for s in compatible_subsets(cat, m, k - 1, scope, rows[t])
                       for p in permutations(s)]
             seqs = [s + (t,) for s in _sequences(cat, m, k - 1, t_perp, memo)]
-            images = [_tuple_to_sequence(cat, m, tup, scope) for tup in tuples]
+            images = list(_to_sequences(cat, m, tuples, scope))
             image_set = set(images)
             counts[0] += len(tuples)
             counts[1] += len(seqs)
             counts[2] &= len(image_set) == len(images)
             counts[3] &= image_set == set(seqs)
-            counts[4] &= all(_sequence_to_tuple(cat, m, img, scope) == tup
-                             for tup, img in zip(tuples, images))
+            counts[4] &= all(map(tuple.__eq__, _to_tuples(cat, m, images, scope), tuples))
             # tup[1:] ends in t too, so it ran through the same map in the last round
             counts[5] &= all(last.get(tup[1:]) == img[1:] for tup, img in zip(tuples, images))
             last = dict(zip(tuples, images)) if k < cat.n else {}
@@ -137,11 +135,12 @@ def verify_duality(cat: RepCategory, m: int, table: dict | None = None) -> Repor
                len(table) == expected, f"{len(table)} vs {expected}")
     for ordered, comps in table.values():
         label = " ".join(str(o) for o in ordered)
+        ids, comp_ids = _dual_pair(cat, ordered, comps)
         try:
-            frame = duality_frame(cat, m, ordered, comps)
+            frame = _frame(cat, m, ids, comp_ids)
             if not g_vector_check(frame):
                 raise VerificationError("restated frame identity failed")
-            hs = [horizontal_subcat(cat, m, comps, s) for s in range(0, m)]
+            hs = [_horizontal(cat, m, comp_ids, s) for s in range(0, m)]
             for a in hs:
                 for b in hs:
                     if abs(a.slope - b.slope) >= 2 and set(a.objects) & set(b.objects):

@@ -14,10 +14,11 @@ terms, so it flags the relatively projective terms as it goes;
 The mutation of an exceptional pair (X, T) -> (T, Y) is found by a filtered
 search: Y is the unique exceptional module such that (T, Y) is exceptional,
 dim Y = +-dim X + s*dim T for an integer s, and X, T and Y, T span the same
-rank-2 wide subcategory.  Uniqueness is asserted once per pair, whose
-`PairRecord` (Y's id, its case and placement parities) the category's
-`pair_mutations` keeps; this doubles as a structural check, and the inverse
-move is the same search mirrored.  These memos are freed with the category.
+rank-2 wide subcategory.  The search walks s along the two root lines,
+bounded by the highest root, and looks each vector up in `root_id`.
+Uniqueness is asserted once per pair, whose `PairRecord` (Y's id, its case
+and placement parities) the category's `pair_mutations` keeps; this doubles
+as a structural check, and the inverse move is the same search mirrored.  These memos are freed with the category.
 """
 
 from __future__ import annotations
@@ -95,14 +96,18 @@ def left_perp(cat: RepCategory, generators, within: WideSubcat | None = None) ->
 
 def _perp(cat: RepCategory, generators, within: WideSubcat | None,
           right: bool) -> WideSubcat:
-    """The perpendicular, kept in `cat.perps` under (side, generator mask,
-    scope mask); its span rank is checked when it is computed."""
     scope = within if within is not None else ambient(cat)
     gens = 0
     for g in generators:
         gens |= 1 << cat.root_id[cat.check_root(g)]
+    return _perp_of(cat, gens, scope, right) if gens else scope
+
+
+def _perp_of(cat: RepCategory, gens: int, scope: WideSubcat, right: bool) -> WideSubcat:
+    """The perpendicular of the roots with ids in the nonzero mask gens, kept in `cat.perps`
+    under (side, gens, scope mask); its span rank is checked when it is computed."""
     key = (right, gens, scope.mask)
-    w = cat.perps.get(key) if gens else scope
+    w = cat.perps.get(key)
     if w is None:
         nonzero = cat.right_nz if right else cat.left_nz
         mask, gen_roots = scope.mask, []
@@ -112,7 +117,8 @@ def _perp(cat: RepCategory, generators, within: WideSubcat | None,
                 gen_roots.append(g)
         objs = tuple(r for i, r in enumerate(cat.roots) if mask >> i & 1)
         by_span = rank(objs)
-        expected = scope.rank - rank(gen_roots)
+        # one or two distinct roots are independent: no root is a multiple of another
+        expected = scope.rank - (rank(gen_roots) if len(gen_roots) > 2 else len(gen_roots))
         if by_span != expected:
             raise InternalConsistencyError(
                 f"{cat.quiver.diagram.type_tag}: perpendicular of {tuple(gen_roots)} has "
@@ -239,12 +245,6 @@ def classify_pair(cat: RepCategory, x, t) -> PairCase:
     return PairCase.MONO if mono else PairCase.EPI
 
 
-def is_multiple(w, t) -> bool:
-    """w is an integer multiple s*t (s = 0 allowed)."""
-    s = next((wi // ti for wi, ti in zip(w, t) if ti), 0)
-    return all(wi == s * ti for wi, ti in zip(w, t))
-
-
 def mutate_pair(cat: RepCategory, x, t) -> Root:
     """The braid move (X, T) -> (T, Y) on exceptional pairs; returns Y."""
     x, t = cat.check_root(x), cat.check_root(t)
@@ -258,7 +258,12 @@ def mutate_pair_inverse(cat: RepCategory, y, t) -> Root:
 
 
 def _pair_record(cat: RepCategory, xi: int, ti: int, inverse: bool) -> PairRecord:
-    """The record of (x, t), or of (t, x) if inverse, searched for once per category."""
+    """The record of (x, t), or of (t, x) if inverse, searched for once per category.
+
+    The candidates are the roots z on the lines x - s*t (Z keeps X's level) and
+    s*t - x (Z lies one level off).  A root lies between 0 and `cat.highest`, so
+    the coordinate c where t is largest bounds s: 0 <= +-x[c] -+ s*t[c] <= highest[c].
+    """
     key = (xi, ti, inverse)
     record = cat.pair_mutations.get(key)
     if record is not None:
@@ -268,12 +273,20 @@ def _pair_record(cat: RepCategory, xi: int, ti: int, inverse: bool) -> PairRecor
     before, after = (cat.left_nz, cat.right_nz) if inverse else (cat.right_nz, cat.left_nz)
     if xi == ti or before[ti] >> xi & 1:
         raise InputError(f"({pair[0]}, {pair[1]}) is not an exceptional pair")
-    target, found = perp(cat, (x, t)).mask, []
-    for i, z in enumerate(cat.roots):
-        if not after[ti] >> i & 1:
-            same, flip = (is_multiple([a - s * b for a, b in zip(x, z)], t) for s in (1, -1))
-            if (same or flip) and perp(cat, (z, t)).mask == target:
-                found.append((i, same, flip))
+    c = t.index(max(t))
+    xc, tc, hc = x[c], t[c], cat.highest[c]
+    lines: dict[int, list[bool]] = {}  # candidate id -> [same, flip]
+    for flip, sign, s_range in ((False, 1, range(-((hc - xc) // tc), xc // tc + 1)),
+                                (True, -1, range(-(-xc // tc), (xc + hc) // tc + 1))):
+        for s in s_range:
+            i = cat.root_id.get(tuple([sign * (a - s * b) for a, b in zip(x, t)]))
+            if i is not None:
+                lines.setdefault(i, [False, False])[flip] = True
+    amb = ambient(cat)
+    target, found = _perp_of(cat, 1 << xi | 1 << ti, amb, True).mask, []
+    for i in sorted(lines):
+        if not after[ti] >> i & 1 and _perp_of(cat, 1 << i | 1 << ti, amb, True).mask == target:
+            found.append((i, *lines[i]))
     if len(found) != 1:
         name = "inverse pair mutation" if inverse else "pair mutation"
         raise InternalConsistencyError(f"{cat.quiver.diagram.type_tag}: {name} of ({x}, {t}) "

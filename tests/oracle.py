@@ -12,6 +12,9 @@ admissible sink sequence, and the inverse reflection functors rebuild the
 module from the simple one.  Hom bases solve the intertwining equations.
 It is the oracle for `RepCategory`'s Hom/Ext table and the closed forms
 built on it; the package itself never imports this module.
+
+`scan_pair_record` is the oracle for `wide._pair_record`: the same filtered
+search for a braid move, over every root instead of along the root lines.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 from excseq.dynkin import Quiver, Root, coxeter_for_tag
 from excseq.errors import InputError, InternalConsistencyError
 from excseq.repengine import RepCategory
+from excseq.wide import PairRecord, classify_pair, perp
 
 Vector = tuple[Fraction, ...]
 
@@ -353,3 +357,27 @@ def _hom_space(m: Representation, nrep: Representation) -> HomSpace:
                 tuple(entries[i * md[v]:(i + 1) * md[v]]) for i in range(nd[v]))))
         basis.append(tuple(mats))
     return HomSpace(md, nd, len(kernel), tuple(basis))
+
+
+# ----- the all-roots braid-move search -----
+
+def is_multiple(w, t) -> bool:
+    """w is an integer multiple s*t (s = 0 allowed)."""
+    s = next((wi // ti for wi, ti in zip(w, t) if ti), 0)
+    return all(wi == s * ti for wi, ti in zip(w, t))
+
+
+def scan_pair_record(cat: RepCategory, xi: int, ti: int, inverse: bool) -> PairRecord:
+    """The record of the exceptional pair (x, t), or (t, x) if inverse, by testing
+    every root z: (t, z) is exceptional, +-x - z is a multiple of t, and z, t
+    have the perpendicular of x, t.  Nothing is memoised but the perpendiculars."""
+    x, t = cat.roots[xi], cat.roots[ti]
+    after = cat.right_nz if inverse else cat.left_nz
+    target, found = perp(cat, (x, t)).mask, []
+    for i, z in enumerate(cat.roots):
+        if not after[ti] >> i & 1:
+            same, flip = (is_multiple([a - s * b for a, b in zip(x, z)], t) for s in (1, -1))
+            if (same or flip) and perp(cat, (z, t)).mask == target:
+                found.append((i, same, flip))
+    assert len(found) == 1, (x, t, inverse, found)
+    return PairRecord(*found[0], classify_pair(cat, *((t, x) if inverse else (x, t))))

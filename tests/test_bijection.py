@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -8,14 +9,14 @@ import pytest
 from excseq import InputError, InternalConsistencyError, category
 from excseq.configs import cluster_table
 from excseq.dynkin import build_diagram, build_quiver
-from excseq.bijection import (_sequence_to_tuple, _tuple_to_sequence, check_transport,
+from excseq.bijection import (_to_sequences, _to_tuples, check_transport,
                               is_m_exc_sequence, m_exc_sequences, sequence_to_tuple,
                               transport, transport_inverse, tuple_to_sequence)
 from excseq.repengine import RepCategory
 from excseq.shiftcat import (ShiftedObject, compatible, decode, encode, ordered_tuples,
                              shifted_objects)
-from excseq.wide import (ambient, left_perp, mark_relative_projectives, mutate_pair,
-                         mutate_pair_inverse, perp)
+from excseq.wide import (PairCase, _pair_record, ambient, left_perp, mark_relative_projectives,
+                         mutate_pair, mutate_pair_inverse, perp)
 
 from conftest import P1, S1, S2
 
@@ -198,11 +199,12 @@ def test_internal_bijection_paths_match_the_public_ones(tag, m):
     cat = category(tag)
     scope = ambient(cat)
     for k in range(1, cat.n + 1):
-        for t in ordered_tuples(cat, m, k):
-            seq = _tuple_to_sequence(cat, m, encode(cat, t), scope)
+        tuples = ordered_tuples(cat, m, k)
+        seqs = list(_to_sequences(cat, m, [encode(cat, t) for t in tuples], scope))
+        assert list(_to_tuples(cat, m, seqs, scope)) == [encode(cat, t) for t in tuples]
+        for t, seq in zip(tuples, seqs):
             objects = decode(cat, seq)
             assert objects == tuple_to_sequence(cat, m, t) == _reference_sequence(cat, m, t)
-            assert _sequence_to_tuple(cat, m, seq, scope) == encode(cat, t)
             assert sequence_to_tuple(cat, m, objects) == _reference_tuple(cat, m, objects) == t
 
 
@@ -264,3 +266,21 @@ def test_projectives_round_trip_at_rank_7_and_8(tag):
     for m in range(1, 7):
         tup = tuple(O(p, m) for p in cat.projective_roots)
         assert sequence_to_tuple(cat, m, tuple_to_sequence(cat, m, tup)) == tup
+
+
+@pytest.mark.parametrize("pair,change,message", [
+    # S2[1] moves over P1[0] by a mono move, down to S1[0]: read as epi, the
+    # chart keeps its level while the congruence placement does not
+    ((S2, P1, False), {"case": PairCase.EPI}, "chart answer (1,0)[1] disagrees with "
+     "congruence answer (1,0)[0] for (0,1)[1] over (1,1)[0]"),
+    # S1[0] moves back over P1[0] to S2[1]: a wrong inverse record lands elsewhere
+    ((S1, P1, True), {"z": 2}, "inverse placement of (1,0)[0] over (1,1)[0] gives "
+     "(1,1)[1], not (0,1)[1]"),
+], ids=["chart_vs_congruence", "inverse_placement"])
+def test_a_corrupted_pair_record_fails_the_table_checks(pair, change, message):
+    # a seeded fault in a fresh category: the table of P1[0] checks each entry
+    cat = RepCategory(build_quiver(build_diagram("A2")))
+    key = (cat.root_id[pair[0]], cat.root_id[pair[1]], pair[2])
+    cat.pair_mutations[key] = _pair_record(cat, *key)._replace(**change)
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape('A2, m=1: ' + message)}$"):
+        transport(cat, 1, ShiftedObject(P1, 0), ShiftedObject(S2, 1))

@@ -1,4 +1,6 @@
 
+import re
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -15,7 +17,7 @@ from excseq.dynkin import build_diagram, build_quiver
 from excseq.errors import VerificationError
 from excseq.bijection import is_m_exc_sequence, m_exc_sequences, transport
 from excseq.repengine import RepCategory
-from excseq.shiftcat import (ShiftedObject, canonical_cluster, compatible, decode, encode,
+from excseq.shiftcat import (ShiftedObject, canonical_cluster, compat_rows, compatible, decode, encode,
                              enumerate_clusters, is_valid_object, shifted_objects)
 from excseq.wide import is_exceptional_sequence
 
@@ -549,3 +551,67 @@ def test_mutate_configuration_refuses_a_non_root(a2, comps, k, direction):
     # check of the mutated result
     with pytest.raises(InputError, match=r"\(\d, \d\) is not a positive root of A2"):
         mutate_configuration(a2, 1, comps, k, direction)
+
+
+def _fresh_a2():
+    return RepCategory(build_quiver(build_diagram("A2")))
+
+
+def test_a_corrupted_pairing_fails_the_frame_check():
+    # a seeded fault in a fresh category: <S1, P1> = 0 read as 1
+    cat = _fresh_a2()
+    cat.pairings[cat.root_id[S1]][cat.root_id[P1]] += 1
+    with pytest.raises(VerificationError, match=r"^duality pairing failed at \(0, 1\): got 1, "
+                                                r"want 0$"):
+        duality_frame(cat, 1, (O(S1, 0), O(P1, 0)), (O(S2, 1), O(P1, 0)))
+
+
+def test_a_corrupted_compatibility_row_fails_the_recovered_entry():
+    # the move at position 2 of (S1[0], P1[0]) recovers S2[1]; with its
+    # compatibility row emptied, it clashes with the entry that stays
+    cat = _fresh_a2()
+    compat_rows(cat, 1)[encode(cat, [O(S2, 1)])[0]] = 0
+    with pytest.raises(InternalConsistencyError, match=re.escape(
+            "A2, m=1: recovered entry (0,1)[1] clashes with (1,0)[0]")):
+        mutate(cat, 1, [O(S1, 0), O(P1, 0)], 1, "-")
+
+
+def test_corrupted_hom_ext_masks_fail_the_configuration_checks():
+    # Hom(P1, S2) read as nonzero forbids the configuration (S2[1], P1[0]);
+    # Ext(S2, S1) read as nonzero leaves (S1[0], S2[0]) no order
+    cat = _fresh_a2()
+    s1, s2, p1 = (cat.root_id[r] for r in (S1, S2, P1))
+    cat.right_nz[p1] |= 1 << s2
+    with pytest.raises(VerificationError, match=re.escape(
+            "forbidden morphism (1,1)[0] -> (0,1)[1]")):
+        validate_configuration(cat, 1, (O(S2, 1), O(P1, 0)))
+    cat = _fresh_a2()
+    cat.right_nz[s2] |= 1 << s1
+    cat.ext_out[s2] |= 1 << s1
+    with pytest.raises(VerificationError, match="^components admit no exceptional ordering$"):
+        validate_configuration(cat, 1, (O(S1, 0), O(S2, 0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda a2, m: mutate(a2, m, [O(S1, 0), O(P1, 0)], 1, "-"),
+    lambda a2, m: mutate_configuration(a2, m, _config(O), 1, "-"),
+    lambda a2, m: recover_cluster(a2, m, [O(S1, 0), O(P1, 0)], [O(S1, 0), O(P1, 1)], 1),
+    lambda a2, m: duality_frame(a2, m, [O(S1, 0), O(P1, 0)], _config(O)),
+    exchange_graph,
+], ids=["mutate", "mutate_configuration", "recover_cluster", "duality_frame", "exchange_graph"])
+def test_kernels_read_parities_of_a_parsed_shift_parameter(a2, call):
+    # the kernels read parities with bit operations, so m is parsed first:
+    # an integral Fraction reads as its int, 1.5 is refused
+    assert call(a2, Fraction(1)) == call(a2, 1)
+    with pytest.raises(InputError, match=r"^shift parameter m 1\.5 is not an integer$"):
+        call(a2, 1.5)
+
+
+def test_a_corrupted_pairing_fails_the_order_check():
+    # the cluster order is found on the Hom/Ext masks and checked on the
+    # pairings: Hom(P1, S2) read as nonzero breaks the reversal of an order
+    cat = _fresh_a2()
+    cat.pairings[cat.root_id[P1]][cat.root_id[S2]] += 1
+    with pytest.raises(InternalConsistencyError, match=re.escape(
+            "A2, m=1: ordering failed to produce an exceptional sequence")):
+        cluster_table(cat, 1)

@@ -6,8 +6,9 @@ import pytest
 
 from excseq import (InputError, build_diagram, build_quiver, category, fomin_reading_count,
                     m_sequence_poly, tuple_to_sequence)
-from excseq.bijection import is_m_exc_sequence
-from excseq.configs import cluster_table
+from excseq.bijection import is_m_exc_sequence, sequence_to_tuple
+from excseq.configs import (all_valid_orders, cluster_table, garside_configuration,
+                            order_cluster, validate_configuration)
 from excseq.repengine import RepCategory
 from excseq.verify import verify_all
 from excseq.shiftcat import (ShiftedObject, check_object, compat_rows, compatible, decode,
@@ -129,6 +130,26 @@ def test_shift_parameter_is_parsed_strictly(a2, call, m):
     message = f"^shift parameter m {re.escape(repr(m))} is not an integer$"
     with pytest.raises(InputError, match=message):
         call(a2, m)
+
+
+@pytest.mark.parametrize("m,message", [
+    (1.5, r"^shift parameter m 1\.5 is not an integer$"),
+    (-1, "^shift parameter m must be >= 0$")])
+@pytest.mark.parametrize("call", [tuple_to_sequence, sequence_to_tuple, garside_configuration,
+                                  order_cluster, all_valid_orders, validate_configuration])
+def test_maps_with_no_objects_refuse_a_bad_shift_parameter(a2, call, m, message):
+    # with no objects to parse m through, each returned (), [()] or None
+    with pytest.raises(InputError, match=message):
+        call(a2, m, [])
+
+
+@pytest.mark.parametrize("m", [-1, -3])
+def test_compat_rows_refuse_a_negative_shift_parameter_and_store_nothing(m):
+    # each returned [] and left the key m behind in the category's memo
+    cat = RepCategory(build_quiver(build_diagram("A2")))
+    with pytest.raises(InputError, match="^shift parameter m must be >= 0$"):
+        compat_rows(cat, m)
+    assert cat.compat == {}
 
 
 def rows_by_compatible(cat, m):

@@ -11,7 +11,7 @@ from excseq import (InputError, PairCase, ambient, category, classify_pair,
                     relative_projectives)
 from excseq import build_diagram, build_quiver, linalg
 from excseq.repengine import RepCategory
-from excseq.wide import _pair_record, is_multiple
+from excseq.wide import _pair_record
 
 import oracle
 from conftest import P1, S1, S2, orientations, tags_up_to_rank
@@ -220,7 +220,7 @@ def test_is_multiple_matches_a_search():
     for w in vectors:
         for t in vectors:
             want = any(all(a == s * b for a, b in zip(w, t)) for s in range(-2, 3))
-            assert is_multiple(w, t) == want, (w, t)
+            assert oracle.is_multiple(w, t) == want, (w, t)
 
 
 PAIR_CASES = ([(tag, None) for tag in tags_up_to_rank(6) if tag != "A1"]  # A1: no pairs
@@ -253,10 +253,26 @@ def test_pair_records_match_the_public_moves(tag, arrows):
             assert z == mutate_pair_inverse(cat, t, x) == positive(
                 tuple(a - cat.euler(x, t) * b for a, b in zip(t, x))), (x, t)
             assert forward.case is back.case is classify_pair(cat, x, t)
+            assert forward == oracle.scan_pair_record(cat, xi, ti, False), (x, t)
+            assert back == oracle.scan_pair_record(cat, ti, xi, True), (x, t)
             for record, a, b, c in ((forward, x, y, t), (back, t, z, x)):
-                assert record.same == is_multiple(tuple(u - v for u, v in zip(a, b)), c)
-                assert record.flip == is_multiple(tuple(u + v for u, v in zip(a, b)), c)
+                assert record.same == oracle.is_multiple(tuple(u - v for u, v in zip(a, b)), c)
+                assert record.flip == oracle.is_multiple(tuple(u + v for u, v in zip(a, b)), c)
     assert pairs
+
+
+def test_line_search_matches_the_all_roots_scan_on_e7():
+    # every forward and inverse record of a cold E7 category, against the scan
+    cat, pairs = RepCategory(build_quiver(build_diagram("E7"))), 0
+    for xi in range(len(cat.roots)):
+        for ti in range(len(cat.roots)):
+            if xi != ti and not cat.right_nz[ti] >> xi & 1:
+                pairs += 1
+                assert _pair_record(cat, xi, ti, False) == oracle.scan_pair_record(
+                    cat, xi, ti, False), (xi, ti)
+                assert _pair_record(cat, ti, xi, True) == oracle.scan_pair_record(
+                    cat, ti, xi, True), (xi, ti)
+    assert pairs == 1323 and len(cat.pair_mutations) == 2646
 
 
 @pytest.mark.parametrize("tag", tags_up_to_rank(5))
