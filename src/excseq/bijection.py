@@ -34,11 +34,11 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple
 
+from .counting import check_m
 from .errors import InputError
 from .repengine import RepCategory
-from .shiftcat import (ShiftedObject, _ids, _inconsistent, check_length, check_m, check_object,
-                       check_objects, check_pair, compat_rows, decode, encode, is_valid_object,
-                       object_mask)
+from .shiftcat import (ShiftedObject, _compat_rows, _ids, _inconsistent, check_length,
+                       check_objects, check_pair, decode, encode, is_valid_object, object_mask)
 from .wide import PairCase, PairRecord, WideSubcat, _pair_record, _perp_of, ambient, perp
 
 
@@ -63,11 +63,11 @@ def _place(cat: RepCategory, m: int, x: int, t: int, pair: PairRecord, inverse: 
 
 def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
                      scope: WideSubcat | None) -> tuple[ShiftedObject, _TransportTable]:
-    """t_obj checked against the scope, and its transport table."""
+    """t_obj checked against the scope at a parsed m, and its transport table."""
     scope = scope if scope is not None else ambient(cat)
-    t_obj = check_object(cat, scope, m, t_obj)
-    t = encode(cat, (t_obj,))[0]
-    return t_obj, cat.transports.get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
+    t, = check_objects(cat, scope, m, (t_obj,))
+    table = cat.transports.get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
+    return decode(cat, (t,))[0], table
 
 
 def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _TransportTable:
@@ -77,7 +77,7 @@ def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _Transp
     n, records, ext_out = len(cat.roots), cat.pair_mutations, cat.ext_out
     k, ti = divmod(t, n)
     t_perp = _perp_of(cat, 1 << ti, scope, True)
-    codomain = object_mask(cat, scope, m) & compat_rows(cat, m)[t]
+    codomain = object_mask(cat, scope, m) & _compat_rows(cat, m)[t]
     forward, inverse = {}, {}
     for x in _ids(object_mask(cat, t_perp, m)):
         j, xi = divmod(x, n)
@@ -127,14 +127,14 @@ def _image(cat: RepCategory, m: int, t_obj: ShiftedObject, obj, scope: WideSubca
 def transport(cat: RepCategory, m: int, t_obj: ShiftedObject, x_obj: ShiftedObject,
               scope: WideSubcat | None = None) -> ShiftedObject:
     """Carry an object of T's perpendicular category to one compatible with T[k]."""
-    return _image(cat, m, t_obj, x_obj, scope, inverse=False)
+    return _image(cat, check_m(m), t_obj, x_obj, scope, inverse=False)
 
 
 def transport_inverse(cat: RepCategory, m: int, t_obj: ShiftedObject,
                       y_obj: ShiftedObject,
                       scope: WideSubcat | None = None) -> ShiftedObject:
     """Inverse of `transport`: the object of T's perpendicular it carries to y_obj."""
-    return _image(cat, m, t_obj, y_obj, scope, inverse=True)
+    return _image(cat, check_m(m), t_obj, y_obj, scope, inverse=True)
 
 
 def tuple_to_sequence(cat: RepCategory, m: int, tup,
@@ -205,7 +205,7 @@ def is_m_exc_sequence(cat: RepCategory, m: int, terms,
                       scope: WideSubcat | None = None) -> bool:
     """Levels within 0..m, underlying modules an exceptional sequence, and
     level-m terms relatively projective in the perpendicular of later terms."""
-    cur = scope if scope is not None else ambient(cat)
+    m, cur = check_m(m), scope if scope is not None else ambient(cat)
     for root, level in reversed(tuple(map(check_pair, terms))):
         if not is_valid_object(cat, cur, m, ShiftedObject(root, level)):
             return False
@@ -215,7 +215,7 @@ def is_m_exc_sequence(cat: RepCategory, m: int, terms,
 
 def m_exc_sequences(cat: RepCategory, m: int, k: int) -> list[tuple[ShiftedObject, ...]]:
     """Enumerate shifted exceptional sequences of length k, deterministically."""
-    return [decode(cat, s) for s in _sequences(cat, m, check_length(k), ambient(cat), {})]
+    return [decode(cat, s) for s in _sequences(cat, check_m(m), check_length(k), ambient(cat), {})]
 
 
 def _sequences(cat: RepCategory, m: int, k: int, scope: WideSubcat,
@@ -248,8 +248,9 @@ class TransportReport(NamedTuple):
 def check_transport(cat: RepCategory, m: int, t_obj: ShiftedObject) -> TransportReport:
     """Compatibility preservation for one transport map; its bijectivity and
     round trip are asserted when its table is built."""
+    m = check_m(m)
     t_obj, table = _transport_table(cat, m, t_obj, None)
-    rows, images = compat_rows(cat, m), table.forward
+    rows, images = _compat_rows(cat, m), table.forward
     domain = tuple(images)
     report = TransportReport(t_obj, m, len(domain), len(table.inverse), [])
     for i, a in enumerate(domain):

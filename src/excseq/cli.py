@@ -28,7 +28,7 @@ from .errors import (ExcseqError, InputError, InternalConsistencyError,
 from .repengine import RepCategory, category
 from .serialize import (cluster_from_dict, cluster_to_dict, configuration_to_dict,
                         dumps_canonical, exc_sequence_to_dict, sequence_to_dict)
-from .shiftcat import enumerate_clusters
+from .shiftcat import decode, enumerate_clusters
 from .verify import SUITES, verify_counting
 from .wide import marked_exc_sequences
 from .bijection import m_exc_sequences
@@ -165,7 +165,7 @@ def cmd_enumerate(args) -> int:
         record, text = partial(sequence_to_dict, m), _spaced
         expected = int(g(m))
     elif what == "configs":
-        items = [comps for _, comps in cluster_table(cat, m).values()]
+        items = [decode(cat, comps) for _, comps in cluster_table(cat, m).values()]
         record, text = partial(configuration_to_dict, m), _spaced
         expected = int(g(m)) // math.factorial(cat.n)
     else:  # pragma: no cover - argparse restricts choices

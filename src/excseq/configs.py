@@ -18,11 +18,11 @@ Each vector is a root signed by the parity of its level, so each pairing is
 a sign times an entry of `RepCategory.pairings`, and each slope-vector update
 a signed root kept in `RepCategory.pair_mutations`.  The kernels `_check_frame`,
 `_mutate`, `_recover` and `_validate` run on object ids (`shiftcat.encode`),
-trust their input and check their results, as do `_frame` and `_horizontal`, which
-the duality suite calls on the cluster table's ids.  Each public function parses m
-(`check_m`) and its objects once (`encode`, `check_objects`), so each vector is a
-sign times a checked root.  `mutate` and `mutation_moves` (on a `cluster_table`
-entry's ids) move by `_move`.
+trust their input and check their results, as do `_frame`, `_horizontal` and `_garside`,
+which the duality suite calls on the ids of `cluster_table`.  Each public function parses
+m first (`counting.check_m`) and its objects once (`check_objects`, or `encode` with the
+levels held to 0..m), so each vector is a sign times a checked root.  `mutate` and
+`mutation_moves` (on a `cluster_table` entry's ids) move by `_move`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .bijection import _to_sequences
 from .dynkin import Root, root_str
 from .errors import InputError, VerificationError
 from .repengine import RepCategory
-from .counting import check_level, check_shift
-from .shiftcat import (ShiftedObject, _inconsistent, check_m, check_objects, check_pair,
-                       compat_rows, decode, encode, enumerate_clusters)
+from .counting import check_level, check_m
+from .shiftcat import (ShiftedObject, _compat_rows, _inconsistent, check_objects, check_pair,
+                       decode, encode, enumerate_clusters)
 from .wide import WideSubcat, _perp_of, ambient
 
 
@@ -49,6 +49,7 @@ class SlopeVector(NamedTuple):
 
 
 def slope_vectors(m: int, comps) -> tuple[SlopeVector, ...]:
+    m = check_m(m)
     return tuple(SlopeVector(root, m - level) for root, level in map(check_pair, comps))
 
 
@@ -58,7 +59,7 @@ def c_vector(sv: SlopeVector) -> tuple[int, ...]:
 
 
 def signed_dim(m: int, obj: ShiftedObject) -> tuple[int, ...]:
-    root, level = check_pair(obj)
+    m, (root, level) = check_m(m), check_pair(obj)
     return tuple((-1) ** (m - level) * x for x in root)
 
 
@@ -110,12 +111,16 @@ def _order(cat: RepCategory, m: int, ids: tuple[int, ...]) -> tuple[int, ...]:
 
 def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObject, ...]]:
     """Every ordering of the cluster whose reversal is an exceptional sequence.
-    Kept for the duality suite's check that the configuration does not depend
-    on the chosen order."""
-    m = check_m(m)
-    objects = sorted(decode(cat, check_objects(cat, None, m, objects)))
-    return [tuple(objects[i] for i in order)
-            for order in _orders(_ordering_constraints(cat, encode(cat, objects)))]
+    The objects are taken by root, then level."""
+    n = len(cat.roots)
+    ids = sorted(check_objects(cat, None, check_m(m), objects), key=lambda x: (x % n, x))
+    return [decode(cat, order) for order in _valid_orders(cat, ids)]
+
+
+def _valid_orders(cat: RepCategory, ids) -> list[tuple[int, ...]]:
+    """`all_valid_orders` on the ids of a checked cluster, which the duality suite reads to
+    check that the configuration does not depend on the chosen order."""
+    return [tuple(ids[i] for i in order) for order in _orders(_ordering_constraints(cat, ids))]
 
 
 def garside_configuration(cat: RepCategory, m: int, ordered) -> tuple[ShiftedObject, ...]:
@@ -125,18 +130,18 @@ def garside_configuration(cat: RepCategory, m: int, ordered) -> tuple[ShiftedObj
     this is `tuple_to_sequence`, whose tables check every move both ways.  A
     complete cluster whose reversal is exceptional is validated as a configuration.
     """
-    return decode(cat, _garside(cat, check_m(m), ordered, ambient(cat))[1])
+    m, scope = check_m(m), ambient(cat)
+    return decode(cat, _garside(cat, m, check_objects(cat, scope, m, ordered), scope))
 
 
-def _garside(cat: RepCategory, m: int, ordered, scope: WideSubcat):
-    """The ids of ordered, checked by `check_objects`, and of its Garside configuration."""
-    ids = check_objects(cat, scope, m, ordered)
+def _garside(cat: RepCategory, m: int, ids: tuple[int, ...], scope: WideSubcat):
+    """`garside_configuration` on the ids of a checked ordered cluster of the scope."""
     comps = next(_to_sequences(cat, m, [ids], scope))
     # only a properly ordered cluster reads as a configuration: no entry needs a later one first
     if len(ids) == scope.rank and not any(
             need >> i for i, need in enumerate(_ordering_constraints(cat, ids))):
         _validate(cat, m, comps, ids)
-    return ids, comps
+    return comps
 
 
 def validate_configuration(cat: RepCategory, m: int, comps,
@@ -195,7 +200,8 @@ class DualityFrame(NamedTuple):
 
 def duality_frame(cat: RepCategory, m: int, ordered, comps) -> DualityFrame:
     """Build and verify the exact duality frame V^t E C = D for a dual pair."""
-    return _frame(cat, check_shift(m), *_dual_pair(cat, ordered, comps))
+    m = check_m(m)
+    return _frame(cat, m, *_dual_pair(cat, m, ordered, comps))
 
 
 def _frame(cat: RepCategory, m: int, ordered: tuple[int, ...],
@@ -213,9 +219,19 @@ def _frame(cat: RepCategory, m: int, ordered: tuple[int, ...],
     return DualityFrame(v_cols, c_cols, d_diag, cat.E)
 
 
-def _dual_pair(cat: RepCategory, ordered, comps) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ids of a cluster and a configuration (`encode`), refused unless equally long."""
-    ids, comp_ids = encode(cat, ordered), encode(cat, comps)
+def _components(cat: RepCategory, m: int, objects, what: str = "component") -> tuple[int, ...]:
+    """The ids of objects (`encode`), refused unless each has a level in 0..m."""
+    ids = encode(cat, objects)
+    for x in ids:
+        if not 0 <= x < (m + 1) * len(cat.roots):
+            raise InputError(f"{what} {decode(cat, (x,))[0]} has a level outside 0..{m}")
+    return ids
+
+
+def _dual_pair(cat: RepCategory, m: int, ordered,
+               comps) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ids of a cluster and a configuration (`_components`), refused unless equally long."""
+    ids, comp_ids = _components(cat, m, ordered, "cluster entry"), _components(cat, m, comps)
     if len(comp_ids) != len(ids):
         raise InputError(f"{len(ids)} cluster entries but {len(comp_ids)} components")
     return ids, comp_ids
@@ -266,10 +282,10 @@ def horizontal_subcat(cat: RepCategory, m: int, comps, s: int) -> HorizontalSubc
     Verified against the intersection of perpendiculars of the other
     horizontal subcategories whenever the selection is nonempty.
     """
-    m = check_shift(m)
+    m = check_m(m)
     if not 0 <= check_level(s, "slope index") <= m - 1:
         raise InputError(f"slope index {s} out of range for m={m}")
-    return _horizontal(cat, m, encode(cat, comps), int(s))  # strict roots and levels
+    return _horizontal(cat, m, _components(cat, m, comps), int(s))
 
 
 def _horizontal(cat: RepCategory, m: int, comps: tuple[int, ...], s: int) -> HorizontalSubcat:
@@ -345,7 +361,8 @@ def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
                          direction: str) -> tuple[ShiftedObject, ...]:
     """Mutate the configuration at position k, raising (+) or lowering (-)
     the slope of its slope vector by one and updating the coupled entries."""
-    m, comps = check_shift(m), encode(cat, comps)
+    m = check_m(m)
+    comps = _components(cat, m, comps)
     _check_move(cat, m, comps, k, direction)
     result = _mutate(cat, m, comps, k, direction)
     _validate(cat, m, result)
@@ -394,11 +411,9 @@ def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
     f_j are 1 over a quiver), with self-coefficient G_kk = -f_k.  The frame
     V^t E C = D of the result, checked by `_check_frame`, proves it.
     """
-    m, (ids, new_comps) = check_shift(m), _dual_pair(cat, ordered, new_comps)
+    m = check_m(m)
+    ids, new_comps = _dual_pair(cat, m, ordered, new_comps)
     _check_position(k, len(ids))
-    for x in ids:
-        if not 0 <= x < (m + 1) * len(cat.roots):
-            raise InputError(f"cluster entry {decode(cat, (x,))[0]} has a level outside 0..{m}")
     candidate = _recover(cat, m, ids, new_comps, k)
     _check_frame(cat, m, candidate, new_comps)
     return decode(cat, candidate)
@@ -426,7 +441,7 @@ def _recover(cat: RepCategory, m: int, ordered: tuple[int, ...], new_comps: tupl
     new = (m - choices[0]) * n + root
     if new // n == m and cat.ext_out[root]:
         raise _inconsistent(cat, m, "recovered top-level entry is not projective")
-    compatible_with_new = compat_rows(cat, m)[new]
+    compatible_with_new = _compat_rows(cat, m)[new]
     for i, o in enumerate(ordered):
         if i != k and not compatible_with_new >> o & 1:
             raise _inconsistent(cat, m, "recovered entry {} clashes with {}".format(
@@ -443,8 +458,9 @@ class MutationResult(NamedTuple):
 
 def mutate(cat: RepCategory, m: int, ordered, k: int, direction: str) -> MutationResult:
     """The move at position k of an ordered cluster, checked, made as `mutation_moves` makes it."""
-    m = check_shift(m)
-    ids, comps = _garside(cat, m, ordered, ambient(cat))
+    m = check_m(m)
+    ids = check_objects(cat, None, m, ordered)
+    comps = _garside(cat, m, ids, ambient(cat))
     _check_move(cat, m, comps, k, direction)
     new_comps, new_ordered = _move(cat, m, ids, comps, k, direction)
     return MutationResult(*(decode(cat, x) for x in (ids, comps, new_ordered, new_comps)))
@@ -463,22 +479,21 @@ def _move(cat: RepCategory, m: int, ids: tuple[int, ...], comps: tuple[int, ...]
 def mutation_moves(cat: RepCategory, m: int, ordered: tuple[int, ...], comps: tuple[int, ...]):
     """Every move keeping the slopes in 0..m of an ordered cluster with configuration comps,
     as (k, direction, new configuration, new ordered cluster), all in ids; the kernels run it."""
-    n = len(cat.roots)
-    for k, c in enumerate(comps):
-        for direction, step in (("+", 1), ("-", -1)):
-            if 0 <= m - c // n + step <= m:
-                yield (k, direction, *_move(cat, m, ordered, comps, k, direction))
+    m, n = check_m(m), len(cat.roots)
+    return ((k, direction, *_move(cat, m, ordered, comps, k, direction))
+            for k, c in enumerate(comps) for direction, step in (("+", 1), ("-", -1))
+            if 0 <= m - c // n + step <= m)
 
 
 def cluster_table(cat: RepCategory, m: int) -> dict:
-    """Each cluster of `enumerate_clusters`, in its order, mapped to its
-    ordered form and that form's Garside configuration, found on ids."""
-    table, scope = {}, ambient(cat)
+    """The ids of each cluster of `enumerate_clusters`, in its order, mapped to the ids of
+    its ordered form (`_order`) and of that form's Garside configuration (`_garside`)."""
+    m, scope, table = check_m(m), ambient(cat), {}
+    n, root_id = len(cat.roots), cat.root_id
     for cluster in enumerate_clusters(cat, m):
-        ordered = _order(cat, m, encode(cat, cluster))
-        comps = next(_to_sequences(cat, m, [ordered], scope))
-        _validate(cat, m, comps, ordered)
-        table[cluster] = decode(cat, ordered), decode(cat, comps)
+        ids = tuple([o.level * n + root_id[o.root] for o in cluster])  # found valid: no parse
+        ordered = _order(cat, m, ids)
+        table[ids] = ordered, _garside(cat, m, ordered, scope)
     return table
 
 
@@ -486,14 +501,13 @@ def exchange_graph(cat: RepCategory, m: int):
     """Nodes: clusters in canonical order.  Edges: (i, j, k, dir) moves."""
     m = check_m(m)
     table = cluster_table(cat, m)
-    index = {encode(cat, c): i for i, c in enumerate(table)}
+    index = {c: i for i, c in enumerate(table)}
     edges = []
     for i, (ordered, comps) in enumerate(table.values()):
-        for k, direction, _, new_ordered in mutation_moves(cat, m, encode(cat, ordered),
-                                                           encode(cat, comps)):
+        for k, direction, _, new_ordered in mutation_moves(cat, m, ordered, comps):
             j = index.get(tuple(sorted(new_ordered)))  # ids sort like objects
             if j is None:
-                raise _inconsistent(cat, m, f"move k={k + 1},{direction} of "
-                                    f"{' '.join(map(str, ordered))} leaves the cluster set")
+                raise _inconsistent(cat, m, "move k={},{} of {} leaves the cluster set".format(
+                    k + 1, direction, " ".join(map(str, decode(cat, ordered)))))
             edges.append((i, j, k, direction))
-    return tuple(table), tuple(sorted(edges))
+    return tuple(decode(cat, c) for c in table), tuple(sorted(edges))

@@ -237,15 +237,18 @@ def check_level(level, what: str = "level") -> int:
     return j
 
 
-def check_shift(m) -> int:
-    """m as an int, parsed like a level; each caller refuses m < 0 with its own message."""
-    return check_level(m, "shift parameter m")
+def check_m(m) -> int:
+    """The shift parameter m as an int >= 0, parsed like a level: the one parser of m, which
+    every public function taking m calls first."""
+    m = check_level(m, "shift parameter m")
+    if m < 0:
+        raise InputError("shift parameter m must be >= 0")
+    return m
 
 
 def fomin_reading_count(diagram: DynkinDiagram, m: int) -> int:
     """Number of shifted clusters with parameter m (an exact integer)."""
-    if check_shift(m) < 0:
-        raise InputError("cluster counts need m >= 0")
+    m = check_m(m)
     value = _peval(list(fomin_reading_poly(diagram)), Fraction(m))
     if value.denominator != 1:
         raise InternalConsistencyError(f"cluster count at m={m} is not integral")

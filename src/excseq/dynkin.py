@@ -144,9 +144,7 @@ def coxeter_data(diagram: DynkinDiagram) -> CoxeterData:
     """Coxeter number and degrees of a connected diagram."""
     if len(diagram.components) != 1:
         raise InputError("coxeter_data needs a connected diagram; iterate components")
-    (tag, _), = diagram.components
-    letter, rank = parse_type_tag(tag)[0]
-    return _coxeter_table(letter, rank)
+    return coxeter_for_tag(diagram.components[0][0])
 
 
 def coxeter_for_tag(tag: str) -> CoxeterData:
@@ -157,7 +155,7 @@ def coxeter_for_tag(tag: str) -> CoxeterData:
     return _coxeter_table(*pairs[0])
 
 
-def _path_order(vertices: list[int], adj: dict[int, list[int]]) -> list[int]:
+def _path_order(vertices: list[int], adj: dict[int, tuple[int, ...]]) -> list[int]:
     ends = sorted(v for v in vertices if len(adj[v]) <= 1)
     start = ends[0]
     order = [start]
@@ -172,7 +170,7 @@ def _path_order(vertices: list[int], adj: dict[int, list[int]]) -> list[int]:
     return order
 
 
-def _arm_length(branch: int, first: int, adj: dict[int, list[int]]) -> int:
+def _arm_length(branch: int, first: int, adj: dict[int, tuple[int, ...]]) -> int:
     length = 1
     prev, cur = branch, first
     while True:
@@ -185,16 +183,14 @@ def _arm_length(branch: int, first: int, adj: dict[int, list[int]]) -> int:
         length += 1
 
 
-def _classify_component(vertices: list[int], edges: list[Edge]) -> str:
-    """Recognize the Dynkin type of a connected valued graph."""
+def _classify_component(vertices: list[int], edges: list[Edge],
+                        adj: dict[int, tuple[int, ...]]) -> str:
+    """Recognize the Dynkin type of a connected valued graph, given the neighbours of
+    each of its vertices."""
     n = len(vertices)
     if n == 1:
         return "A1"
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v, _, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    degs = {v: len(ws) for v, ws in adj.items()}
+    degs = {v: len(adj[v]) for v in vertices}
     valued = [e for e in edges if (e[2], e[3]) != (1, 1)]
     if len(valued) > 1:
         raise InputError("more than one valued edge: not a Dynkin diagram")
@@ -235,15 +231,11 @@ def delete_vertex(diagram: DynkinDiagram, i: int) -> list[DynkinDiagram]:
     """Connected components left after removing vertex i, each retyped."""
     if i not in diagram.vertices:
         raise InputError(f"vertex {i} not in diagram")
-    vertices = [v for v in diagram.vertices if v != i]
     edges = [e for e in diagram.edges if i not in (e[0], e[1])]
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v, _, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = {v: tuple(w for w in ws if w != i) for v, ws in diagram.adjacency().items() if v != i}
     seen: set[int] = set()
     pieces: list[DynkinDiagram] = []
-    for start in vertices:
+    for start in adj:
         if start in seen:
             continue
         comp = [start]
@@ -258,7 +250,7 @@ def delete_vertex(diagram: DynkinDiagram, i: int) -> list[DynkinDiagram]:
                     stack.append(w)
         comp_set = set(comp)
         comp_edges = [e for e in edges if e[0] in comp_set]
-        pieces.append(build_diagram(_classify_component(sorted(comp), comp_edges)))
+        pieces.append(build_diagram(_classify_component(sorted(comp), comp_edges, adj)))
     return pieces
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
-from .counting import check_level, check_shift
+from .counting import check_level, check_m
 from .dynkin import Root, root_str
 from .errors import InputError, InternalConsistencyError
 from .repengine import RepCategory
@@ -63,17 +63,9 @@ def _ids(mask: int) -> list[int]:
     return out
 
 
-def check_m(m) -> int:
-    """m as an int >= 0, parsed by `check_shift`."""
-    m = check_shift(m)
-    if m < 0:
-        raise InputError("shift parameter m must be >= 0")
-    return m
-
-
 def object_mask(cat: RepCategory, scope: WideSubcat | None, m: int) -> int:
-    """The ids of the scope's valid objects at m, kept in `cat.compat` under (m, mask)."""
-    m = check_m(m)
+    """The ids of the scope's valid objects at an m parsed by `check_m`, kept in `cat.compat`
+    under (m, mask)."""
     scope, n = scope if scope is not None else ambient(cat), len(cat.roots)
     if (m, scope.mask) not in cat.compat:
         proj = sum(1 << cat.root_id[r] for r in relative_projectives(cat, scope))
@@ -83,13 +75,17 @@ def object_mask(cat: RepCategory, scope: WideSubcat | None, m: int) -> int:
 
 def shifted_objects(cat: RepCategory, scope: WideSubcat | None, m: int) -> tuple[ShiftedObject, ...]:
     """All valid objects of the scope at shift parameter m, canonically ordered."""
-    return decode(cat, _ids(object_mask(cat, scope, m)))
+    return decode(cat, _ids(object_mask(cat, scope, check_m(m))))
 
 
 def compat_rows(cat: RepCategory, m: int) -> list[int]:
     """Row x: the ids in 0..(m+1)N-1 compatible with id x (`compatible`), kept by m: no Hom/Ext
     from x to a lower level, none into x from a higher one, no Ext either way at x's level."""
-    m = check_m(m)
+    return _compat_rows(cat, check_m(m))
+
+
+def _compat_rows(cat: RepCategory, m: int) -> list[int]:
+    """`compat_rows` at an m parsed by `check_m`."""
     if m not in cat.compat:
         n, full = len(cat.roots), (1 << len(cat.roots)) - 1
         ext_in = [sum(1 << j for j, x in enumerate(cat.ext_out) if x >> r & 1) for r in range(n)]
@@ -104,12 +100,12 @@ def is_valid_object(cat: RepCategory, scope: WideSubcat | None, m: int,
                     obj: ShiftedObject) -> bool:
     """obj lies in the scope at a level in 0..m, and at m only if it is
     relatively projective there; a level that is not an integer is refused."""
-    mask, level = object_mask(cat, scope, m), check_level(obj.level)  # no id above (m+1)N-1
+    mask, level = object_mask(cat, scope, check_m(m)), check_level(obj.level)
     try:
         i = cat.root_id[obj.root]
     except (KeyError, TypeError):
         return False
-    return level >= 0 and bool(mask >> level * len(cat.roots) + i & 1)
+    return level >= 0 and bool(mask >> level * len(cat.roots) + i & 1)  # no id above (m+1)N-1
 
 
 def check_length(k) -> int:
@@ -128,15 +124,6 @@ def check_pair(obj) -> tuple:
     return root, check_level(level)
 
 
-def check_object(cat: RepCategory, scope: WideSubcat | None, m: int,
-                 obj: ShiftedObject) -> ShiftedObject:
-    root, level = check_pair(obj)
-    obj = ShiftedObject(cat.check_root(root), level)
-    if not is_valid_object(cat, scope, m, obj):
-        raise InputError(f"{obj} is not a valid shifted object here (m={m})")
-    return obj
-
-
 def compatible(cat: RepCategory, a: ShiftedObject, b: ShiftedObject) -> bool:
     """Symmetric, irreflexive compatibility of two shifted objects."""
     if a == b:
@@ -152,9 +139,9 @@ def compatible(cat: RepCategory, a: ShiftedObject, b: ShiftedObject) -> bool:
 
 def enumerate_clusters(cat: RepCategory, m: int) -> tuple[tuple[ShiftedObject, ...], ...]:
     """All maximal pairwise compatible sets, each sorted, list sorted."""
-    scope = ambient(cat)
+    m, scope = check_m(m), ambient(cat)
     ids = _ids(object_mask(cat, scope, m))
-    rows, objs, n = compat_rows(cat, m), decode(cat, ids), len(ids)
+    rows, objs, n = _compat_rows(cat, m), decode(cat, ids), len(ids)
     adj = [[bool(rows[a] >> b & 1) for b in ids] for a in ids]
     found: list[tuple[ShiftedObject, ...]] = []
 
@@ -183,7 +170,8 @@ def compatible_subsets(cat: RepCategory, m: int, k: int, scope: WideSubcat | Non
                        candidates: int = -1) -> list[tuple[int, ...]]:
     """The pairwise compatible k-subsets of the valid objects of the scope whose
     ids are in the mask candidates, as id tuples in canonical order."""
-    rows = compat_rows(cat, m)
+    m = check_m(m)
+    rows = _compat_rows(cat, m)
 
     def subsets(mask: int, k: int) -> list[tuple[int, ...]]:  # x, then ids above x
         return [(x,) + rest for x in _ids(mask)
@@ -195,17 +183,22 @@ def compatible_subsets(cat: RepCategory, m: int, k: int, scope: WideSubcat | Non
 def ordered_tuples(cat: RepCategory, m: int, k: int) -> list[tuple[ShiftedObject, ...]]:
     """All ordered pairwise compatible k-tuples (permutations of the subsets)."""
     out: list[tuple[ShiftedObject, ...]] = []
-    for subset in compatible_subsets(cat, m, check_length(k)):
+    for subset in compatible_subsets(cat, check_m(m), check_length(k)):
         out.extend(permutations(decode(cat, subset)))
     return out
 
 
 def check_objects(cat: RepCategory, scope: WideSubcat | None, m: int, objects) -> tuple[int, ...]:
-    """The ids of objects, each checked by `check_object`, once they are pairwise compatible."""
-    objects = [check_object(cat, scope, m, o) for o in objects]
-    ids, rows = encode(cat, objects), compat_rows(cat, m) if objects else ()
+    """The ids of objects, the one object parser: each is parsed by `encode`, must be a valid
+    object of the scope at m, and they must be pairwise compatible (`compat_rows`)."""
+    m, ids = check_m(m), encode(cat, objects)
+    valid = object_mask(cat, scope, m)
+    for x in ids:
+        if x < 0 or not valid >> x & 1:
+            raise InputError(f"{decode(cat, (x,))[0]} is not a valid shifted object here (m={m})")
+    rows = _compat_rows(cat, m) if ids else ()
     for i, x in enumerate(ids):
         for j in range(i + 1, len(ids)):
             if not rows[x] >> ids[j] & 1:
-                raise InputError(f"{objects[i]} and {objects[j]} are not compatible")
+                raise InputError("{} and {} are not compatible".format(*decode(cat, (x, ids[j]))))
     return ids

@@ -2,13 +2,14 @@
 
 Each suite runs on the `RepCategory` its caller built, in any orientation;
 `verify_all` hands its category and cluster table to every suite it runs.  The
-suites feed the library object ids (`shiftcat.encode`) they enumerated
-themselves.  The bijection suite holds one bucket at a time, the tuples and
-sequences with last entry T (in id order), runs k = 1..n in it, sums each
-check per k over the buckets and maps through the trusted maps of `bijection`.
-The duality and mutation suites read one `configs.cluster_table`; the mutation
-suite moves through the trusted `configs.mutation_moves`.  Every table a suite
-reads is checked when built.
+suites parse m once (`counting.check_m`) and feed the library kernels object ids
+they enumerated themselves, decoding ids only for labels.  The bijection suite
+holds one bucket at a time, the tuples and sequences with last entry T (in id
+order), runs k = 1..n in it, sums each check per k over the buckets and maps
+through the trusted maps of `bijection`.  The duality and mutation suites read
+one `configs.cluster_table`, which holds ids; the mutation suite moves through
+the trusted `configs.mutation_moves`.  Every table a suite reads is checked
+when built.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from typing import NamedTuple
 
 from . import counting
 from .bijection import _sequences, _to_sequences, _to_tuples, check_transport
-from .configs import (_dual_pair, _frame, _horizontal, _mutate, all_valid_orders, cluster_table,
-                      garside_configuration, g_vector_check, mutation_moves, order_cluster)
+from .configs import (_frame, _garside, _horizontal, _mutate, _order, _valid_orders,
+                      cluster_table, g_vector_check, mutation_moves)
 from .dynkin import DynkinDiagram, build_quiver
 from .errors import VerificationError
 from .repengine import RepCategory
-from .shiftcat import _ids, compat_rows, compatible_subsets, decode, encode, object_mask
+from .shiftcat import _compat_rows, _ids, compatible_subsets, decode, object_mask
 from .wide import _perp_of, ambient, marked_exc_sequences, rel_proj_poly_enumerated
 
 
@@ -82,10 +83,10 @@ def verify_counting(diagram: DynkinDiagram, cat: RepCategory | None = None) -> R
 
 
 def verify_bijection(cat: RepCategory, m: int) -> Report:
-    m = counting.check_shift(m)
+    m = counting.check_m(m)
     report = Report(f"bijection suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     scope = ambient(cat)
-    rows, objects = compat_rows(cat, m), object_mask(cat, scope, m)
+    rows, objects = _compat_rows(cat, m), object_mask(cat, scope, m)
     # per k: tuple and sequence counts, then the verdicts injective, image is
     # the sequence set, inverse round trips and deletion, over all buckets
     tally = [[0, 0, True, True, True, True] for _ in range(cat.n)]
@@ -127,20 +128,19 @@ def verify_bijection(cat: RepCategory, m: int) -> Report:
 
 
 def verify_duality(cat: RepCategory, m: int, table: dict | None = None) -> Report:
-    m = counting.check_shift(m)
+    m = counting.check_m(m)
     report = Report(f"duality suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     table = cluster_table(cat, m) if table is None else table
     expected = counting.fomin_reading_count(cat.quiver.diagram, m)
     report.add("cluster count matches the product formula",
                len(table) == expected, f"{len(table)} vs {expected}")
     for ordered, comps in table.values():
-        label = " ".join(str(o) for o in ordered)
-        ids, comp_ids = _dual_pair(cat, ordered, comps)
+        label = " ".join(map(str, decode(cat, ordered)))
         try:
-            frame = _frame(cat, m, ids, comp_ids)
+            frame = _frame(cat, m, ordered, comps)
             if not g_vector_check(frame):
                 raise VerificationError("restated frame identity failed")
-            hs = [_horizontal(cat, m, comp_ids, s) for s in range(0, m)]
+            hs = [_horizontal(cat, m, comps, s) for s in range(0, m)]
             for a in hs:
                 for b in hs:
                     if abs(a.slope - b.slope) >= 2 and set(a.objects) & set(b.objects):
@@ -151,36 +151,31 @@ def verify_duality(cat: RepCategory, m: int, table: dict | None = None) -> Repor
             report.add(f"cluster {label}", False, str(exc))
     # configuration does not depend on the chosen valid order (small sweeps)
     if len(table) <= 20:
-        stable = True
-        for cluster in table:
-            configs = {frozenset(garside_configuration(cat, m, o))
-                       for o in all_valid_orders(cat, m, cluster)}
-            if len(configs) != 1:
-                stable = False
-        report.add("configuration independent of the chosen order", stable)
+        scope = ambient(cat)
+        report.add("configuration independent of the chosen order", all([
+            len({frozenset(_garside(cat, m, o, scope)) for o in _valid_orders(cat, c)}) == 1
+            for c in table]))
     return report
 
 
 def verify_mutation(cat: RepCategory, m: int, table: dict | None = None) -> Report:
-    m = counting.check_shift(m)
+    m = counting.check_m(m)
     report = Report(f"mutation suite for {cat.quiver.diagram.type_tag}, m={m}", [])
-    table = cluster_table(cat, m) if table is None else table
-    configs = {encode(cat, c): encode(cat, comps) for c, (_, comps) in table.items()}
+    table, scope = cluster_table(cat, m) if table is None else table, ambient(cat)
     closed = True
-    for (ordered, _), comps in zip(table.values(), configs.values()):
-        label = " ".join(str(o) for o in ordered)
+    for ordered, comps in table.values():
+        label = " ".join(map(str, decode(cat, ordered)))
         try:
-            for k, direction, new_comps, new_ordered in mutation_moves(
-                    cat, m, encode(cat, ordered), comps):
+            for k, direction, new_comps, new_ordered in mutation_moves(cat, m, ordered, comps):
                 key = tuple(sorted(new_ordered))  # ids sort like objects
-                closed = closed and key in configs
+                closed = closed and key in table
                 back = _mutate(cat, m, new_comps, k, "-" if direction == "+" else "+")
                 if back != comps:
                     raise VerificationError(f"round trip failed at k={k + 1}, {direction}")
-                # order_cluster sorts its input, so a cluster in the table
-                # rederives to the configuration stored with it
-                rederived = (configs[key] if key in configs else encode(cat, garside_configuration(
-                    cat, m, order_cluster(cat, m, decode(cat, key)))))
+                # a cluster in the table rederives, ordered from its sorted ids, to the
+                # configuration stored with it
+                rederived = (table[key][1] if key in table
+                             else _garside(cat, m, _order(cat, m, key), scope))
                 if set(rederived) != set(new_comps):
                     raise VerificationError(
                         f"rederived configuration differs at k={k + 1}, {direction}")
@@ -193,7 +188,7 @@ def verify_mutation(cat: RepCategory, m: int, table: dict | None = None) -> Repo
 
 
 def verify_all(cat: RepCategory, m: int) -> Report:
-    m = counting.check_shift(m)
+    m = counting.check_m(m)
     report = Report(f"all suites for {cat.quiver.diagram.type_tag}, m={m}", [])
     table = cluster_table(cat, m)
     for sub in (verify_counting(cat.quiver.diagram, cat), verify_bijection(cat, m),

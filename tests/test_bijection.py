@@ -251,8 +251,8 @@ def test_memo_keys_separate_orientations():
 
 def test_a_dropped_category_and_its_memo_are_freed():
     cat = _fresh("D4")
-    ordered, _ = next(iter(cluster_table(cat, 1).values()))
-    tuple_to_sequence(cat, 1, ordered[::-1])
+    ordered, _ = next(iter(cluster_table(cat, 1).values()))  # ids
+    tuple_to_sequence(cat, 1, decode(cat, ordered[::-1]))
     assert cat.perps and cat.pair_mutations and cat.transports
     refs = [weakref.ref(cat), weakref.ref(next(iter(cat.perps.values())))]
     del cat

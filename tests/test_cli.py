@@ -357,12 +357,16 @@ def test_package_keeps_the_oracle_out():
 
 def test_the_cli_starts_without_dataclasses():
     # importing dataclasses (with inspect) and building dataclasses cost the
-    # CLI about 25 ms of start-up, so the package's record types do without them
-    code = "import sys, excseq.cli; print('dataclasses' in sys.modules)"
+    # CLI about 25 ms of start-up, so the package's record types do without them;
+    # and the package is stdlib-only, so the CLI loads no module from elsewhere
+    code = ("import sys; before = set(sys.modules); import excseq.cli; "
+            "print('dataclasses' in sys.modules); print(sorted("
+            "{name.partition('.')[0] for name in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'excseq'}))")
     src = str(Path(excseq.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    assert out.splitlines() == ["False", "[]"]
 
 
 def test_mutate_output_is_pinned(capsys):

@@ -29,6 +29,12 @@ def O(root, level):
     return ShiftedObject(root, level)
 
 
+def object_table(cat, m):
+    """`cluster_table`, which holds ids, on objects."""
+    return {decode(cat, c): (decode(cat, ordered), decode(cat, comps))
+            for c, (ordered, comps) in cluster_table(cat, m).items()}
+
+
 def object_moves(cat, m, ordered, comps):
     """`mutation_moves`, which runs on object ids, on objects."""
     for k, direction, new_comps, new_ordered in mutation_moves(
@@ -405,11 +411,23 @@ def _short_duality_frame(a2):
      r"\(2, 1\) is not a positive root of A2"),
     (lambda a2: recover_cluster(a2, 1, (O(S1, -1), O(P1, 0)), (O(S2, 1), O(S1, 0)), 1),
      r"cluster entry \(1,0\)\[-1\] has a level outside 0..1"),
+    # each raised a VerificationError (or, for recover_cluster, an InternalConsistencyError)
+    # that reported the bad input level as a failed check
+    (lambda a2: mutate_configuration(a2, 1, [O(S1, 7), O(S2, 0)], 0, "+"),
+     r"^component \(1,0\)\[7\] has a level outside 0..1$"),
+    (lambda a2: duality_frame(a2, 1, [O(S1, 0), O(P1, 0)], [O(S2, 3), O(P1, 0)]),
+     r"^component \(0,1\)\[3\] has a level outside 0..1$"),
+    (lambda a2: horizontal_subcat(a2, 1, [O(S2, 7), O(P1, 0)], 0),
+     r"^component \(0,1\)\[7\] has a level outside 0..1$"),
+    (lambda a2: recover_cluster(a2, 1, [O(S1, 0), O(P1, 0)], [O(S2, -1), O(P1, 0)], 1),
+     r"^component \(0,1\)\[-1\] has a level outside 0..1$"),
     (lambda a2: m_exc_sequences(a2, -1, 2), "shift parameter m must be >= 0"),
     (lambda a2: is_m_exc_sequence(a2, 1, [((1, 0),)]),
      r"^\(\(1, 0\),\) is not a \(root, level\) pair$"),
 ], ids=["is_valid_object", "is_m_exc_sequence", "duality_frame", "validate_configuration_level",
-        "duality_frame_root", "recover_cluster_root", "recover_cluster_level", "m_exc_sequences",
+        "duality_frame_root", "recover_cluster_root", "recover_cluster_level",
+        "mutate_configuration_component_level", "duality_frame_component_level",
+        "horizontal_subcat_component_level", "recover_cluster_component_level", "m_exc_sequences",
         "is_m_exc_sequence_term"])
 def test_malformed_input_is_refused(a2, call, message):
     # the first three raised a raw TypeError or IndexError; the rest were
@@ -464,7 +482,7 @@ def test_exchange_row_matches_the_exchange_matrix(tag, m):
     # strict exchange matrix, has the sign of the move, to c_j + |b_kj| c_k
     cat = category(tag)
     moves = 0
-    for ordered, comps in cluster_table(cat, m).values():
+    for ordered, comps in object_table(cat, m).values():
         b, svs = exchange_matrix(cat, m, comps), slope_vectors(m, comps)
         for k, direction, new_comps, _ in object_moves(cat, m, ordered, comps):
             s = svs[k].slope - (direction == "-")
@@ -486,7 +504,7 @@ def test_mutation_moves_match_the_public_functions(tag, m):
     # validating public functions compute it (recover_cluster checks the frame)
     cat = category(tag)
     moves = 0
-    for ordered, comps in cluster_table(cat, m).values():
+    for ordered, comps in object_table(cat, m).values():
         svs = slope_vectors(m, comps)
         legal = [(k, d) for k in range(cat.n) for d, step in (("+", 1), ("-", -1))
                  if 0 <= svs[k].slope + step <= m]
@@ -501,7 +519,7 @@ def test_mutation_moves_match_the_public_functions(tag, m):
 
 
 def test_cluster_table_orders_and_configures_every_cluster(a3):
-    table = cluster_table(a3, 2)
+    table = object_table(a3, 2)
     assert tuple(table) == enumerate_clusters(a3, 2)
     for cluster, (ordered, comps) in table.items():
         assert ordered == order_cluster(a3, 2, cluster)

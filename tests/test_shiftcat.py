@@ -1,18 +1,20 @@
+import inspect
 import math
 import re
 from fractions import Fraction
 
 import pytest
 
-from excseq import (InputError, build_diagram, build_quiver, category, fomin_reading_count,
-                    m_sequence_poly, tuple_to_sequence)
+from excseq import (InputError, bijection, build_diagram, build_quiver, category, configs,
+                    counting, fomin_reading_count, m_sequence_poly, shiftcat, tuple_to_sequence,
+                    verify)
 from excseq.bijection import is_m_exc_sequence, sequence_to_tuple
 from excseq.configs import (all_valid_orders, cluster_table, garside_configuration,
                             order_cluster, validate_configuration)
 from excseq.repengine import RepCategory
 from excseq.verify import verify_all
-from excseq.shiftcat import (ShiftedObject, check_object, compat_rows, compatible, decode,
-                             enumerate_clusters, ordered_tuples, shifted_objects)
+from excseq.shiftcat import (ShiftedObject, check_objects, compat_rows, compatible, decode,
+                             enumerate_clusters, is_valid_object, ordered_tuples, shifted_objects)
 from excseq.wide import ambient, perp, relative_projectives
 
 from conftest import P1, S1, S2, orientations, tags_up_to_rank
@@ -45,20 +47,20 @@ def test_object_count_formula(tag, m):
         assert len(objs) == len(scope.objects) * m + scope.rank
 
 
-def test_check_object_refuses_non_integral_levels(a2):
+def test_check_objects_refuses_non_integral_levels(a2):
     # int() would truncate 0.7 to 0 and let "1" through as 1
     for level in (0.7, "x", "1", None, float("nan"), float("inf")):
         with pytest.raises(InputError, match="is not an integer"):
-            check_object(a2, None, 1, ShiftedObject(S1, level))
-    obj = check_object(a2, None, 1, ShiftedObject(S1, Fraction(0)))
-    assert obj == ShiftedObject(S1, 0) and type(obj.level) is int
+            check_objects(a2, None, 1, [ShiftedObject(S1, level)])
+    assert check_objects(a2, None, 1, [ShiftedObject(S1, Fraction(0))]) == \
+        check_objects(a2, None, 1, [ShiftedObject(S1, 0)])
 
 
 @pytest.mark.parametrize("call", [
     lambda a2: tuple_to_sequence(a2, 1, [((1, 1), True)]),
-    lambda a2: check_object(a2, None, 1, ShiftedObject(S1, True)),
+    lambda a2: check_objects(a2, None, 1, [ShiftedObject(S1, True)]),
     lambda a2: is_m_exc_sequence(a2, 1, [(S1, True)]),
-], ids=["tuple_to_sequence", "check_object", "is_m_exc_sequence"])
+], ids=["tuple_to_sequence", "check_objects", "is_m_exc_sequence"])
 def test_a_bool_level_is_refused(a2, call):
     # True == 1, so it used to pass as level 1
     with pytest.raises(InputError, match="^level True is not an integer$"):
@@ -115,21 +117,72 @@ def test_single_zero_cluster(a3):
     assert all(o.level == 0 and a3.is_projective(o.root) for o in clusters[0])
 
 
-@pytest.mark.parametrize("m", [1.5, "1", True, None])
-@pytest.mark.parametrize("call", [
-    enumerate_clusters,
-    lambda a2, m: tuple_to_sequence(a2, m, [ShiftedObject(S1, 0)]),
-    cluster_table,
-    verify_all,
-    lambda a2, m: fomin_reading_count(a2.quiver.diagram, m),
-], ids=["enumerate_clusters", "tuple_to_sequence", "cluster_table", "verify_all",
-        "fomin_reading_count"])
+O = ShiftedObject
+
+# every public function with a parameter m in these modules, called on A2 with that m; the
+# objects, where there are any, are fine at m = 1, and most calls have none, so that m is
+# all there is to parse
+M_CALLS = {
+    # shiftcat and counting
+    "enumerate_clusters": enumerate_clusters,
+    "shifted_objects": lambda a2, m: shifted_objects(a2, None, m),
+    "compat_rows": compat_rows,
+    "is_valid_object": lambda a2, m: is_valid_object(a2, None, m, O(S1, 0)),
+    "compatible_subsets": lambda a2, m: shiftcat.compatible_subsets(a2, m, 1),
+    "ordered_tuples": lambda a2, m: ordered_tuples(a2, m, 1),
+    "check_objects": lambda a2, m: check_objects(a2, None, m, []),
+    "check_m": lambda a2, m: counting.check_m(m),
+    "fomin_reading_count": lambda a2, m: fomin_reading_count(a2.quiver.diagram, m),
+    # bijection
+    "tuple_to_sequence": lambda a2, m: tuple_to_sequence(a2, m, [O(S1, 0)]),
+    "sequence_to_tuple": lambda a2, m: sequence_to_tuple(a2, m, []),
+    "transport": lambda a2, m: bijection.transport(a2, m, O(P1, 0), O(S2, 0)),
+    "transport_inverse": lambda a2, m: bijection.transport_inverse(a2, m, O(P1, 0), O(S1, 0)),
+    "is_m_exc_sequence": lambda a2, m: is_m_exc_sequence(a2, m, []),
+    "m_exc_sequences": lambda a2, m: bijection.m_exc_sequences(a2, m, 1),
+    "check_transport": lambda a2, m: bijection.check_transport(a2, m, O(P1, 0)),
+    # configs
+    "slope_vectors": lambda a2, m: configs.slope_vectors(m, []),
+    "signed_dim": lambda a2, m: configs.signed_dim(m, O(S1, 0)),
+    "order_cluster": lambda a2, m: order_cluster(a2, m, []),
+    "all_valid_orders": lambda a2, m: all_valid_orders(a2, m, []),
+    "garside_configuration": lambda a2, m: garside_configuration(a2, m, []),
+    "validate_configuration": lambda a2, m: validate_configuration(a2, m, []),
+    "duality_frame": lambda a2, m: configs.duality_frame(a2, m, [], []),
+    "horizontal_subcat": lambda a2, m: configs.horizontal_subcat(a2, m, [], 0),
+    "exchange_matrix": lambda a2, m: configs.exchange_matrix(a2, m, []),
+    "mutate_configuration": lambda a2, m: configs.mutate_configuration(a2, m, [], 0, "+"),
+    "recover_cluster": lambda a2, m: configs.recover_cluster(a2, m, [], [], 0),
+    "mutate": lambda a2, m: configs.mutate(a2, m, [], 0, "+"),
+    "mutation_moves": lambda a2, m: configs.mutation_moves(a2, m, (), ()),
+    "cluster_table": cluster_table,
+    "exchange_graph": configs.exchange_graph,
+    # verify
+    "verify_bijection": verify.verify_bijection,
+    "verify_duality": verify.verify_duality,
+    "verify_mutation": verify.verify_mutation,
+    "verify_all": verify_all,
+}
+
+
+@pytest.mark.parametrize("m", [1.5, "1", True, None, -1])
+@pytest.mark.parametrize("call", list(M_CALLS.values()), ids=list(M_CALLS))
 def test_shift_parameter_is_parsed_strictly(a2, call, m):
-    # each raised a raw TypeError or a false InternalConsistencyError, or ran
-    # at m=1 for True
-    message = f"^shift parameter m {re.escape(repr(m))} is not an integer$"
+    # each raised a raw TypeError or a false InternalConsistencyError, ran at
+    # m=1 for True, or returned something for m = -1 or with no objects
+    message = ("^shift parameter m must be >= 0$" if m == -1
+               else f"^shift parameter m {re.escape(repr(m))} is not an integer$")
     with pytest.raises(InputError, match=message):
         call(a2, m)
+
+
+def test_every_public_function_taking_m_is_called_above():
+    # object_mask alone is left out: the kernels hand it an m already parsed
+    found = {name for module in (bijection, configs, counting, shiftcat, verify)
+             for name, f in vars(module).items()
+             if inspect.isfunction(f) and f.__module__ == module.__name__
+             and not name.startswith("_") and "m" in inspect.signature(f).parameters}
+    assert found == set(M_CALLS) | {"object_mask"}
 
 
 @pytest.mark.parametrize("m,message", [

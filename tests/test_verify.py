@@ -108,8 +108,8 @@ def test_a_corrupted_pairing_fails_the_duality_and_mutation_suites():
 def test_mutation_suite_names_positions_one_based(monkeypatch):
     # a seeded fault in each of the two checks that name a move
     cat, m = category("A2"), 1
-    ordered, comps = next(iter(cluster_table(cat, m).values()))
-    k, direction, _, _ = next(mutation_moves(cat, m, encode(cat, ordered), encode(cat, comps)))
+    ordered, comps = next(iter(cluster_table(cat, m).values()))  # ids
+    k, direction, _, _ = next(mutation_moves(cat, m, ordered, comps))
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_mutate", lambda *args: ())
         detail = verify_mutation(cat, m).checks[0].detail
