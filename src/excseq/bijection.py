@@ -1,7 +1,7 @@
 """The transport bijection and the tuple <-> shifted-sequence correspondence.
 
-For a fixed shifted object T[k] of a scope, `transport` is a bijection from
-the shifted exceptional objects of T's perpendicular category onto the
+For a fixed shifted object T[k] of a scope, the transport over it is a bijection
+from the shifted exceptional objects of T's perpendicular category onto the
 objects of the scope compatible with T[k].  It is built once per (m, T[k],
 scope mask) as a table, kept in the category's `transports` and freed with
 it, whose every entry is computed along two independent routes that agree:
@@ -38,8 +38,8 @@ from .counting import check_m
 from .errors import InputError
 from .repengine import RepCategory
 from .shiftcat import (ShiftedObject, _compat_rows, _ids, _inconsistent, check_length,
-                       check_objects, check_pair, decode, encode, is_valid_object, object_mask)
-from .wide import PairCase, PairRecord, WideSubcat, _pair_record, _perp_of, ambient, perp
+                       check_objects, decode, encode, object_mask)
+from .wide import PairCase, PairRecord, WideSubcat, _pair_record, _perp_of, ambient
 
 
 class _TransportTable(NamedTuple):
@@ -59,15 +59,6 @@ def _place(cat: RepCategory, m: int, x: int, t: int, pair: PairRecord, inverse: 
         raise _inconsistent(cat, m, "placement of {} over {} found levels {}".format(
             *decode(cat, (x, t)), levels))
     return levels[0] * n + pair.z
-
-
-def _transport_table(cat: RepCategory, m: int, t_obj: ShiftedObject,
-                     scope: WideSubcat | None) -> tuple[ShiftedObject, _TransportTable]:
-    """t_obj checked against the scope at a parsed m, and its transport table."""
-    scope = scope if scope is not None else ambient(cat)
-    t, = check_objects(cat, scope, m, (t_obj,))
-    table = cat.transports.get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
-    return decode(cat, (t,))[0], table
 
 
 def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _TransportTable:
@@ -112,31 +103,6 @@ def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _Transp
     return cat.transports.setdefault((m, t, scope.mask), _TransportTable(t_perp, forward, inverse))
 
 
-def _image(cat: RepCategory, m: int, t_obj: ShiftedObject, obj, scope: WideSubcat | None,
-           inverse: bool) -> ShiftedObject:
-    """obj under one direction of t_obj's table; InputError if outside its domain."""
-    t_obj, table = _transport_table(cat, m, t_obj, scope)
-    images, x = table.inverse if inverse else table.forward, encode(cat, (obj,))[0]
-    if x not in images:
-        what = (f"compatible with {t_obj}" if inverse
-                else f"a shifted object of the perpendicular of {t_obj}")
-        raise InputError(f"{decode(cat, (x,))[0]} is not {what}")
-    return decode(cat, (images[x],))[0]
-
-
-def transport(cat: RepCategory, m: int, t_obj: ShiftedObject, x_obj: ShiftedObject,
-              scope: WideSubcat | None = None) -> ShiftedObject:
-    """Carry an object of T's perpendicular category to one compatible with T[k]."""
-    return _image(cat, check_m(m), t_obj, x_obj, scope, inverse=False)
-
-
-def transport_inverse(cat: RepCategory, m: int, t_obj: ShiftedObject,
-                      y_obj: ShiftedObject,
-                      scope: WideSubcat | None = None) -> ShiftedObject:
-    """Inverse of `transport`: the object of T's perpendicular it carries to y_obj."""
-    return _image(cat, check_m(m), t_obj, y_obj, scope, inverse=True)
-
-
 def tuple_to_sequence(cat: RepCategory, m: int, tup,
                       scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
     """Ordered compatible tuple -> shifted exceptional sequence of equal length.
@@ -150,8 +116,8 @@ def sequence_to_tuple(cat: RepCategory, m: int, terms,
                       scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
     """Shifted exceptional sequence -> ordered compatible tuple (inverse map).
 
-    The terms are validated once (`is_m_exc_sequence`, which parses each as a
-    (root, level) pair); `_to_tuples` then trusts them."""
+    The terms are validated once (`is_m_exc_sequence`, which parses each by `encode`);
+    `_to_tuples` then trusts them."""
     m, scope = check_m(m), scope if scope is not None else ambient(cat)
     terms = tuple(terms)
     if not is_m_exc_sequence(cat, m, terms, scope):
@@ -204,12 +170,13 @@ def _to_tuples(cat: RepCategory, m: int, sequences, scope: WideSubcat):
 def is_m_exc_sequence(cat: RepCategory, m: int, terms,
                       scope: WideSubcat | None = None) -> bool:
     """Levels within 0..m, underlying modules an exceptional sequence, and
-    level-m terms relatively projective in the perpendicular of later terms."""
-    m, cur = check_m(m), scope if scope is not None else ambient(cat)
-    for root, level in reversed(tuple(map(check_pair, terms))):
-        if not is_valid_object(cat, cur, m, ShiftedObject(root, level)):
+    level-m terms relatively projective in the perpendicular of later terms;
+    each term is parsed by `encode`."""
+    m, cur, n = check_m(m), scope if scope is not None else ambient(cat), len(cat.roots)
+    for x in reversed(encode(cat, terms)):
+        if x < 0 or not object_mask(cat, cur, m) >> x & 1:  # no level below 0 or above m
             return False
-        cur = perp(cat, (root,), cur)
+        cur = _perp_of(cat, 1 << x % n, cur, True)
     return True
 
 
@@ -248,11 +215,12 @@ class TransportReport(NamedTuple):
 def check_transport(cat: RepCategory, m: int, t_obj: ShiftedObject) -> TransportReport:
     """Compatibility preservation for one transport map; its bijectivity and
     round trip are asserted when its table is built."""
-    m = check_m(m)
-    t_obj, table = _transport_table(cat, m, t_obj, None)
+    m, scope = check_m(m), ambient(cat)
+    t, = check_objects(cat, scope, m, (t_obj,))
+    table = cat.transports.get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
     rows, images = _compat_rows(cat, m), table.forward
     domain = tuple(images)
-    report = TransportReport(t_obj, m, len(domain), len(table.inverse), [])
+    report = TransportReport(decode(cat, (t,))[0], m, len(domain), len(table.inverse), [])
     for i, a in enumerate(domain):
         for b in domain[i + 1:]:
             if rows[a] >> b & 1 != rows[images[a]] >> images[b] & 1:

@@ -22,7 +22,9 @@ trust their input and check their results, as do `_frame`, `_horizontal` and `_g
 which the duality suite calls on the ids of `cluster_table`.  Each public function parses
 m first (`counting.check_m`) and its objects once (`check_objects`, or `encode` with the
 levels held to 0..m), so each vector is a sign times a checked root.  `mutate` and
-`mutation_moves` (on a `cluster_table` entry's ids) move by `_move`.
+`mutation_moves` (on a `cluster_table` entry's ids) move by `_move`; `mutate` is the only
+public way into `_mutate` and `_recover`, and it refuses a cluster that is incomplete or out
+of order before it reads the frame.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .bijection import _to_sequences
 from .dynkin import Root, root_str
 from .errors import InputError, VerificationError
 from .repengine import RepCategory
-from .counting import check_level, check_m
+from .counting import check_m
 from .shiftcat import (ShiftedObject, _compat_rows, _inconsistent, check_objects, check_pair,
                        decode, encode, enumerate_clusters)
 from .wide import WideSubcat, _perp_of, ambient
@@ -51,16 +53,6 @@ class SlopeVector(NamedTuple):
 def slope_vectors(m: int, comps) -> tuple[SlopeVector, ...]:
     m = check_m(m)
     return tuple(SlopeVector(root, m - level) for root, level in map(check_pair, comps))
-
-
-def c_vector(sv: SlopeVector) -> tuple[int, ...]:
-    sign = (-1) ** sv.slope
-    return tuple(sign * x for x in sv.root)
-
-
-def signed_dim(m: int, obj: ShiftedObject) -> tuple[int, ...]:
-    m, (root, level) = check_m(m), check_pair(obj)
-    return tuple((-1) ** (m - level) * x for x in root)
 
 
 def _ordering_constraints(cat: RepCategory, ids) -> list[int]:
@@ -109,17 +101,10 @@ def _order(cat: RepCategory, m: int, ids: tuple[int, ...]) -> tuple[int, ...]:
     raise _inconsistent(cat, m, "no exceptional ordering of the cluster exists")
 
 
-def all_valid_orders(cat: RepCategory, m: int, objects) -> list[tuple[ShiftedObject, ...]]:
-    """Every ordering of the cluster whose reversal is an exceptional sequence.
-    The objects are taken by root, then level."""
-    n = len(cat.roots)
-    ids = sorted(check_objects(cat, None, check_m(m), objects), key=lambda x: (x % n, x))
-    return [decode(cat, order) for order in _valid_orders(cat, ids)]
-
-
 def _valid_orders(cat: RepCategory, ids) -> list[tuple[int, ...]]:
-    """`all_valid_orders` on the ids of a checked cluster, which the duality suite reads to
-    check that the configuration does not depend on the chosen order."""
+    """Every order of the ids of a checked cluster whose reversal is an exceptional sequence,
+    which the duality suite reads to check that the configuration does not depend on the
+    chosen order."""
     return [tuple(ids[i] for i in order) for order in _orders(_ordering_constraints(cat, ids))]
 
 
@@ -137,24 +122,24 @@ def garside_configuration(cat: RepCategory, m: int, ordered) -> tuple[ShiftedObj
 def _garside(cat: RepCategory, m: int, ids: tuple[int, ...], scope: WideSubcat):
     """`garside_configuration` on the ids of a checked ordered cluster of the scope."""
     comps = next(_to_sequences(cat, m, [ids], scope))
-    # only a properly ordered cluster reads as a configuration: no entry needs a later one first
-    if len(ids) == scope.rank and not any(
-            need >> i for i, need in enumerate(_ordering_constraints(cat, ids))):
+    # only a complete, properly ordered cluster reads as a configuration
+    if len(ids) == scope.rank and _out_of_order(cat, ids) is None:
         _validate(cat, m, comps, ids)
     return comps
 
 
-def validate_configuration(cat: RepCategory, m: int, comps,
-                           rank: int | None = None) -> None:
-    """Check the defining conditions of a dual configuration."""
-    m, comps = check_m(m), tuple(comps)
-    if rank is not None and len(comps) != rank:
-        raise VerificationError(f"expected {rank} components, got {len(comps)}")
-    _validate(cat, m, encode(cat, comps))
+def _out_of_order(cat: RepCategory, ids: tuple[int, ...]) -> tuple[int, int] | None:
+    """Positions (i, j), i < j, of an entry and a later one that must precede it, if any:
+    with none, the reversal of the tuple is an exceptional sequence."""
+    for i, need in enumerate(_ordering_constraints(cat, ids)):
+        if need >> i:
+            return i, (need >> i).bit_length() - 1 + i
+    return None
 
 
 def _validate(cat: RepCategory, m: int, comps: tuple[int, ...], ordered=()) -> None:
-    """`validate_configuration` on ids; given the ordered cluster, also the Garside slope rule."""
+    """Check the defining conditions of a dual configuration, on ids; given the ordered
+    cluster, also the Garside slope rule."""
     n, right_nz, ext_out = len(cat.roots), cat.right_nz, cat.ext_out
     if len(set(comps)) != len(comps):
         raise VerificationError("components are not pairwise distinct")
@@ -219,19 +204,17 @@ def _frame(cat: RepCategory, m: int, ordered: tuple[int, ...],
     return DualityFrame(v_cols, c_cols, d_diag, cat.E)
 
 
-def _components(cat: RepCategory, m: int, objects, what: str = "component") -> tuple[int, ...]:
-    """The ids of objects (`encode`), refused unless each has a level in 0..m."""
-    ids = encode(cat, objects)
-    for x in ids:
-        if not 0 <= x < (m + 1) * len(cat.roots):
-            raise InputError(f"{what} {decode(cat, (x,))[0]} has a level outside 0..{m}")
-    return ids
-
-
 def _dual_pair(cat: RepCategory, m: int, ordered,
                comps) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ids of a cluster and a configuration (`_components`), refused unless equally long."""
-    ids, comp_ids = _components(cat, m, ordered, "cluster entry"), _components(cat, m, comps)
+    """The ids (`encode`) of a cluster and a configuration, refused unless each object has a
+    level in 0..m and the two are equally long."""
+    pair = []
+    for what, objects in (("cluster entry", ordered), ("component", comps)):
+        pair.append(encode(cat, objects))
+        for x in pair[-1]:
+            if not 0 <= x < (m + 1) * len(cat.roots):
+                raise InputError(f"{what} {decode(cat, (x,))[0]} has a level outside 0..{m}")
+    ids, comp_ids = pair
     if len(comp_ids) != len(ids):
         raise InputError(f"{len(ids)} cluster entries but {len(comp_ids)} components")
     return ids, comp_ids
@@ -276,23 +259,11 @@ class HorizontalSubcat(NamedTuple):
     rank: int
 
 
-def horizontal_subcat(cat: RepCategory, m: int, comps, s: int) -> HorizontalSubcat:
-    """Wide subcategory spanned by the components of slopes s and s+1.
-
-    Verified against the intersection of perpendiculars of the other
-    horizontal subcategories whenever the selection is nonempty.
-    """
-    m = check_m(m)
-    if not 0 <= check_level(s, "slope index") <= m - 1:
-        raise InputError(f"slope index {s} out of range for m={m}")
-    return _horizontal(cat, m, _components(cat, m, comps), int(s))
-
-
 def _horizontal(cat: RepCategory, m: int, comps: tuple[int, ...], s: int) -> HorizontalSubcat:
-    """`horizontal_subcat` on the ids of components.  Window w holds the components of
-    slopes w and w+1; the span is checked against the right perpendiculars of the windows
-    above s+1 and the left perpendiculars of those below s-1, including the one-sided
-    windows at -1 and m."""
+    """The wide subcategory spanned by the components (ids) of slopes s and s+1.  Window w
+    holds the components of slopes w and w+1; the span is checked against the right
+    perpendiculars of the windows above s+1 and the left perpendiculars of those below
+    s-1, including the one-sided windows at -1 and m."""
     n, amb = len(cat.roots), ambient(cat)
     sel = [(x % n, +1) for x in comps if m - x // n == s]
     sel += [(x % n, -1) for x in comps if m - x // n == s + 1]
@@ -316,16 +287,6 @@ def _horizontal(cat: RepCategory, m: int, comps: tuple[int, ...], s: int) -> Hor
                             span.rank)
 
 
-def exchange_matrix(cat: RepCategory, m: int, comps) -> tuple[tuple[int, ...], ...]:
-    """Antisymmetrized Euler pairings of the c-vectors: b[k][j] = <c_j, c_k> - <c_k, c_j>.
-    Kept as the strict-Euler reference that the tests check the exchange rows
-    of `_mutate` against."""
-    cs = [c_vector(sv) for sv in slope_vectors(m, comps)]
-    n = len(cs)
-    return tuple(tuple(cat.euler(cs[j], cs[k]) - cat.euler(cs[k], cs[j])
-                       for j in range(n)) for k in range(n))
-
-
 def _signed_root(cat: RepCategory, m: int, vec: list[int]) -> tuple[int, int]:
     """(root id, eps) with vec = eps * that root, else an invariant failure."""
     for eps in (1, -1):
@@ -337,17 +298,13 @@ def _signed_root(cat: RepCategory, m: int, vec: list[int]) -> tuple[int, int]:
     raise _inconsistent(cat, m, f"{tuple(abs(x) for x in vec)} is not a positive root")
 
 
-def _check_position(k, n: int) -> None:
-    """k must be an int (not a bool) in 0..n-1."""
+def _check_move(cat: RepCategory, m: int, comps: tuple[int, ...], k, direction) -> None:
+    """Refuse a malformed move at k of the configuration comps, or one leaving 0..m;
+    k must be an int (not a bool) in 0..len(comps)-1."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise InputError(f"position {k!r} is not an integer")
-    if not 0 <= k < n:
+    if not 0 <= k < len(comps):
         raise InputError(f"position {k} out of range")
-
-
-def _check_move(cat: RepCategory, m: int, comps: tuple[int, ...], k, direction) -> None:
-    """Refuse a malformed move at k of the configuration comps, or one leaving 0..m."""
-    _check_position(k, len(comps))
     if direction not in ("+", "-"):
         raise InputError("direction must be '+' or '-'")
     sk = m - comps[k] // len(cat.roots)
@@ -357,23 +314,13 @@ def _check_move(cat: RepCategory, m: int, comps: tuple[int, ...], k, direction) 
         raise InputError(f"slope {sk} cannot mutate downward")
 
 
-def mutate_configuration(cat: RepCategory, m: int, comps, k: int,
-                         direction: str) -> tuple[ShiftedObject, ...]:
-    """Mutate the configuration at position k, raising (+) or lowering (-)
-    the slope of its slope vector by one and updating the coupled entries."""
-    m = check_m(m)
-    comps = _components(cat, m, comps)
-    _check_move(cat, m, comps, k, direction)
-    result = _mutate(cat, m, comps, k, direction)
-    _validate(cat, m, result)
-    return decode(cat, result)
-
-
 def _mutate(cat: RepCategory, m: int, comps: tuple[int, ...], k: int,
             direction: str) -> tuple[int, ...]:
-    """`mutate_configuration` on ids, for a legal move, short of validating the result.
-    `cat.pair_mutations` keeps the signed root id of each update c_j + |b_kj| c_k under
-    (root id j, root id k, sign of c_j, sign of c_k), once it is found to be a signed root."""
+    """The configuration comps (ids) mutated at position k by a legal move, raising (+) or
+    lowering (-) the slope of its slope vector by one and updating the coupled entries,
+    short of validating the result.  `cat.pair_mutations` keeps the signed root id of each
+    update c_j + |b_kj| c_k under (root id j, root id k, sign of c_j, sign of c_k), once it
+    is found to be a signed root."""
     n, ck, p, updates = len(cat.roots), comps[k], cat.pairings, cat.pair_mutations
     kr, kl = ck % n, ck // n
     s = m - kl if direction == "+" else m - kl - 1
@@ -383,7 +330,7 @@ def _mutate(cat: RepCategory, m: int, comps: tuple[int, ...], k: int,
         jr, jl = c % n, c // n
         if j == k or not s <= m - jl <= s + 1:
             continue
-        # b_kj = <c_j, c_k> - <c_k, c_j> (row k of `exchange_matrix`), signs (-1)^(l_j + l_k)
+        # b_kj = <c_j, c_k> - <c_k, c_j> (row k of the exchange matrix), signs (-1)^(l_j + l_k)
         bkj = p[jr][kr] - p[kr][jr]
         if (jl ^ kl) & 1:
             bkj = -bkj
@@ -402,26 +349,16 @@ def _mutate(cat: RepCategory, m: int, comps: tuple[int, ...], k: int,
     return tuple(new)
 
 
-def recover_cluster(cat: RepCategory, m: int, ordered, new_comps,
-                    k: int) -> tuple[ShiftedObject, ...]:
-    """The cluster dual to new_comps, which differs from ordered only at k.
+def _recover(cat: RepCategory, m: int, ordered: tuple[int, ...], new_comps: tuple[int, ...],
+             k: int) -> tuple[int, ...]:
+    """The cluster dual to new_comps, which differs from ordered only at k, on the ids of
+    checked input, short of the frame check.
 
     Only entry k moves, so G = V_old^t E C_new equals D off row k, and the
     new signed column is sum_j G_kj v_j over the old signed columns v_j (all
     f_j are 1 over a quiver), with self-coefficient G_kk = -f_k.  The frame
     V^t E C = D of the result, checked by `_check_frame`, proves it.
     """
-    m = check_m(m)
-    ids, new_comps = _dual_pair(cat, m, ordered, new_comps)
-    _check_position(k, len(ids))
-    candidate = _recover(cat, m, ids, new_comps, k)
-    _check_frame(cat, m, candidate, new_comps)
-    return decode(cat, candidate)
-
-
-def _recover(cat: RepCategory, m: int, ordered: tuple[int, ...], new_comps: tuple[int, ...],
-             k: int) -> tuple[int, ...]:
-    """`recover_cluster` on the ids of checked input, short of the frame check."""
     n, x = len(cat.roots), ordered[k]
     xl, pairs = x // n, cat.pairings[x % n]
     # row k of G, signed by (-1)^(l_x + l_c)
@@ -457,9 +394,16 @@ class MutationResult(NamedTuple):
 
 
 def mutate(cat: RepCategory, m: int, ordered, k: int, direction: str) -> MutationResult:
-    """The move at position k of an ordered cluster, checked, made as `mutation_moves` makes it."""
+    """The move at position k of an ordered cluster, checked, made as `mutation_moves` makes it.
+    The cluster must be complete and in order: no entry may need a later one first."""
     m = check_m(m)
     ids = check_objects(cat, None, m, ordered)
+    if len(ids) != cat.n:
+        raise InputError(f"a cluster here has {cat.n} objects, got {len(ids)}")
+    clash = _out_of_order(cat, ids)
+    if clash is not None:
+        raise InputError("{} must come after {}: the reversal of the ordered cluster is not an "
+                         "exceptional sequence".format(*decode(cat, [ids[i] for i in clash])))
     comps = _garside(cat, m, ids, ambient(cat))
     _check_move(cat, m, comps, k, direction)
     new_comps, new_ordered = _move(cat, m, ids, comps, k, direction)

@@ -140,13 +140,6 @@ def _coxeter_table(letter: str, n: int) -> CoxeterData:
     return table[(letter, n)]
 
 
-def coxeter_data(diagram: DynkinDiagram) -> CoxeterData:
-    """Coxeter number and degrees of a connected diagram."""
-    if len(diagram.components) != 1:
-        raise InputError("coxeter_data needs a connected diagram; iterate components")
-    return coxeter_for_tag(diagram.components[0][0])
-
-
 def coxeter_for_tag(tag: str) -> CoxeterData:
     """Coxeter data looked up from a single-component tag string."""
     pairs = parse_type_tag(tag)

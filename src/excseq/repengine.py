@@ -13,9 +13,9 @@ the rows of E^{-1}.
 
 A `RepCategory` is this table, the Euler matrix and the memo of what
 `shiftcat`, `wide` and `bijection` derive from them, freed with the category.
-It builds no modules; the explicit representations that the tests check the
-table against come from the reflection-functor oracle in the test tree
-(`tests/oracle.py`).
+It builds no modules and pairs no vectors but roots; the explicit
+representations that the tests check the table against, and the Euler form on
+arbitrary integer vectors, are in the test oracle (`tests/oracle.py`).
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class RepCategory:
         # diagram's highest root, which every root lies below
         self.highest = tuple(map(max, zip(*self.roots)))
         self.E = euler_matrix(quiver)
-        self._e_cols = tuple(zip(*self.E))
         # the table pairings[i][j] = <root i, root j>, and masks over root
         # ids: right_nz[i] holds the Y with Hom or Ext(root i, Y) nonzero,
         # left_nz[i] the X with Hom or Ext(X, root i) nonzero, ext_out[i] the
@@ -95,13 +94,6 @@ class RepCategory:
 
     # ----- basic data -----
 
-    def euler(self, x, y) -> int:
-        """<x, y> = x^t E y for integer vectors of length n, roots or not."""
-        x, y = _int_vector(x), _int_vector(y)
-        if len(x) != self.n or len(y) != self.n:
-            raise InputError(f"{x} and {y} need {self.n} entries each")
-        return sum(map(mul, (sum(map(mul, x, col)) for col in self._e_cols), y))
-
     def check_root(self, beta) -> Root:
         """beta as a tuple of ints (see `_int_vector`), if it is a positive root."""
         try:
@@ -129,9 +121,6 @@ class RepCategory:
         except (KeyError, TypeError):
             p = self.pairings[self.root_id[self.check_root(a)]][self.root_id[self.check_root(b)]]
         return -p if p < 0 else 0
-
-    def is_projective(self, beta) -> bool:
-        return self.check_root(beta) in self.projective_roots
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,8 @@ An object is a pair (root, level) standing for the module at that root placed
 at shift level 0..m; level m is reserved for the relative projectives of the
 ambient scope.  No derived-category machinery is materialized: compatibility
 is decided by three Hom/Ext vanishing cases on the underlying modules, read off
-the Hom/Ext masks into one table, `compat_rows`.  Clusters are found by
+the Hom/Ext masks into one table, `_compat_rows` (the pairwise three-case
+definition is a reference in `tests/oracle.py`).  Clusters are found by
 canonical-order backtracking over its rows; every maximal compatible set must
 have exactly rank-many objects.  Inside, an object is the id level * N + root
 id over the N sorted roots (`encode`, `decode`): ids sort canonically, a set of
@@ -13,8 +14,7 @@ objects is a mask, and the `bijection`, `configs` and `verify` kernels run on id
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .counting import check_level, check_m
 from .dynkin import Root, root_str
@@ -34,11 +34,6 @@ class ShiftedObject(NamedTuple):
 def _inconsistent(cat: RepCategory, m: int, message: str) -> InternalConsistencyError:
     """An invariant failure whose message names the category and m."""
     return InternalConsistencyError(f"{cat.quiver.diagram.type_tag}, m={m}: {message}")
-
-
-def canonical_cluster(objects: Iterable[ShiftedObject]) -> tuple[ShiftedObject, ...]:
-    """Clusters are compared and stored sorted by (level, root)."""
-    return tuple(sorted(objects, key=lambda o: (o.level, o.root)))
 
 
 def encode(cat: RepCategory, objects) -> tuple[int, ...]:
@@ -73,19 +68,10 @@ def object_mask(cat: RepCategory, scope: WideSubcat | None, m: int) -> int:
     return cat.compat[m, scope.mask]
 
 
-def shifted_objects(cat: RepCategory, scope: WideSubcat | None, m: int) -> tuple[ShiftedObject, ...]:
-    """All valid objects of the scope at shift parameter m, canonically ordered."""
-    return decode(cat, _ids(object_mask(cat, scope, check_m(m))))
-
-
-def compat_rows(cat: RepCategory, m: int) -> list[int]:
-    """Row x: the ids in 0..(m+1)N-1 compatible with id x (`compatible`), kept by m: no Hom/Ext
-    from x to a lower level, none into x from a higher one, no Ext either way at x's level."""
-    return _compat_rows(cat, check_m(m))
-
-
 def _compat_rows(cat: RepCategory, m: int) -> list[int]:
-    """`compat_rows` at an m parsed by `check_m`."""
+    """Row x: the ids in 0..(m+1)N-1 compatible with id x at an m parsed by `check_m`, kept
+    by m: no Hom/Ext from x to a lower level, none into x from a higher one, no Ext either way
+    at x's level."""
     if m not in cat.compat:
         n, full = len(cat.roots), (1 << len(cat.roots)) - 1
         ext_in = [sum(1 << j for j, x in enumerate(cat.ext_out) if x >> r & 1) for r in range(n)]
@@ -94,18 +80,6 @@ def _compat_rows(cat: RepCategory, m: int) -> list[int]:
                              for j in range(m + 1))
                          for level in range(m + 1) for r in range(n)]
     return cat.compat[m]
-
-
-def is_valid_object(cat: RepCategory, scope: WideSubcat | None, m: int,
-                    obj: ShiftedObject) -> bool:
-    """obj lies in the scope at a level in 0..m, and at m only if it is
-    relatively projective there; a level that is not an integer is refused."""
-    mask, level = object_mask(cat, scope, check_m(m)), check_level(obj.level)
-    try:
-        i = cat.root_id[obj.root]
-    except (KeyError, TypeError):
-        return False
-    return level >= 0 and bool(mask >> level * len(cat.roots) + i & 1)  # no id above (m+1)N-1
 
 
 def check_length(k) -> int:
@@ -122,19 +96,6 @@ def check_pair(obj) -> tuple:
     except (TypeError, ValueError):
         raise InputError(f"{obj!r} is not a (root, level) pair") from None
     return root, check_level(level)
-
-
-def compatible(cat: RepCategory, a: ShiftedObject, b: ShiftedObject) -> bool:
-    """Symmetric, irreflexive compatibility of two shifted objects."""
-    if a == b:
-        return False
-    if a.level < b.level:
-        return cat.hom(b.root, a.root) == 0 and cat.ext(b.root, a.root) == 0
-    if a.level > b.level:
-        return cat.hom(a.root, b.root) == 0 and cat.ext(a.root, b.root) == 0
-    if a.root == b.root:
-        return False
-    return cat.ext(a.root, b.root) == 0 and cat.ext(b.root, a.root) == 0
 
 
 def enumerate_clusters(cat: RepCategory, m: int) -> tuple[tuple[ShiftedObject, ...], ...]:
@@ -180,17 +141,9 @@ def compatible_subsets(cat: RepCategory, m: int, k: int, scope: WideSubcat | Non
     return subsets(object_mask(cat, scope, m) & candidates, k)
 
 
-def ordered_tuples(cat: RepCategory, m: int, k: int) -> list[tuple[ShiftedObject, ...]]:
-    """All ordered pairwise compatible k-tuples (permutations of the subsets)."""
-    out: list[tuple[ShiftedObject, ...]] = []
-    for subset in compatible_subsets(cat, check_m(m), check_length(k)):
-        out.extend(permutations(decode(cat, subset)))
-    return out
-
-
 def check_objects(cat: RepCategory, scope: WideSubcat | None, m: int, objects) -> tuple[int, ...]:
     """The ids of objects, the one object parser: each is parsed by `encode`, must be a valid
-    object of the scope at m, and they must be pairwise compatible (`compat_rows`)."""
+    object of the scope at m, and they must be pairwise compatible (`_compat_rows`)."""
     m, ids = check_m(m), encode(cat, objects)
     valid = object_mask(cat, scope, m)
     for x in ids:

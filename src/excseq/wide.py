@@ -9,8 +9,8 @@ rank, taken on the integer root vectors by `linalg.rank`.
 An exceptional sequence "in W" is an ambient sequence whose terms all lie in
 W, and completeness means its length equals rank(W).  The enumeration of
 complete sequences picks each term from the perpendicular of its later
-terms, so it flags the relatively projective terms as it goes;
-`mark_relative_projectives` derives the same flags for one given sequence.
+terms, so it flags the relatively projective terms as it goes, each by one
+bit test on its root id.
 The mutation of an exceptional pair (X, T) -> (T, Y) is found by a filtered
 search: Y is the unique exceptional module such that (T, Y) is exceptional,
 dim Y = +-dim X + s*dim T for an integer s, and X, T and Y, T span the same
@@ -18,7 +18,8 @@ rank-2 wide subcategory.  The search walks s along the two root lines,
 bounded by the highest root, and looks each vector up in `root_id`.
 Uniqueness is asserted once per pair, whose `PairRecord` (Y's id, its case
 and placement parities) the category's `pair_mutations` keeps; this doubles
-as a structural check, and the inverse move is the same search mirrored.  These memos are freed with the category.
+as a structural check, and the inverse move is the same search mirrored.  These
+memos are freed with the category.
 """
 
 from __future__ import annotations
@@ -86,21 +87,11 @@ def ambient(cat: RepCategory) -> WideSubcat:
 
 def perp(cat: RepCategory, generators, within: WideSubcat | None = None) -> WideSubcat:
     """Right perpendicular: objects X in scope with Hom(G, X) = 0 = Ext(G, X)."""
-    return _perp(cat, generators, within, right=True)
-
-
-def left_perp(cat: RepCategory, generators, within: WideSubcat | None = None) -> WideSubcat:
-    """Left perpendicular: objects X in scope with Hom(X, G) = 0 = Ext(X, G)."""
-    return _perp(cat, generators, within, right=False)
-
-
-def _perp(cat: RepCategory, generators, within: WideSubcat | None,
-          right: bool) -> WideSubcat:
     scope = within if within is not None else ambient(cat)
     gens = 0
     for g in generators:
         gens |= 1 << cat.root_id[cat.check_root(g)]
-    return _perp_of(cat, gens, scope, right) if gens else scope
+    return _perp_of(cat, gens, scope, True) if gens else scope
 
 
 def _perp_of(cat: RepCategory, gens: int, scope: WideSubcat, right: bool) -> WideSubcat:
@@ -127,55 +118,20 @@ def _perp_of(cat: RepCategory, gens: int, scope: WideSubcat, right: bool) -> Wid
     return w
 
 
-def is_exceptional_sequence(cat: RepCategory, terms) -> bool:
-    terms = [cat.check_root(t) for t in terms]
-    for j in range(len(terms)):
-        for i in range(j):
-            if cat.hom(terms[j], terms[i]) != 0 or cat.ext(terms[j], terms[i]) != 0:
-                return False
-    return True
-
-
 def relative_projectives(cat: RepCategory, w: WideSubcat) -> tuple[Root, ...]:
     """Objects of W with no extensions into anything in W."""
     return tuple(x for x in w.objects if not cat.ext_out[cat.root_id[x]] & w.mask)
 
 
-def is_relatively_projective(cat: RepCategory, x: Root, w: WideSubcat) -> bool:
-    try:
-        i = cat.root_id[x]
-    except (KeyError, TypeError):
-        return False
-    return bool(w.mask >> i & 1) and not cat.ext_out[i] & w.mask
-
-
-def mark_relative_projectives(cat: RepCategory, terms) -> ExcSequence:
-    """Flag each term that is projective in the perpendicular of its later terms."""
-    terms = tuple(cat.check_root(t) for t in terms)
-    if not is_exceptional_sequence(cat, terms):
-        raise InputError("terms do not form an exceptional sequence")
-    flags, cur = [False] * len(terms), ambient(cat)
-    for j in reversed(range(len(terms))):
-        if not cur.mask >> cat.root_id[terms[j]] & 1:
-            raise InputError(f"term {terms[j]} escapes the scope of its later terms")
-        flags[j] = is_relatively_projective(cat, terms[j], cur)
-        cur = perp(cat, (terms[j],), cur)
-    if len(terms) == cat.n and terms and not flags[0]:
-        raise InternalConsistencyError(
-            f"{cat.quiver.diagram.type_tag}: first term of a complete sequence "
-            "must be relatively projective")
-    return ExcSequence(terms, tuple(flags))
-
-
 def marked_exc_sequences(cat: RepCategory) -> tuple[ExcSequence, ...]:
-    """All complete exceptional sequences, deterministically ordered, each
-    flagged as `mark_relative_projectives` would flag it.
+    """All complete exceptional sequences, deterministically ordered, each term
+    flagged when it is relatively projective in the perpendicular of its later terms.
 
-    A term is picked from the perpendicular of its later terms, which is the
-    subcategory its flag is decided in.  The (terms, flags) of each visited
+    A term is picked from that perpendicular, so its flag is one bit test on its root
+    id against the subcategory it was picked from.  The (terms, flags) of each visited
     subcategory are memoised by mask for this call only.
     """
-    tag = cat.quiver.diagram.type_tag
+    tag, root_id, ext_out = cat.quiver.diagram.type_tag, cat.root_id, cat.ext_out
     memo: dict[int, tuple] = {}
 
     def sequences(w: WideSubcat):
@@ -190,7 +146,7 @@ def marked_exc_sequences(cat: RepCategory) -> tuple[ExcSequence, ...]:
         else:
             out = []
             for last in w.objects:
-                flag = is_relatively_projective(cat, last, w)
+                flag = not ext_out[root_id[last]] & mask
                 if w.rank == 1 and not flag:
                     # `last` is then the first term of a complete sequence
                     raise InternalConsistencyError(
@@ -203,11 +159,6 @@ def marked_exc_sequences(cat: RepCategory) -> tuple[ExcSequence, ...]:
         return result
 
     return tuple(ExcSequence(terms, flags) for terms, flags in sequences(ambient(cat)))
-
-
-def complete_exc_sequences(cat: RepCategory) -> tuple[tuple[Root, ...], ...]:
-    """All complete exceptional sequences, deterministically ordered."""
-    return tuple(s.terms for s in marked_exc_sequences(cat))
 
 
 def rel_proj_poly_enumerated(cat: RepCategory, marked=None) -> counting.IntPoly:
@@ -243,18 +194,6 @@ def classify_pair(cat: RepCategory, x, t) -> PairCase:
             f"{cat.quiver.diagram.type_tag}: approximation {x} -> {t}^{s} is "
             "neither mono nor epi")
     return PairCase.MONO if mono else PairCase.EPI
-
-
-def mutate_pair(cat: RepCategory, x, t) -> Root:
-    """The braid move (X, T) -> (T, Y) on exceptional pairs; returns Y."""
-    x, t = cat.check_root(x), cat.check_root(t)
-    return cat.roots[_pair_record(cat, cat.root_id[x], cat.root_id[t], False).z]
-
-
-def mutate_pair_inverse(cat: RepCategory, y, t) -> Root:
-    """The braid move (T, Y) -> (X, T) on exceptional pairs; returns X."""
-    y, t = cat.check_root(y), cat.check_root(t)
-    return cat.roots[_pair_record(cat, cat.root_id[y], cat.root_id[t], True).z]
 
 
 def _pair_record(cat: RepCategory, xi: int, ti: int, inverse: bool) -> PairRecord:

@@ -1,8 +1,10 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from excseq import build_diagram, category
+from excseq.shiftcat import _ids, compatible_subsets, decode, object_mask
+from excseq.wide import _pair_record
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +52,18 @@ def orientations(tag: str) -> list[tuple[tuple[int, int], ...]]:
     edges = [(u, v) for u, v, _, _ in build_diagram(tag).edges]
     return [tuple((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips))
             for flips in product((False, True), repeat=len(edges))]
+
+
+def objects_at(cat, m, scope=None):
+    """The valid shifted objects of the scope at m, in id order."""
+    return decode(cat, _ids(object_mask(cat, scope, m)))
+
+
+def compatible_tuples(cat, m, k):
+    """Every ordered pairwise compatible k-tuple: the orders of each compatible k-subset."""
+    return [p for s in compatible_subsets(cat, m, k) for p in permutations(decode(cat, s))]
+
+
+def braid_move(cat, x, t, inverse=False):
+    """Y of the braid move (X, T) -> (T, Y) on roots, or X of (T, Y) -> (X, T) if inverse."""
+    return cat.roots[_pair_record(cat, cat.root_id[x], cat.root_id[t], inverse).z]

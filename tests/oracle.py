@@ -15,18 +15,29 @@ built on it; the package itself never imports this module.
 
 `scan_pair_record` is the oracle for `wide._pair_record`: the same filtered
 search for a braid move, over every root instead of along the root lines.
+
+The pure definitions that the package's table-driven kernels are checked
+against live here too: the Euler form `euler` on arbitrary integer vectors,
+the three-case `compatible` behind the compatibility rows, the
+`is_exceptional_sequence` predicate and `mark_relative_projectives`, the
+reference for the enumerator's flags, and the strict-Euler `exchange_matrix`
+with `c_vector` and `signed_dim`, the reference for slope-vector mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
+from excseq.configs import SlopeVector, slope_vectors
+from excseq.counting import check_m
 from excseq.dynkin import Quiver, Root, coxeter_for_tag
 from excseq.errors import InputError, InternalConsistencyError
-from excseq.repengine import RepCategory
-from excseq.wide import PairRecord, classify_pair, perp
+from excseq.repengine import RepCategory, _int_vector
+from excseq.shiftcat import ShiftedObject, check_pair
+from excseq.wide import ExcSequence, PairRecord, ambient, classify_pair, perp
 
 Vector = tuple[Fraction, ...]
 
@@ -266,7 +277,7 @@ class ReflectionOracle:
         endo = _hom_space(module, module).dimension
         if endo != 1:
             raise InternalConsistencyError(f"module at {beta} is not Schurian")
-        if endo - self.cat.euler(beta, beta) != 0:
+        if endo - euler(self.cat, beta, beta) != 0:
             raise InternalConsistencyError(f"module at {beta} is not rigid")
 
     # ----- hom spaces and approximations -----
@@ -381,3 +392,74 @@ def scan_pair_record(cat: RepCategory, xi: int, ti: int, inverse: bool) -> PairR
                 found.append((i, same, flip))
     assert len(found) == 1, (x, t, inverse, found)
     return PairRecord(*found[0], classify_pair(cat, *((t, x) if inverse else (x, t))))
+
+
+# ----- reference definitions -----
+
+def euler(cat: RepCategory, x, y) -> int:
+    """<x, y> = x^t E y for integer vectors of length n, roots or not."""
+    x, y = _int_vector(x), _int_vector(y)
+    if len(x) != cat.n or len(y) != cat.n:
+        raise InputError(f"{x} and {y} need {cat.n} entries each")
+    return sum(map(mul, (sum(map(mul, x, col)) for col in zip(*cat.E)), y))
+
+
+def compatible(cat: RepCategory, a: ShiftedObject, b: ShiftedObject) -> bool:
+    """Symmetric, irreflexive compatibility of two shifted objects."""
+    if a == b:
+        return False
+    if a.level < b.level:
+        return cat.hom(b.root, a.root) == 0 and cat.ext(b.root, a.root) == 0
+    if a.level > b.level:
+        return cat.hom(a.root, b.root) == 0 and cat.ext(a.root, b.root) == 0
+    if a.root == b.root:
+        return False
+    return cat.ext(a.root, b.root) == 0 and cat.ext(b.root, a.root) == 0
+
+
+def is_exceptional_sequence(cat: RepCategory, terms) -> bool:
+    terms = [cat.check_root(t) for t in terms]
+    for j in range(len(terms)):
+        for i in range(j):
+            if cat.hom(terms[j], terms[i]) != 0 or cat.ext(terms[j], terms[i]) != 0:
+                return False
+    return True
+
+
+def mark_relative_projectives(cat: RepCategory, terms) -> ExcSequence:
+    """Flag each term that is projective in the perpendicular of its later terms:
+    it has no extension into any object there."""
+    terms = tuple(cat.check_root(t) for t in terms)
+    if not is_exceptional_sequence(cat, terms):
+        raise InputError("terms do not form an exceptional sequence")
+    flags, cur = [False] * len(terms), ambient(cat)
+    for j in reversed(range(len(terms))):
+        if terms[j] not in cur.objects:
+            raise InputError(f"term {terms[j]} escapes the scope of its later terms")
+        flags[j] = all(cat.ext(terms[j], y) == 0 for y in cur.objects)
+        cur = perp(cat, (terms[j],), cur)
+    if len(terms) == cat.n and terms and not flags[0]:
+        raise InternalConsistencyError(
+            f"{cat.quiver.diagram.type_tag}: first term of a complete sequence "
+            "must be relatively projective")
+    return ExcSequence(terms, tuple(flags))
+
+
+def c_vector(sv: SlopeVector) -> tuple[int, ...]:
+    sign = (-1) ** sv.slope
+    return tuple(sign * x for x in sv.root)
+
+
+def signed_dim(m: int, obj: ShiftedObject) -> tuple[int, ...]:
+    m, (root, level) = check_m(m), check_pair(obj)
+    return tuple((-1) ** (m - level) * x for x in root)
+
+
+def exchange_matrix(cat: RepCategory, m: int, comps) -> tuple[tuple[int, ...], ...]:
+    """Antisymmetrized Euler pairings of the c-vectors: b[k][j] = <c_j, c_k> - <c_k, c_j>.
+    The strict-Euler reference that the exchange rows of `configs._mutate` are checked
+    against."""
+    cs = [c_vector(sv) for sv in slope_vectors(m, comps)]
+    n = len(cs)
+    return tuple(tuple(euler(cat, cs[j], cs[k]) - euler(cat, cs[k], cs[j])
+                       for j in range(n)) for k in range(n))

@@ -10,21 +10,20 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from excseq import (build_diagram, category, count_closed_form,
-                    count_complete_exc_sequences, complete_exc_sequences,
-                    fomin_reading_count, m_count_identity_holds,
-                    m_sequence_poly, real_root_check, rel_proj_poly,
-                    rel_proj_poly_enumerated)
+                    count_complete_exc_sequences, fomin_reading_count,
+                    m_count_identity_holds, m_sequence_poly, real_root_check,
+                    rel_proj_poly, rel_proj_poly_enumerated)
 from excseq.bijection import (check_transport, m_exc_sequences,
                               sequence_to_tuple, tuple_to_sequence)
-from excseq.configs import (duality_frame, exchange_graph, garside_configuration,
-                            mutate_configuration, order_cluster, recover_cluster,
-                            slope_vectors)
-from excseq.shiftcat import (ShiftedObject, enumerate_clusters, ordered_tuples,
-                             shifted_objects)
-from excseq.wide import (PairCase, classify_pair, is_exceptional_sequence,
-                         is_relatively_projective, mutate_pair, perp)
+from excseq.configs import (_garside, _order, cluster_table, duality_frame, exchange_graph,
+                            garside_configuration, mutation_moves, order_cluster)
+from excseq.shiftcat import ShiftedObject, _ids, decode, enumerate_clusters, object_mask
+from excseq.wide import (PairCase, ambient, classify_pair, marked_exc_sequences, perp,
+                         relative_projectives)
 
 import oracle
+from conftest import braid_move, compatible_tuples
+from oracle import is_exceptional_sequence
 
 ALL_RANK8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
              + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
@@ -59,7 +58,7 @@ def test_criterion_2_enumeration_vs_formula():
                     "D4": 162, "D5": 2048}
         for tag, want in expected.items():
             cat = category(tag)
-            seqs = complete_exc_sequences(cat)
+            seqs = marked_exc_sequences(cat)
             assert len(seqs) == want
             assert len(seqs) == count_complete_exc_sequences(cat.quiver.diagram)
 
@@ -94,7 +93,7 @@ def test_criterion_5_main_bijection_sweep():
             cat = category(tag)
             for m in (0, 1, 2):
                 for k in range(1, cat.n + 1):
-                    tuples = ordered_tuples(cat, m, k)
+                    tuples = compatible_tuples(cat, m, k)
                     seqs = m_exc_sequences(cat, m, k)
                     images = [tuple_to_sequence(cat, m, t) for t in tuples]
                     assert len(tuples) == len(seqs)
@@ -112,7 +111,7 @@ def test_criterion_6_transport_sweep():
         for tag in ("A2", "A3"):
             cat = category(tag)
             for m in (0, 1, 2):
-                for t_obj in shifted_objects(cat, None, m):
+                for t_obj in decode(cat, _ids(object_mask(cat, None, m))):
                     report = check_transport(cat, m, t_obj)
                     assert report.ok, report.violations
 
@@ -143,29 +142,18 @@ def test_criterion_8_duality_sweep():
 
 def test_criterion_9_mutation_coherence():
     with criterion(9, "mutation coherence and the size-5 exchange graph"):
+        # every move of the generator, and the move back from its result
         for tag in ("A2", "A3"):
             cat = category(tag)
             m = 1
-            for cluster in enumerate_clusters(cat, m):
-                ordered = order_cluster(cat, m, cluster)
-                comps = garside_configuration(cat, m, ordered)
-                svs = slope_vectors(m, comps)
-                for k in range(cat.n):
-                    for direction in ("+", "-"):
-                        if direction == "+" and svs[k].slope + 1 > m:
-                            continue
-                        if direction == "-" and svs[k].slope - 1 < 0:
-                            continue
-                        new_comps = mutate_configuration(cat, m, comps, k, direction)
-                        new_ordered = recover_cluster(cat, m, ordered, new_comps, k)
-                        rederived = garside_configuration(
-                            cat, m, order_cluster(cat, m, new_ordered))
-                        assert set(rederived) == set(new_comps)
-                        back = mutate_configuration(
-                            cat, m, new_comps, k, "-" if direction == "+" else "+")
-                        assert back == comps
-                        for comp in new_comps:
-                            assert comp.root in cat.root_set
+            for ordered, comps in cluster_table(cat, m).values():
+                for k, direction, new_comps, new_ordered in mutation_moves(
+                        cat, m, ordered, comps):
+                    rederived = _garside(cat, m, _order(cat, m, new_ordered), ambient(cat))
+                    assert set(rederived) == set(new_comps)
+                    back = {(kk, d): moved for kk, d, *moved in mutation_moves(
+                        cat, m, new_ordered, new_comps)}
+                    assert back[k, "-" if direction == "+" else "+"] == [comps, ordered]
         nodes, _ = exchange_graph(category("A2"), 1)
         assert len(nodes) == 5
 
@@ -179,13 +167,13 @@ def test_criterion_10_pair_lemma_suites():
                 for x in w.objects:
                     # projectivity transfer outside the mono-embedding case
                     if classify_pair(cat, x, t) is not PairCase.MONO:
-                        y = mutate_pair(cat, x, t)
-                        assert cat.is_projective(y) == is_relatively_projective(cat, x, w)
+                        y = braid_move(cat, x, t)
+                        assert (y in cat.projective_roots) == (x in relative_projectives(cat, w))
                     # triple-pair coherence
                     for xp in w.objects:
                         if x == xp:
                             continue
-                        y, yp = mutate_pair(cat, x, t), mutate_pair(cat, xp, t)
+                        y, yp = braid_move(cat, x, t), braid_move(cat, xp, t)
                         answers = {is_exceptional_sequence(cat, [x, xp])}
                         if x != yp:
                             answers.add(is_exceptional_sequence(cat, [x, yp]))
@@ -195,8 +183,8 @@ def test_criterion_10_pair_lemma_suites():
                         # linear relation with signs
                         if not is_exceptional_sequence(cat, [x, xp]):
                             continue
-                        xpp = mutate_pair(cat, x, xp)
-                        ypp = mutate_pair(cat, xpp, t)
+                        xpp = braid_move(cat, x, xp)
+                        ypp = braid_move(cat, xpp, t)
                         cols = oracle.transpose(oracle.mat([xp, xpp]))
                         a, b = oracle.solve(cols, [Fraction(-v) for v in x])
                         witnesses = [(e1, e2) for e1 in (1, -1) for e2 in (1, -1)

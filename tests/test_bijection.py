@@ -9,20 +9,36 @@ import pytest
 from excseq import InputError, InternalConsistencyError, category
 from excseq.configs import cluster_table
 from excseq.dynkin import build_diagram, build_quiver
-from excseq.bijection import (_to_sequences, _to_tuples, check_transport,
+from excseq.bijection import (_build_table, _to_sequences, _to_tuples, check_transport,
                               is_m_exc_sequence, m_exc_sequences, sequence_to_tuple,
-                              transport, transport_inverse, tuple_to_sequence)
+                              tuple_to_sequence)
 from excseq.repengine import RepCategory
-from excseq.shiftcat import (ShiftedObject, compatible, decode, encode, ordered_tuples,
-                             shifted_objects)
-from excseq.wide import (PairCase, _pair_record, ambient, left_perp, mark_relative_projectives,
-                         mutate_pair, mutate_pair_inverse, perp)
+from excseq.shiftcat import ShiftedObject, decode, encode
+from excseq.wide import PairCase, _pair_record, _perp_of, ambient, perp
 
-from conftest import P1, S1, S2
+from conftest import P1, S1, S2, braid_move, compatible_tuples, objects_at
+from oracle import compatible, mark_relative_projectives
 
 
 def O(root, level):
     return ShiftedObject(root, level)
+
+
+def table_of(cat, m, t_obj, scope=None):
+    """The transport table of t_obj in the scope, in ids."""
+    scope = scope if scope is not None else ambient(cat)
+    t, = encode(cat, (t_obj,))
+    return cat.transports.get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
+
+
+def transport(cat, m, t_obj, obj, scope=None):
+    """obj carried by the transport table of t_obj; KeyError outside its domain."""
+    return decode(cat, (table_of(cat, m, t_obj, scope).forward[encode(cat, (obj,))[0]],))[0]
+
+
+def transport_inverse(cat, m, t_obj, obj, scope=None):
+    """The object that the transport table of t_obj carries to obj."""
+    return decode(cat, (table_of(cat, m, t_obj, scope).inverse[encode(cat, (obj,))[0]],))[0]
 
 
 def test_transport_examples(a2):
@@ -34,8 +50,8 @@ def test_transport_examples(a2):
 
 
 def test_transport_rejects_outsiders(a2):
-    with pytest.raises(InputError):
-        transport(a2, 1, O(P1, 0), O(S1, 0))  # S1 not in the perpendicular of P1
+    # S1 is not in the perpendicular of P1, so not in the domain of its table
+    assert encode(a2, [O(S1, 0)])[0] not in table_of(a2, 1, O(P1, 0)).forward
 
 
 def test_transport_inverse_examples(a2):
@@ -45,34 +61,33 @@ def test_transport_inverse_examples(a2):
 
 
 def test_transport_inverse_rejects_incompatible(a2):
-    with pytest.raises(InputError):
-        transport_inverse(a2, 1, O(P1, 0), O(S2, 1))  # S2[1] clashes with P1[0]
+    # S2[1] clashes with P1[0], so it is not in the image of its table
+    assert encode(a2, [O(S2, 1)])[0] not in table_of(a2, 1, O(P1, 0)).inverse
 
 
 def test_invariant_failure_names_the_category(a2):
     # a fresh category, so no transport table of A2 is reused from the memo;
     # its record of the pair (S2, P1) is seeded with neither placement parity
     cat = RepCategory(a2.quiver)
-    mutate_pair(cat, S2, P1)
+    braid_move(cat, S2, P1)
     key = (cat.root_id[S2], cat.root_id[P1], False)
     cat.pair_mutations[key] = cat.pair_mutations[key]._replace(same=False, flip=False)
     with pytest.raises(InternalConsistencyError, match="placement of") as info:
-        transport(cat, 1, O(P1, 0), O(S2, 1))
+        check_transport(cat, 1, O(P1, 0))
     assert "A2" in str(info.value) and "m=1" in str(info.value)
 
 
 @pytest.mark.parametrize("k", [-1, 1.5, True, False, "1", None])
 def test_lengths_are_parsed_strictly(a2, k):
     # a negative or non-integral length gave [], and True gave the 1-tuples
-    for enumerate_ in (ordered_tuples, m_exc_sequences):
-        with pytest.raises(InputError, match="length"):
-            enumerate_(a2, 1, k)
+    with pytest.raises(InputError, match="length"):
+        m_exc_sequences(a2, 1, k)
 
 
 def test_integral_lengths_are_accepted(a2):
-    for enumerate_ in (ordered_tuples, m_exc_sequences):
-        assert enumerate_(a2, 1, Fraction(2)) == enumerate_(a2, 1, 2.0) == enumerate_(a2, 1, 2)
-        assert len(enumerate_(a2, 1, 2)) == 10 and enumerate_(a2, 1, 0) == [()]
+    assert m_exc_sequences(a2, 1, Fraction(2)) == m_exc_sequences(a2, 1, 2.0) == \
+        m_exc_sequences(a2, 1, 2)
+    assert len(m_exc_sequences(a2, 1, 2)) == 10 and m_exc_sequences(a2, 1, 0) == [()]
 
 
 def test_tuple_to_sequence_examples(a2):
@@ -87,10 +102,9 @@ def test_tuple_to_sequence_validates(a2):
 
 
 def test_non_integral_levels_are_refused(a2):
-    # int() would truncate each 0.5 or 0.7 below to 0
-    for call in (lambda: transport(a2, 1, O(P1, 0), O(S2, 0.7)),
-                 lambda: transport_inverse(a2, 1, O(P1, 0), O(S2, "x")),
-                 lambda: transport(a2, 1, O(P1, 0.5), O(S2, 0)),
+    # int() would truncate each 0.5 below to 0
+    for call in (lambda: check_transport(a2, 1, O(P1, 0.5)),
+                 lambda: check_transport(a2, 1, O(P1, "0")),
                  lambda: tuple_to_sequence(a2, 1, (O(S1, 0), O(P1, 0.5))),
                  lambda: sequence_to_tuple(a2, 1, (O(S2, 1), O(P1, 0.5))),
                  lambda: sequence_to_tuple(a2, 1, (O(S2, "1"), O(P1, 0)))):
@@ -109,6 +123,18 @@ def test_tuple_to_sequence_reads_plain_pairs(a2):
     # each entry is checked as a pair, and the checked entries are paired up
     assert tuple_to_sequence(a2, 1, [(S1, 0), (P1, 0)]) == \
         tuple_to_sequence(a2, 1, [O(S1, 0), O(P1, 0)])
+
+
+def test_a_list_root_reads_as_its_tuple(a2):
+    # sequence_to_tuple refused a list root and is_m_exc_sequence read it as no root,
+    # while tuple_to_sequence took it
+    want = (O(S1, 0),)
+    assert sequence_to_tuple(a2, 1, [([1, 0], 0)]) == want
+    assert tuple_to_sequence(a2, 1, [([1, 0], 0)]) == want
+    assert sequence_to_tuple(a2, 1, [([0, 1], 1), ([1, 1], 0)]) == \
+        sequence_to_tuple(a2, 1, [(S2, 1), (P1, 0)])
+    assert is_m_exc_sequence(a2, 1, [([0, 1], 1), ([1, 1], 0)])
+    assert not is_m_exc_sequence(a2, 1, [([1, 1], 0), ([0, 1], 0)])
 
 
 def test_is_m_exc_sequence(a2):
@@ -130,13 +156,15 @@ def test_transport_domain_codomain_sizes(a2):
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_transport_sweep(tag, m):
     cat = category(tag)
-    for t_obj in shifted_objects(cat, None, m):
+    # each table maps the objects of T's perpendicular onto those compatible with T[k]
+    # by `compatible`, and its inverse undoes it
+    for t_obj in objects_at(cat, m):
         assert check_transport(cat, m, t_obj).ok
-        for x_obj in shifted_objects(cat, perp(cat, [t_obj.root]), m):
-            assert transport_inverse(cat, m, t_obj, transport(cat, m, t_obj, x_obj)) == x_obj
-        for y_obj in shifted_objects(cat, None, m):
-            if compatible(cat, y_obj, t_obj):
-                assert transport(cat, m, t_obj, transport_inverse(cat, m, t_obj, y_obj)) == y_obj
+        table = table_of(cat, m, t_obj)
+        assert decode(cat, table.forward) == objects_at(cat, m, perp(cat, [t_obj.root]))
+        assert set(decode(cat, table.inverse)) == {
+            y for y in objects_at(cat, m) if compatible(cat, y, t_obj)}
+        assert {x: y for y, x in table.inverse.items()} == table.forward
 
 
 @pytest.mark.parametrize("tag", ["A2", "A3"])
@@ -144,7 +172,7 @@ def test_transport_sweep(tag, m):
 def test_main_bijection_sweep(tag, m):
     cat = category(tag)
     for k in range(1, cat.n + 1):
-        tuples = ordered_tuples(cat, m, k)
+        tuples = compatible_tuples(cat, m, k)
         seqs = m_exc_sequences(cat, m, k)
         images = [tuple_to_sequence(cat, m, t) for t in tuples]
         assert len(tuples) == len(seqs)
@@ -176,7 +204,7 @@ def test_sequence_enumeration_counts(a2):
 
 
 def _reference_sequence(cat, m, tup, scope=None):
-    """tuple_to_sequence composed from the public, validating transport_inverse."""
+    """tuple_to_sequence composed from one inverse transport table at a time."""
     if len(tup) <= 1:
         return tuple(tup)
     t_obj = tup[-1]
@@ -185,7 +213,7 @@ def _reference_sequence(cat, m, tup, scope=None):
 
 
 def _reference_tuple(cat, m, terms, scope=None):
-    """sequence_to_tuple composed from the public, validating transport."""
+    """sequence_to_tuple composed from one transport table at a time."""
     if len(terms) <= 1:
         return tuple(terms)
     t_obj = terms[-1]
@@ -199,7 +227,7 @@ def test_internal_bijection_paths_match_the_public_ones(tag, m):
     cat = category(tag)
     scope = ambient(cat)
     for k in range(1, cat.n + 1):
-        tuples = ordered_tuples(cat, m, k)
+        tuples = compatible_tuples(cat, m, k)
         seqs = list(_to_sequences(cat, m, [encode(cat, t) for t in tuples], scope))
         assert list(_to_tuples(cat, m, seqs, scope)) == [encode(cat, t) for t in tuples]
         for t, seq in zip(tuples, seqs):
@@ -214,13 +242,14 @@ def _memo_answers(cat, m, scope=None):
     scope = scope if scope is not None else ambient(cat)
     out = {}
     for x in scope.objects:
-        out["perp", x] = perp(cat, (x,), scope).mask, left_perp(cat, (x,), scope).mask
+        out["perp", x] = (perp(cat, (x,), scope).mask,
+                          _perp_of(cat, 1 << cat.root_id[x], scope, False).mask)
         for t in scope.objects:
             if x != t and not cat.hom(t, x) and not cat.ext(t, x):  # (x, t) exceptional
-                out["mutate", x, t] = mutate_pair(cat, x, t)
-                out["unmutate", t, x] = mutate_pair_inverse(cat, t, x)
-    for t in shifted_objects(cat, scope, m):
-        for x in shifted_objects(cat, perp(cat, (t.root,), scope), m):
+                out["mutate", x, t] = braid_move(cat, x, t)
+                out["unmutate", t, x] = braid_move(cat, t, x, inverse=True)
+    for t in objects_at(cat, m, scope):
+        for x in objects_at(cat, m, perp(cat, (t.root,), scope)):
             out["transport", t, x] = transport(cat, m, t, x, scope)
     return out
 
@@ -283,4 +312,4 @@ def test_a_corrupted_pair_record_fails_the_table_checks(pair, change, message):
     key = (cat.root_id[pair[0]], cat.root_id[pair[1]], pair[2])
     cat.pair_mutations[key] = _pair_record(cat, *key)._replace(**change)
     with pytest.raises(InternalConsistencyError, match=f"^{re.escape('A2, m=1: ' + message)}$"):
-        transport(cat, 1, ShiftedObject(P1, 0), ShiftedObject(S2, 1))
+        check_transport(cat, 1, ShiftedObject(P1, 0))

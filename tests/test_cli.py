@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import excseq
-from excseq import InputError, category, mark_relative_projectives
+from excseq import InputError, category
 from excseq.cli import main
 from excseq.serialize import cluster_from_dict, cluster_to_dict, dumps_canonical, object_from_dict
 from excseq.shiftcat import enumerate_clusters
@@ -74,7 +74,7 @@ def test_enumerate_exc_seqs_json_and_text(capsys):
     for record, line in zip(data["records"], lines):
         text_flags = [c == "T" for c in line.split("  rp=")[1]]
         assert text_flags == record["rel_proj"]
-        expected = mark_relative_projectives(cat, [tuple(t) for t in record["terms"]])
+        expected = oracle.mark_relative_projectives(cat, [tuple(t) for t in record["terms"]])
         assert tuple(record["rel_proj"]) == expected.rel_proj_flags
         assert line.split("  rp=")[0] == " ".join(
             "(" + ",".join(map(str, t)) + ")" for t in expected.terms)

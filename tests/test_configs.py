@@ -7,22 +7,19 @@ import pytest
 
 from excseq import InputError, InternalConsistencyError, category, configs, verify
 from excseq.cli import main
-from excseq.configs import (all_valid_orders, c_vector, cluster_table, duality_frame,
-                            exchange_graph, exchange_matrix, garside_configuration,
-                            g_vector_check, horizontal_subcat, mutate,
-                            mutate_configuration, mutation_moves, order_cluster,
-                            recover_cluster, signed_dim, slope_vectors,
-                            validate_configuration)
+from excseq.configs import (_check_frame, _horizontal, _mutate, _recover, _valid_orders,
+                            _validate, cluster_table, duality_frame, exchange_graph,
+                            garside_configuration, g_vector_check, mutate, mutation_moves,
+                            order_cluster, slope_vectors)
 from excseq.dynkin import build_diagram, build_quiver
 from excseq.errors import VerificationError
-from excseq.bijection import is_m_exc_sequence, m_exc_sequences, transport
+from excseq.bijection import is_m_exc_sequence, m_exc_sequences, sequence_to_tuple
 from excseq.repengine import RepCategory
-from excseq.shiftcat import (ShiftedObject, canonical_cluster, compat_rows, compatible, decode, encode,
-                             enumerate_clusters, is_valid_object, shifted_objects)
-from excseq.wide import is_exceptional_sequence
+from excseq.shiftcat import ShiftedObject, _compat_rows, decode, encode, enumerate_clusters
 
 import oracle
-from conftest import P1, S1, S2
+from conftest import P1, S1, S2, objects_at
+from oracle import c_vector, compatible, exchange_matrix, is_exceptional_sequence, signed_dim
 
 
 def O(root, level):
@@ -42,6 +39,38 @@ def object_moves(cat, m, ordered, comps):
         yield k, direction, decode(cat, new_comps), decode(cat, new_ordered)
 
 
+def valid_orders(cat, cluster):
+    """`_valid_orders` of a cluster, its objects taken by root, then level."""
+    n = len(cat.roots)
+    ids = sorted(encode(cat, cluster), key=lambda x: (x % n, x))
+    return [decode(cat, order) for order in _valid_orders(cat, ids)]
+
+
+def horizontal(cat, m, comps, s):
+    """`_horizontal` of a configuration at slope index s."""
+    return _horizontal(cat, m, encode(cat, comps), s)
+
+
+def validate(cat, m, comps):
+    """`_validate` of a configuration."""
+    _validate(cat, m, encode(cat, comps))
+
+
+def mutate_comps(cat, m, comps, k, direction):
+    """The legal move of `_mutate` at k of a configuration, validated as `mutate` validates it."""
+    new = _mutate(cat, m, encode(cat, comps), k, direction)
+    _validate(cat, m, new)
+    return decode(cat, new)
+
+
+def recover(cat, m, ordered, new_comps, k):
+    """`_recover` of the cluster dual to new_comps, its frame checked as `mutate` checks it."""
+    comp_ids = encode(cat, new_comps)
+    new_ordered = _recover(cat, m, encode(cat, ordered), comp_ids, k)
+    _check_frame(cat, m, new_ordered, comp_ids)
+    return decode(cat, new_ordered)
+
+
 def test_order_cluster_examples(a2):
     assert order_cluster(a2, 1, {O(S1, 0), O(P1, 0)}) == (O(S1, 0), O(P1, 0))
     # the only ordering of {S2[0], P1[1]} whose reversal is exceptional puts
@@ -53,22 +82,20 @@ def test_order_cluster_examples(a2):
 
 def test_order_cluster_refuses_a_repeated_entry(a2):
     # sorted(set(...)) dropped the repeat and returned a 2-tuple on A2
-    for order in (order_cluster, all_valid_orders):
-        with pytest.raises(InputError, match=r"^\(1,0\)\[0\] and \(1,0\)\[0\] are not compatible$"):
-            order(a2, 1, [O(S1, 0), O(S1, 0), O(P1, 0)])
+    with pytest.raises(InputError, match=r"^\(1,0\)\[0\] and \(1,0\)\[0\] are not compatible$"):
+        order_cluster(a2, 1, [O(S1, 0), O(S1, 0), O(P1, 0)])
 
 
 def test_order_cluster_refuses_a_level_outside_0_to_m(a2):
     # (1,0)[5] was accepted at m=1
-    for order in (order_cluster, all_valid_orders):
-        with pytest.raises(InputError, match=r"^\(1,0\)\[5\] is not a valid shifted object"):
-            order(a2, 1, [O(S1, 5), O(P1, 0)])
+    with pytest.raises(InputError, match=r"^\(1,0\)\[5\] is not a valid shifted object"):
+        order_cluster(a2, 1, [O(S1, 5), O(P1, 0)])
 
 
 def test_order_cluster_reads_a_list_root_as_its_tuple(a2):
     # a list root is unhashable, and set() raised a bare TypeError on it
-    for order in (order_cluster, all_valid_orders):
-        assert order(a2, 1, [O(list(S1), 0), O(P1, 0)]) == order(a2, 1, [O(S1, 0), O(P1, 0)])
+    assert order_cluster(a2, 1, [O(list(S1), 0), O(P1, 0)]) == \
+        order_cluster(a2, 1, [O(S1, 0), O(P1, 0)])
 
 
 def test_garside_examples(a2):
@@ -119,7 +146,7 @@ def test_configuration_order_independence(tag, m):
     cat = category(tag)
     for cluster in enumerate_clusters(cat, m):
         configs = {frozenset(garside_configuration(cat, m, o))
-                   for o in all_valid_orders(cat, m, cluster)}
+                   for o in valid_orders(cat, cluster)}
         assert len(configs) == 1
 
 
@@ -132,14 +159,14 @@ def test_valid_orders_are_the_exceptional_permutations(tag, m):
     for cluster in enumerate_clusters(cat, m):
         want = [p for p in permutations(sorted(cluster))
                 if is_exceptional_sequence(cat, [o.root for o in reversed(p)])]
-        assert all_valid_orders(cat, m, cluster) == want
+        assert valid_orders(cat, cluster) == want
         assert order_cluster(cat, m, cluster) == min(
             want, key=lambda p: [(-o.level, o.root) for o in p])
 
 
 def test_horizontal_subcat_whole(a2):
     comps = (O(S2, 1), O(P1, 0))
-    h = horizontal_subcat(a2, 1, comps, 0)
+    h = horizontal(a2, 1, comps, 0)
     assert h.rank == 2
     assert set(h.objects) == set(a2.roots)
     assert set(h.signed_modules) == {(S2, 1), (P1, -1)}
@@ -150,27 +177,8 @@ def test_horizontal_subcat_empty_selection(a2):
     ordered = order_cluster(a2, 2, {O(S2, 2), O(P1, 2)})
     comps = garside_configuration(a2, 2, ordered)
     assert all(2 - c.level == 0 for c in comps)
-    h = horizontal_subcat(a2, 2, comps, 1)
+    h = horizontal(a2, 2, comps, 1)
     assert h.rank == 0 and h.objects == ()
-
-
-def test_horizontal_subcat_range(a2):
-    comps = (O(S2, 1), O(P1, 0))
-    with pytest.raises(InputError):
-        horizontal_subcat(a2, 1, comps, 1)
-
-
-@pytest.mark.parametrize("s", [0.5, "0", True])
-def test_horizontal_subcat_refuses_a_slope_index_that_is_no_integer(a2, s):
-    # 0.5 gave an empty window, "0" raised a raw TypeError and True was read as 1
-    with pytest.raises(InputError, match="^slope index "):
-        horizontal_subcat(a2, 2, (O(S2, 1), O(P1, 0)), s)
-
-
-def test_horizontal_subcat_refuses_a_component_that_is_no_root(a2):
-    # (9,9) sits in the slope-2 window, which slope 0 reads by root id: KeyError
-    with pytest.raises(InputError, match=r"^\(9, 9\) is not a positive root of A2$"):
-        horizontal_subcat(a2, 2, [O(S1, 2), O((9, 9), 0)], 0)
 
 
 @pytest.mark.parametrize("tag,m", [("A3", 2)])
@@ -179,7 +187,7 @@ def test_horizontal_windows_disjoint_when_far(tag, m):
     for cluster in enumerate_clusters(cat, m):
         ordered = order_cluster(cat, m, cluster)
         comps = garside_configuration(cat, m, ordered)
-        hs = [horizontal_subcat(cat, m, comps, s) for s in range(m)]
+        hs = [horizontal(cat, m, comps, s) for s in range(m)]
         for a in hs:
             for b in hs:
                 if abs(a.slope - b.slope) >= 2:
@@ -196,19 +204,19 @@ def test_exchange_matrix_hand_value(a2):
 def test_mutation_hand_chain(a2):
     ordered = (O(S1, 0), O(P1, 0))
     comps = garside_configuration(a2, 1, ordered)  # (S2[1], P1[0])
-    new_comps = mutate_configuration(a2, 1, comps, 1, "-")
+    new_comps = mutate_comps(a2, 1, comps, 1, "-")
     assert new_comps == (O(S1, 0), O(P1, 1))
-    new_ordered = recover_cluster(a2, 1, ordered, new_comps, 1)
+    new_ordered = recover(a2, 1, ordered, new_comps, 1)
     assert new_ordered == (O(S1, 0), O(S2, 1))
-    assert mutate_configuration(a2, 1, new_comps, 1, "+") == comps
+    assert mutate_comps(a2, 1, new_comps, 1, "+") == comps
 
 
 def test_mutation_other_direction(a2):
     ordered = (O(S1, 0), O(P1, 0))
     comps = garside_configuration(a2, 1, ordered)
-    new_comps = mutate_configuration(a2, 1, comps, 0, "+")
-    new_ordered = recover_cluster(a2, 1, ordered, new_comps, 0)
-    assert canonical_cluster(new_ordered) == canonical_cluster((O(S2, 0), O(P1, 0)))
+    new_comps = mutate_comps(a2, 1, comps, 0, "+")
+    new_ordered = recover(a2, 1, ordered, new_comps, 0)
+    assert set(new_ordered) == {O(S2, 0), O(P1, 0)}
 
 
 def test_mutation_blocked_slopes(a2):
@@ -216,10 +224,10 @@ def test_mutation_blocked_slopes(a2):
     comps = garside_configuration(a2, 1, ordered)
     svs = slope_vectors(1, comps)
     assert svs[0].slope == 0 and svs[1].slope == 1
-    with pytest.raises(InputError):
-        mutate_configuration(a2, 1, comps, 0, "-")
-    with pytest.raises(InputError):
-        mutate_configuration(a2, 1, comps, 1, "+")
+    with pytest.raises(InputError, match="^slope 0 cannot mutate downward$"):
+        mutate(a2, 1, ordered, 0, "-")
+    with pytest.raises(InputError, match=r"^slope 1 has no headroom to mutate upward \(m=1\)$"):
+        mutate(a2, 1, ordered, 1, "+")
 
 
 @pytest.mark.parametrize("tag,m", [("A2", 1), ("A2", 2), ("A2", 3), ("A3", 1), ("A3", 2)])
@@ -245,8 +253,8 @@ def test_mutation_coherence_sweep(tag, m):
                 rederived = garside_configuration(
                     cat, m, order_cluster(cat, m, result.mutated_ordered))
                 assert set(rederived) == set(result.mutated_configuration)
-                back = mutate_configuration(cat, m, result.mutated_configuration,
-                                            k, "-" if direction == "+" else "+")
+                back = mutate_comps(cat, m, result.mutated_configuration,
+                                    k, "-" if direction == "+" else "+")
                 assert back == comps
 
 
@@ -258,9 +266,9 @@ def test_mutation_window_local_signs(a3):
     ordered = order_cluster(a3, m, {O((1, 1, 1), 0), O((0, 1, 1), 0), O((0, 0, 1), 0)})
     comps = garside_configuration(a3, m, ordered)
     assert comps == (O((1, 0, 0), 0), O((0, 1, 0), 0), O((0, 0, 1), 0))
-    new_comps = mutate_configuration(a3, m, comps, 1, "-")
+    new_comps = mutate_comps(a3, m, comps, 1, "-")
     assert new_comps == (O((1, 1, 0), 0), O((0, 1, 0), 1), O((0, 0, 1), 0))
-    new_ordered = recover_cluster(a3, m, ordered, new_comps, 1)
+    new_ordered = recover(a3, m, ordered, new_comps, 1)
     assert set(new_ordered) == {O((1, 1, 1), 0), O((1, 0, 0), 0), O((0, 0, 1), 0)}
     rederived = garside_configuration(a3, m, order_cluster(a3, m, new_ordered))
     assert set(rederived) == set(new_comps)
@@ -285,7 +293,7 @@ def test_an_almost_complete_cluster_has_m_plus_one_complements(tag, m):
     # among the completions and connect them all; for m >= 2 they do not join
     # every pair of completions.
     cat = category(tag)
-    objects = shifted_objects(cat, None, m)
+    objects = objects_at(cat, m)
     nodes, edges = exchange_graph(cat, m)
     node_sets = [frozenset(c) for c in nodes]
     index = {c: i for i, c in enumerate(node_sets)}
@@ -313,11 +321,10 @@ def test_an_almost_complete_cluster_has_m_plus_one_complements(tag, m):
 
 def test_mutation_at_zero_shift_impossible(a2):
     ordered = order_cluster(a2, 0, enumerate_clusters(a2, 0)[0])
-    comps = garside_configuration(a2, 0, ordered)
     for k in range(2):
         for direction in ("+", "-"):
             with pytest.raises(InputError):
-                mutate_configuration(a2, 0, comps, k, direction)
+                mutate(a2, 0, ordered, k, direction)
 
 
 @pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2)])
@@ -374,23 +381,15 @@ def test_mutation_suite_fails_a_move_off_the_cluster_set(monkeypatch):
     assert not report.checks[-1].ok
 
 
-def test_mutate_configuration_refuses_a_non_integer_position(a2):
-    # 1.5, "1" and None escaped as TypeError, and True was read as position 1
-    comps = garside_configuration(a2, 1, (O(S1, 0), O(P1, 0)))
-    for k in (1.5, "1", True, None):
-        with pytest.raises(InputError, match="is not an integer"):
-            mutate_configuration(a2, 1, comps, k, "-")
-
-
-def test_recover_cluster_refuses_a_bad_position(a2):
-    # -1 indexed from the end and ended in a false "clashes with"
-    # InternalConsistencyError, 1.5 raised TypeError and 5 IndexError
+def test_mutate_refuses_a_bad_position(a2):
+    # 1.5, "1" and None escaped as TypeError, True was read as position 1, and -1
+    # indexed from the end
     ordered = (O(S1, 0), O(P1, 0))
-    new_comps = mutate_configuration(a2, 1, garside_configuration(a2, 1, ordered), 1, "-")
-    assert recover_cluster(a2, 1, ordered, new_comps, 1) == (O(S1, 0), O(S2, 1))
-    for k, message in ((-1, "out of range"), (1.5, "is not an integer"), (5, "out of range")):
+    for k, message in ((1.5, "is not an integer"), ("1", "is not an integer"),
+                       (True, "is not an integer"), (None, "is not an integer"),
+                       (-1, "out of range"), (5, "out of range")):
         with pytest.raises(InputError, match=message):
-            recover_cluster(a2, 1, ordered, new_comps, k)
+            mutate(a2, 1, ordered, k, "-")
 
 
 def _short_duality_frame(a2):
@@ -399,39 +398,36 @@ def _short_duality_frame(a2):
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda a2: is_valid_object(a2, None, 1, O(S1, "x")), "level 'x' is not an integer"),
     (lambda a2: is_m_exc_sequence(a2, 1, [(S1, "x")]), "level 'x' is not an integer"),
     (_short_duality_frame, "2 cluster entries but 1 components"),
     # the kernels run on object ids, so their callers encode each object strictly
-    (lambda a2: validate_configuration(a2, 1, (O(S2, 0.5), O(P1, 0))),
-     "level 0.5 is not an integer"),
     (lambda a2: duality_frame(a2, 1, (O(S1, 0), O(P1, 0)), (O(S2, 1), O((2, 1), 0))),
      r"\(2, 1\) is not a positive root of A2"),
-    (lambda a2: recover_cluster(a2, 1, (O(S1, 0), O(P1, 0)), (O(S2, 1), O((2, 1), 0)), 1),
-     r"\(2, 1\) is not a positive root of A2"),
-    (lambda a2: recover_cluster(a2, 1, (O(S1, -1), O(P1, 0)), (O(S2, 1), O(S1, 0)), 1),
-     r"cluster entry \(1,0\)\[-1\] has a level outside 0..1"),
-    # each raised a VerificationError (or, for recover_cluster, an InternalConsistencyError)
-    # that reported the bad input level as a failed check
-    (lambda a2: mutate_configuration(a2, 1, [O(S1, 7), O(S2, 0)], 0, "+"),
-     r"^component \(1,0\)\[7\] has a level outside 0..1$"),
+    (lambda a2: duality_frame(a2, 1, (O(S1, -1), O(P1, 0)), (O(S2, 1), O(S1, 0))),
+     r"^cluster entry \(1,0\)\[-1\] has a level outside 0..1$"),
+    # raised a VerificationError that reported the bad input level as a failed check
     (lambda a2: duality_frame(a2, 1, [O(S1, 0), O(P1, 0)], [O(S2, 3), O(P1, 0)]),
      r"^component \(0,1\)\[3\] has a level outside 0..1$"),
-    (lambda a2: horizontal_subcat(a2, 1, [O(S2, 7), O(P1, 0)], 0),
-     r"^component \(0,1\)\[7\] has a level outside 0..1$"),
-    (lambda a2: recover_cluster(a2, 1, [O(S1, 0), O(P1, 0)], [O(S2, -1), O(P1, 0)], 1),
-     r"^component \(0,1\)\[-1\] has a level outside 0..1$"),
     (lambda a2: m_exc_sequences(a2, -1, 2), "shift parameter m must be >= 0"),
     (lambda a2: is_m_exc_sequence(a2, 1, [((1, 0),)]),
      r"^\(\(1, 0\),\) is not a \(root, level\) pair$"),
-], ids=["is_valid_object", "is_m_exc_sequence", "duality_frame", "validate_configuration_level",
-        "duality_frame_root", "recover_cluster_root", "recover_cluster_level",
-        "mutate_configuration_component_level", "duality_frame_component_level",
-        "horizontal_subcat_component_level", "recover_cluster_component_level", "m_exc_sequences",
-        "is_m_exc_sequence_term"])
+    # is_m_exc_sequence returned False, and sequence_to_tuple reported a bad sequence
+    (lambda a2: is_m_exc_sequence(a2, 1, [(S2, 1), ((2, 1), 0)]),
+     r"^\(2, 1\) is not a positive root of A2$"),
+    (lambda a2: sequence_to_tuple(a2, 1, [(S2, 1), ((2, 1), 0)]),
+     r"^\(2, 1\) is not a positive root of A2$"),
+    # an incomplete cluster and one out of order raised an InternalConsistencyError
+    (lambda a2: mutate(a2, 1, [(S1, 0)], 0, "-"), r"^a cluster here has 2 objects, got 1$"),
+    (lambda a2: mutate(a2, 1, [(S2, 0), (P1, 0)], 0, "-"),
+     r"^\(0,1\)\[0\] must come after \(1,1\)\[0\]: the reversal of the ordered cluster "
+     "is not an exceptional sequence$"),
+], ids=["is_m_exc_sequence", "duality_frame", "duality_frame_root", "duality_frame_level",
+        "duality_frame_component_level", "m_exc_sequences", "is_m_exc_sequence_term",
+        "is_m_exc_sequence_root", "sequence_to_tuple_root", "mutate_incomplete",
+        "mutate_out_of_order"])
 def test_malformed_input_is_refused(a2, call, message):
-    # the first three raised a raw TypeError or IndexError; the rest were
-    # accepted or refused with a misleading verification error
+    # the first two raised a raw TypeError or IndexError; the rest were
+    # accepted or refused with a misleading verification or consistency error
     with pytest.raises(InputError, match=message):
         call(a2)
 
@@ -445,17 +441,10 @@ def _config(o):  # the Garside configuration of the A2 cluster (S1[0], P1[0]) at
 
 
 @pytest.mark.parametrize("call", [
-    lambda a2, o: transport(a2, 1, o(P1, 0), o(S2, 0)),
     lambda a2, o: garside_configuration(a2, 1, [o(S1, 0), o(P1, 0)]),
-    lambda a2, o: validate_configuration(a2, 1, _config(o)),
     lambda a2, o: duality_frame(a2, 1, [o(S1, 0), o(P1, 0)], _config(o)),
-    lambda a2, o: horizontal_subcat(a2, 1, _config(o), 0),
-    lambda a2, o: mutate_configuration(a2, 1, _config(o), 1, "-"),
-    lambda a2, o: recover_cluster(a2, 1, [o(S1, 0), o(P1, 0)], [
-        o(*c) for c in mutate_configuration(a2, 1, _config(o), 1, "-")], 1),
     lambda a2, o: mutate(a2, 1, [o(S1, 0), o(P1, 0)], 1, "-"),
-], ids=["transport", "garside_configuration", "validate_configuration", "duality_frame",
-        "horizontal_subcat", "mutate_configuration", "recover_cluster", "mutate"])
+], ids=["garside_configuration", "duality_frame", "mutate"])
 def test_public_functions_take_plain_pairs(a2, call):
     # each raised AttributeError on a plain (root, level) tuple
     assert call(a2, _pair) == call(a2, O)
@@ -468,8 +457,6 @@ def test_configuration_pairings_keep_their_strict_checks(a2):
     wrong_length = r"^\(1, 1, 0\) is not a positive root of A2$"
     for comps, message in (((O(S2, 1), O((1.5, 1), 0)), "non-integer entry"),
                            ((O(S2, 1), O((1, 1, 0), 0)), wrong_length)):
-        with pytest.raises(InputError, match=message):
-            mutate_configuration(a2, 1, comps, 0, "+")
         with pytest.raises(InputError, match=message):
             duality_frame(a2, 1, ordered, comps)
     with pytest.raises(InputError, match="non-integer entry"):
@@ -500,8 +487,8 @@ def test_exchange_row_matches_the_exchange_matrix(tag, m):
 
 @pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1), ("A2xA1", 2), ("A4", 3)])
 def test_mutation_moves_match_the_public_functions(tag, m):
-    # the trusted move generator gives every legal move, each as the
-    # validating public functions compute it (recover_cluster checks the frame)
+    # the trusted move generator gives every legal move, each as the validating
+    # public `mutate` computes it, and `mutate` refuses every other move
     cat = category(tag)
     moves = 0
     for ordered, comps in object_table(cat, m).values():
@@ -510,10 +497,13 @@ def test_mutation_moves_match_the_public_functions(tag, m):
                  if 0 <= svs[k].slope + step <= m]
         found = []
         for k, direction, new_comps, new_ordered in object_moves(cat, m, ordered, comps):
-            assert mutate_configuration(cat, m, comps, k, direction) == new_comps
-            assert recover_cluster(cat, m, ordered, new_comps, k) == new_ordered
+            assert mutate(cat, m, ordered, k, direction) == (ordered, comps, new_ordered,
+                                                             new_comps)
             found.append((k, direction))
         assert found == legal
+        for k, d in {(k, d) for k in range(cat.n) for d in "+-"} - set(legal):
+            with pytest.raises(InputError, match="^slope "):
+                mutate(cat, m, ordered, k, d)
         moves += len(found)
     assert moves > 0
 
@@ -526,49 +516,28 @@ def test_cluster_table_orders_and_configures_every_cluster(a3):
         assert comps == garside_configuration(a3, 2, ordered)
 
 
-@pytest.mark.parametrize("comps,rank,message", [
-    ((O(S1, 0),), 2, r"expected 2 components, got 1"),
-    ((O(S1, 0), O(S1, 0)), None, r"components are not pairwise distinct"),
-    ((O(S1, 0), O(S2, 2)), None, r"component level out of range: \(0,1\)\[2\]"),
-    ((O(S2, 0), O(P1, 0)), None, r"forbidden morphism \(0,1\)\[0\] -> \(1,1\)\[0\]"),
-    ((O(S1, 0), O(S2, 1)), None, r"forbidden extension \(1,0\)\[0\] -> \(0,1\)\[1\]"),
-], ids=["count", "repeated", "level", "morphism", "extension"])
-def test_validate_configuration_refusals(a2, comps, rank, message):
+@pytest.mark.parametrize("comps,message", [
+    ((O(S1, 0), O(S1, 0)), r"components are not pairwise distinct"),
+    ((O(S1, 0), O(S2, 2)), r"component level out of range: \(0,1\)\[2\]"),
+    ((O(S2, 0), O(P1, 0)), r"forbidden morphism \(0,1\)\[0\] -> \(1,1\)\[0\]"),
+    ((O(S1, 0), O(S2, 1)), r"forbidden extension \(1,0\)\[0\] -> \(0,1\)\[1\]"),
+], ids=["repeated", "level", "morphism", "extension"])
+def test_validate_configuration_refusals(a2, comps, message):
     with pytest.raises(VerificationError, match=message):
-        validate_configuration(a2, 1, comps, rank=rank)
+        validate(a2, 1, comps)
 
 
 def test_validate_configuration_refuses_a_cycle_of_extensions():
     # no two exceptional modules of a Dynkin quiver extend each other both
     # ways, so the ordering refusal needs a corrupted table
     cat = RepCategory(build_quiver(build_diagram("A2")))
-    validate_configuration(cat, 1, (O(S1, 0), O(S2, 0)), rank=2)
+    validate(cat, 1, (O(S1, 0), O(S2, 0)))
     # Ext(S1, S2) is nonzero; corrupt the Hom/Ext masks so that Ext(S2, S1) is too
     s1, s2 = cat.root_id[S1], cat.root_id[S2]
     cat.right_nz[s2] |= 1 << s1
     cat.ext_out[s2] |= 1 << s1
     with pytest.raises(VerificationError, match="components admit no exceptional ordering"):
-        validate_configuration(cat, 1, (O(S1, 0), O(S2, 0)), rank=2)
-
-
-def test_validate_configuration_refuses_a_non_root(a2):
-    validate_configuration(a2, 1, (O(S2, 1), O(P1, 0)), rank=2)
-    with pytest.raises(InputError, match="is not a positive root"):
-        validate_configuration(a2, 1, (O(S2, 1), O((2, 0), 0)), rank=2)
-    # a lone component has no pair to read the table on
-    with pytest.raises(InputError, match=r"\(5, 5\) is not a positive root of A2"):
-        validate_configuration(a2, 1, [O((5, 5), 0)], rank=1)
-
-
-@pytest.mark.parametrize("comps,k,direction", [
-    ((O((5, 5), 0),), 0, "-"),
-    ((O((1, 2), 0), O(S2, 1)), 1, "+"),
-], ids=["lone", "pair"])
-def test_mutate_configuration_refuses_a_non_root(a2, comps, k, direction):
-    # the lone component was moved to level 1, and the pair failed only in the
-    # check of the mutated result
-    with pytest.raises(InputError, match=r"\(\d, \d\) is not a positive root of A2"):
-        mutate_configuration(a2, 1, comps, k, direction)
+        validate(cat, 1, (O(S1, 0), O(S2, 0)))
 
 
 def _fresh_a2():
@@ -588,7 +557,7 @@ def test_a_corrupted_compatibility_row_fails_the_recovered_entry():
     # the move at position 2 of (S1[0], P1[0]) recovers S2[1]; with its
     # compatibility row emptied, it clashes with the entry that stays
     cat = _fresh_a2()
-    compat_rows(cat, 1)[encode(cat, [O(S2, 1)])[0]] = 0
+    _compat_rows(cat, 1)[encode(cat, [O(S2, 1)])[0]] = 0
     with pytest.raises(InternalConsistencyError, match=re.escape(
             "A2, m=1: recovered entry (0,1)[1] clashes with (1,0)[0]")):
         mutate(cat, 1, [O(S1, 0), O(P1, 0)], 1, "-")
@@ -602,21 +571,19 @@ def test_corrupted_hom_ext_masks_fail_the_configuration_checks():
     cat.right_nz[p1] |= 1 << s2
     with pytest.raises(VerificationError, match=re.escape(
             "forbidden morphism (1,1)[0] -> (0,1)[1]")):
-        validate_configuration(cat, 1, (O(S2, 1), O(P1, 0)))
+        validate(cat, 1, (O(S2, 1), O(P1, 0)))
     cat = _fresh_a2()
     cat.right_nz[s2] |= 1 << s1
     cat.ext_out[s2] |= 1 << s1
     with pytest.raises(VerificationError, match="^components admit no exceptional ordering$"):
-        validate_configuration(cat, 1, (O(S1, 0), O(S2, 0)))
+        validate(cat, 1, (O(S1, 0), O(S2, 0)))
 
 
 @pytest.mark.parametrize("call", [
     lambda a2, m: mutate(a2, m, [O(S1, 0), O(P1, 0)], 1, "-"),
-    lambda a2, m: mutate_configuration(a2, m, _config(O), 1, "-"),
-    lambda a2, m: recover_cluster(a2, m, [O(S1, 0), O(P1, 0)], [O(S1, 0), O(P1, 1)], 1),
     lambda a2, m: duality_frame(a2, m, [O(S1, 0), O(P1, 0)], _config(O)),
     exchange_graph,
-], ids=["mutate", "mutate_configuration", "recover_cluster", "duality_frame", "exchange_graph"])
+], ids=["mutate", "duality_frame", "exchange_graph"])
 def test_kernels_read_parities_of_a_parsed_shift_parameter(a2, call):
     # the kernels read parities with bit operations, so m is parsed first:
     # an integral Fraction reads as its int, 1.5 is refused

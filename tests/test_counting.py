@@ -3,10 +3,11 @@ import math
 import pytest
 
 from excseq import (IntPoly, build_diagram, category, count_closed_form,
-                    count_complete_exc_sequences, complete_exc_sequences,
-                    fomin_reading_count, m_count_identity_holds,
-                    mark_relative_projectives, m_sequence_poly, real_root_check,
-                    rel_proj_poly, rel_proj_poly_enumerated)
+                    count_complete_exc_sequences, fomin_reading_count,
+                    m_count_identity_holds, m_sequence_poly, marked_exc_sequences,
+                    real_root_check, rel_proj_poly, rel_proj_poly_enumerated)
+
+from oracle import mark_relative_projectives
 
 ALL_RANK8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
              + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
@@ -89,8 +90,8 @@ def test_lift_count_law(tag, m):
     cat = category(tag)
     n = cat.n
     total = 0
-    for seq in complete_exc_sequences(cat):
-        k = sum(mark_relative_projectives(cat, seq).rel_proj_flags)
+    for seq in marked_exc_sequences(cat):
+        k = sum(mark_relative_projectives(cat, seq.terms).rel_proj_flags)
         total += (m + 1) ** k * m ** (n - k)
     assert total == m_sequence_poly(cat.quiver.diagram)(m)
 

@@ -6,7 +6,7 @@ import pytest
 from excseq import InputError, category, cli, verify
 from excseq.bijection import _build_table
 from excseq.cli import main
-from excseq.configs import cluster_table, horizontal_subcat, mutation_moves
+from excseq.configs import cluster_table, mutation_moves
 from excseq.dynkin import build_diagram, build_quiver
 from excseq.repengine import RepCategory
 from excseq.shiftcat import ShiftedObject, encode
@@ -147,8 +147,7 @@ def test_the_suites_read_an_integral_m_as_its_int():
 @pytest.mark.parametrize("m", [1.5, "1", None])
 @pytest.mark.parametrize("call", [
     verify_bijection, verify_duality, verify_mutation, verify_all,
-    lambda a2, m: horizontal_subcat(a2, m, [((0, 1), 1), ((1, 1), 0)], 0),
-], ids=["bijection", "duality", "mutation", "all", "horizontal_subcat"])
+], ids=["bijection", "duality", "mutation", "all"])
 def test_the_suites_parse_m(call, m):
     message = f"^shift parameter m {re.escape(repr(m))} is not an integer$"
     with pytest.raises(InputError, match=message):

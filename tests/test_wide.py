@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from excseq import (InputError, PairCase, ambient, category, classify_pair,
-                    complete_exc_sequences, is_exceptional_sequence,
-                    is_relatively_projective, left_perp,
-                    mark_relative_projectives, marked_exc_sequences, mutate_pair,
-                    mutate_pair_inverse, perp, rel_proj_poly_enumerated,
+                    marked_exc_sequences, perp, rel_proj_poly_enumerated,
                     relative_projectives)
 from excseq import build_diagram, build_quiver, linalg
 from excseq.repengine import RepCategory
-from excseq.wide import _pair_record
+from excseq.wide import _pair_record, _perp_of
 
 import oracle
-from conftest import P1, S1, S2, orientations, tags_up_to_rank
+from conftest import P1, S1, S2, braid_move, orientations, tags_up_to_rank
+from oracle import euler, is_exceptional_sequence, mark_relative_projectives
+
+
+def complete_sequences(cat):
+    return tuple(s.terms for s in marked_exc_sequences(cat))
 
 
 def test_perp_examples(a2):
@@ -22,7 +24,7 @@ def test_perp_examples(a2):
     assert perp(a2, [P1]).rank == 1
     assert perp(a2, [S1]).objects == (P1,)
     assert perp(a2, []).objects == a2.roots
-    assert left_perp(a2, [P1]).objects == (S1,)
+    assert _perp_of(a2, 1 << a2.root_id[P1], ambient(a2), False).objects == (S1,)  # left
 
 
 def test_wide_subcategories_compare_by_mask(a2):
@@ -44,12 +46,12 @@ def test_exceptional_sequence_predicate(a2):
 
 
 def test_enumeration_a2(a2):
-    assert set(complete_exc_sequences(a2)) == {(S1, S2), (S2, P1), (P1, S1)}
+    assert set(complete_sequences(a2)) == {(S1, S2), (S2, P1), (P1, S1)}
 
 
 @pytest.mark.parametrize("tag,count", [("A1", 1), ("A2", 3), ("A3", 16)])
 def test_enumeration_counts(tag, count):
-    assert len(complete_exc_sequences(category(tag))) == count
+    assert len(complete_sequences(category(tag))) == count
 
 
 def test_relative_projective_flags(a2):
@@ -59,7 +61,7 @@ def test_relative_projective_flags(a2):
 
 
 def test_first_flag_always_true(a3):
-    for seq in complete_exc_sequences(a3):
+    for seq in complete_sequences(a3):
         assert mark_relative_projectives(a3, seq).rel_proj_flags[0]
 
 
@@ -79,7 +81,6 @@ def test_enumerated_flags_match_mark_relative_projectives(tag):
     marked = marked_exc_sequences(cat)
     for s in marked:
         assert s.rel_proj_flags == mark_relative_projectives(cat, s.terms).rel_proj_flags
-    assert complete_exc_sequences(cat) == tuple(s.terms for s in marked)
 
 
 @pytest.mark.parametrize("tag", TAGS_RANK5)
@@ -118,9 +119,9 @@ def test_classify_rejects_non_pairs(a2):
 
 
 def test_pair_mutation_examples(a2):
-    assert mutate_pair(a2, S2, P1) == S1  # cokernel of the socle inclusion
-    assert mutate_pair(a2, S1, S2) == P1  # universal extension
-    assert mutate_pair(a2, P1, S1) == S2  # kernel of the top projection
+    assert braid_move(a2, S2, P1) == S1  # cokernel of the socle inclusion
+    assert braid_move(a2, S1, S2) == P1  # universal extension
+    assert braid_move(a2, P1, S1) == S2  # kernel of the top projection
 
 
 @pytest.mark.parametrize("tag", ["A2", "A3", "A4", "D4"])
@@ -128,9 +129,9 @@ def test_pair_mutation_round_trip(tag):
     cat = category(tag)
     for t in cat.roots:
         for x in perp(cat, [t]).objects:
-            y = mutate_pair(cat, x, t)
+            y = braid_move(cat, x, t)
             assert cat.hom(y, t) == 0 and cat.ext(y, t) == 0
-            assert mutate_pair_inverse(cat, y, t) == x
+            assert braid_move(cat, y, t, inverse=True) == x
 
 
 @pytest.mark.parametrize("tag", ["A2", "A3", "A4", "D4"])
@@ -143,8 +144,8 @@ def test_projectivity_transfer(tag):
         for x in w.objects:
             if classify_pair(cat, x, t) is PairCase.MONO:
                 continue
-            y = mutate_pair(cat, x, t)
-            assert cat.is_projective(y) == is_relatively_projective(cat, x, w)
+            y = braid_move(cat, x, t)
+            assert (y in cat.projective_roots) == (x in relative_projectives(cat, w))
 
 
 @pytest.mark.parametrize("tag", ["A2", "A3"])
@@ -157,7 +158,7 @@ def test_triple_pair_coherence(tag):
             for xp in objs:
                 if x == xp:
                     continue
-                y, yp = mutate_pair(cat, x, t), mutate_pair(cat, xp, t)
+                y, yp = braid_move(cat, x, t), braid_move(cat, xp, t)
                 answers = {
                     is_exceptional_sequence(cat, [x, xp]),
                     is_exceptional_sequence(cat, [x, yp]) if x != yp else True,
@@ -180,10 +181,10 @@ def test_linear_relation_of_braid_moves(tag):
             for xp in objs:
                 if x == xp or not is_exceptional_sequence(cat, [x, xp]):
                     continue
-                xpp = mutate_pair(cat, x, xp)
-                y = mutate_pair(cat, x, t)
-                yp = mutate_pair(cat, xp, t)
-                ypp = mutate_pair(cat, xpp, t)
+                xpp = braid_move(cat, x, xp)
+                y = braid_move(cat, x, t)
+                yp = braid_move(cat, xp, t)
+                ypp = braid_move(cat, xpp, t)
                 coeffs = _solve_two([xp, xpp], [-v for v in x])
                 assert coeffs is not None
                 a, b = coeffs
@@ -232,7 +233,7 @@ PAIR_CASES = ([(tag, None) for tag in tags_up_to_rank(6) if tag != "A1"]  # A1: 
                          ids=[f"{t}-{a}" if a else t for t, a in PAIR_CASES])
 def test_pair_records_match_the_public_moves(tag, arrows):
     # the record of each exceptional pair (x, t) forward and (t, x) inverse
-    # agrees with the public functions, and the moves have closed forms:
+    # agrees with the all-roots scan, and the moves have closed forms:
     # forward |x - <x,t> t|, inverse |y - <t,y> t| (the sign that makes a root)
     cat = category(tag) if arrows is None else RepCategory(
         build_quiver(build_diagram(tag), arrows))
@@ -248,10 +249,10 @@ def test_pair_records_match_the_public_moves(tag, arrows):
             pairs += 1
             forward, back = _pair_record(cat, xi, ti, False), _pair_record(cat, ti, xi, True)
             y, z = cat.roots[forward.z], cat.roots[back.z]
-            assert y == mutate_pair(cat, x, t) == positive(
-                tuple(a - cat.euler(x, t) * b for a, b in zip(x, t))), (x, t)
-            assert z == mutate_pair_inverse(cat, t, x) == positive(
-                tuple(a - cat.euler(x, t) * b for a, b in zip(t, x))), (x, t)
+            assert y == positive(
+                tuple(a - euler(cat, x, t) * b for a, b in zip(x, t))), (x, t)
+            assert z == positive(
+                tuple(a - euler(cat, x, t) * b for a, b in zip(t, x))), (x, t)
             assert forward.case is back.case is classify_pair(cat, x, t)
             assert forward == oracle.scan_pair_record(cat, xi, ti, False), (x, t)
             assert back == oracle.scan_pair_record(cat, ti, xi, True), (x, t)
@@ -281,12 +282,12 @@ def test_braid_moves_reach_every_complete_sequence(tag):
     # (Crawley-Boevey 1993); each forward move permutes a finite set, so the
     # forward moves alone reach the whole orbit
     cat = category(tag)
-    everything = complete_exc_sequences(cat)
+    everything = complete_sequences(cat)
     seen, todo = {everything[0]}, [everything[0]]
     while todo:
         seq = todo.pop()
         for i in range(len(seq) - 1):
-            moved = seq[:i] + (seq[i + 1], mutate_pair(cat, seq[i], seq[i + 1])) + seq[i + 2:]
+            moved = seq[:i] + (seq[i + 1], braid_move(cat, seq[i], seq[i + 1])) + seq[i + 2:]
             if moved not in seen:
                 seen.add(moved)
                 todo.append(moved)
