@@ -381,13 +381,22 @@ def test_mutation_suite_fails_a_move_off_the_cluster_set(monkeypatch):
     assert not report.checks[-1].ok
 
 
-def test_mutate_refuses_a_bad_position(a2):
-    # 1.5, "1" and None escaped as TypeError, True was read as position 1, and -1
-    # indexed from the end
+def test_mutate_configuration_refuses_a_non_integer_position(a2):
+    # mutate checks the position before the configuration step (_mutate) reads it;
+    # 1.5, "1" and None escaped as TypeError, and True was read as position 1
     ordered = (O(S1, 0), O(P1, 0))
-    for k, message in ((1.5, "is not an integer"), ("1", "is not an integer"),
-                       (True, "is not an integer"), (None, "is not an integer"),
-                       (-1, "out of range"), (5, "out of range")):
+    for k in (1.5, "1", True, None):
+        with pytest.raises(InputError, match="is not an integer"):
+            mutate(a2, 1, ordered, k, "-")
+
+
+def test_recover_cluster_refuses_a_bad_position(a2):
+    # mutate checks the position before the cluster recovery (_recover) reads it;
+    # -1 indexed from the end and ended in a false "clashes with"
+    # InternalConsistencyError, 1.5 raised TypeError and 5 IndexError
+    ordered = (O(S1, 0), O(P1, 0))
+    assert mutate(a2, 1, ordered, 1, "-").mutated_ordered == (O(S1, 0), O(S2, 1))
+    for k, message in ((-1, "out of range"), (1.5, "is not an integer"), (5, "out of range")):
         with pytest.raises(InputError, match=message):
             mutate(a2, 1, ordered, k, "-")
 
