@@ -2,8 +2,7 @@
 Dynkin quivers: counting formulas, the ordered-cluster <-> shifted-sequence
 bijection, tropical duality and slope-vector mutation."""
 
-from .bijection import (check_transport, m_exc_sequences, sequence_to_tuple,
-                        tuple_to_sequence)
+from .bijection import m_exc_sequences, sequence_to_tuple, tuple_to_sequence
 from .configs import (DualityFrame, HorizontalSubcat, MutationResult, SlopeVector,
                       duality_frame, exchange_graph, garside_configuration, g_vector_check,
                       mutate, order_cluster, slope_vectors)

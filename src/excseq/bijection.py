@@ -17,10 +17,12 @@ it, whose every entry is computed along two independent routes that agree:
 
 Each image must be compatible with T[k], its inverse placement (the braid
 move back over T) must return the entry, and the table must be a bijection
-onto the compatible set.  Composing transports along the last tuple entry
+onto the compatible set that preserves compatibility: two objects of the
+domain are compatible exactly when their images are.  Every table is checked
+in full when it is built.  Composing transports along the last tuple entry
 gives `tuple_to_sequence`, the bijection between ordered pairwise compatible
 tuples and shifted exceptional sequences, compatible with deletion of the
-first entry.
+first entry; it is one because each table it composes is.
 
 A table maps object ids (`shiftcat.encode`) to ids; both routes read each pair's
 move, case and parities off its `wide.PairRecord`, which one loop reads once per
@@ -66,9 +68,10 @@ def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _Transp
     Each entry reads its pair's forward record once, for both routes, and the record of
     its image's inverse move once, for the inverse placement."""
     n, records, ext_out = len(cat.roots), cat.pair_mutations, cat.ext_out
+    rows = _compat_rows(cat, m)
     k, ti = divmod(t, n)
     t_perp = _perp_of(cat, 1 << ti, scope, True)
-    codomain = object_mask(cat, scope, m) & _compat_rows(cat, m)[t]
+    codomain = object_mask(cat, scope, m) & rows[t]
     forward, inverse = {}, {}
     for x in _ids(object_mask(cat, t_perp, m)):
         j, xi = divmod(x, n)
@@ -100,6 +103,20 @@ def _build_table(cat: RepCategory, m: int, t: int, scope: WideSubcat) -> _Transp
     if len(inverse) != len(forward) or sum(1 << y for y in inverse) != codomain:
         raise _inconsistent(cat, m, f"transport over {decode(cat, (t,))[0]} is not a "
                             "bijection onto its compatible set")
+    # compatibility preserved: a pair of entries that stay put keeps it, and one that stays
+    # keeps its id, so the rows of a moving entry and of its image must agree there
+    stay = sum(1 << x for x, y in forward.items() if x == y)
+    moved = [(x, y) for x, y in forward.items() if x != y]
+    for i, (a, ya) in enumerate(moved):
+        row, image_row = rows[a], rows[ya]
+        clash = [(b, b) for b in _ids((row ^ image_row) & stay)] + [
+            (b, yb) for b, yb in moved[i + 1:] if row >> b & 1 != image_row >> yb & 1]
+        if clash:
+            objs = decode(cat, (a, clash[0][0], ya, clash[0][1], t))
+            tag = "/".join("split" if u.level != v.level else "equal"
+                           for u, v in (objs[:2], objs[2:4]))
+            raise _inconsistent(cat, m, "compatibility not preserved for {}, {} over {} "
+                                "(levels {})".format(*objs[:2], objs[4], tag))
     return cat.transports.setdefault((m, t, scope.mask), _TransportTable(t_perp, forward, inverse))
 
 
@@ -199,34 +216,3 @@ def _sequences(cat: RepCategory, m: int, k: int, scope: WideSubcat,
         memo[scope.mask, k] = seqs
     return memo[scope.mask, k]
 
-
-class TransportReport(NamedTuple):
-    t_obj: ShiftedObject
-    m: int
-    domain_size: int
-    codomain_size: int
-    violations: list[str]  # mutable: the checks append to it
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_transport(cat: RepCategory, m: int, t_obj: ShiftedObject) -> TransportReport:
-    """Compatibility preservation for one transport map; its bijectivity and
-    round trip are asserted when its table is built."""
-    m, scope = check_m(m), ambient(cat)
-    t, = check_objects(cat, scope, m, (t_obj,))
-    table = cat.transports.get((m, t, scope.mask)) or _build_table(cat, m, t, scope)
-    rows, images = _compat_rows(cat, m), table.forward
-    domain = tuple(images)
-    report = TransportReport(decode(cat, (t,))[0], m, len(domain), len(table.inverse), [])
-    for i, a in enumerate(domain):
-        for b in domain[i + 1:]:
-            if rows[a] >> b & 1 != rows[images[a]] >> images[b] & 1:
-                a_obj, b_obj, ya, yb = decode(cat, (a, b, images[a], images[b]))
-                tag = "/".join("split" if u.level != v.level else "equal"
-                               for u, v in ((a_obj, b_obj), (ya, yb)))
-                report.violations.append(
-                    f"compatibility not preserved for {a_obj}, {b_obj} (levels {tag})")
-    return report

@@ -51,8 +51,13 @@ class SlopeVector(NamedTuple):
 
 
 def slope_vectors(m: int, comps) -> tuple[SlopeVector, ...]:
-    m = check_m(m)
-    return tuple(SlopeVector(root, m - level) for root, level in map(check_pair, comps))
+    """The slope vectors of components (root, level), each level in 0..m; roots unchecked."""
+    m, out = check_m(m), []
+    for root, level in map(check_pair, comps):
+        if not 0 <= level <= m:
+            raise InputError(f"component {(root, level)!r} has a level outside 0..{m}")
+        out.append(SlopeVector(root, m - level))
+    return tuple(out)
 
 
 def _ordering_constraints(cat: RepCategory, ids) -> list[int]:
@@ -112,8 +117,9 @@ def garside_configuration(cat: RepCategory, m: int, ordered) -> tuple[ShiftedObj
     """Dual configuration of an ordered cluster via iterated braid moves.
 
     The braid move over the last entry is the inverse transport over it, so
-    this is `tuple_to_sequence`, whose tables check every move both ways.  A
-    complete cluster whose reversal is exceptional is validated as a configuration.
+    this is `tuple_to_sequence`, whose tables check every move both ways, and
+    that they preserve compatibility, when they are built.  A complete cluster
+    whose reversal is exceptional is validated as a configuration.
     """
     m, scope = check_m(m), ambient(cat)
     return decode(cat, _garside(cat, m, check_objects(cat, scope, m, ordered), scope))

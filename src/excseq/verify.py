@@ -9,7 +9,9 @@ order), runs k = 1..n in it, sums each check per k over the buckets and maps
 through the trusted maps of `bijection`.  The duality and mutation suites read
 one `configs.cluster_table`, which holds ids; the mutation suite moves through
 the trusted `configs.mutation_moves`.  Every table a suite reads is checked
-when built.
+when built; a transport table checks there that it is a bijection onto the
+objects compatible with its T[k] and that it preserves compatibility, so the
+bijection suite's line on the transport maps holds once its tables are built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from . import counting
-from .bijection import _sequences, _to_sequences, _to_tuples, check_transport
+from .bijection import _sequences, _to_sequences, _to_tuples
 from .configs import (_frame, _garside, _horizontal, _mutate, _order, _valid_orders,
                       cluster_table, g_vector_check, mutation_moves)
 from .dynkin import DynkinDiagram, build_quiver
@@ -90,11 +92,9 @@ def verify_bijection(cat: RepCategory, m: int) -> Report:
     # per k: tuple and sequence counts, then the verdicts injective, image is
     # the sequence set, inverse round trips and deletion, over all buckets
     tally = [[0, 0, True, True, True, True] for _ in range(cat.n)]
-    worst = ""  # the last transport failure
     for t in _ids(objects):
         # the bucket of the tuples and sequences ending in t: both maps keep
         # the last entry, so a check holds iff it holds in every bucket
-        t_obj = decode(cat, (t,))[0]
         t_perp, last, memo = _perp_of(cat, 1 << t % len(cat.roots), scope, True), {}, {}
         for k, counts in enumerate(tally, 1):
             tuples = [p + (t,) for s in compatible_subsets(cat, m, k - 1, scope, rows[t])
@@ -110,8 +110,6 @@ def verify_bijection(cat: RepCategory, m: int) -> Report:
             # tup[1:] ends in t too, so it ran through the same map in the last round
             counts[5] &= all(last.get(tup[1:]) == img[1:] for tup, img in zip(tuples, images))
             last = dict(zip(tuples, images)) if k < cat.n else {}
-        transport = check_transport(cat, m, t_obj)
-        worst = f"{t_obj}: {transport.violations[0]}" if transport.violations else worst
     for k, (n_tuples, n_seqs, *verdicts) in enumerate(tally, 1):
         report.add(f"k={k}: counts agree", n_tuples == n_seqs,
                    f"{n_tuples} tuples vs {n_seqs} sequences")
@@ -122,8 +120,8 @@ def verify_bijection(cat: RepCategory, m: int) -> Report:
     # the last k above is n, so n_tuples counts the complete tuples
     report.add("complete tuple count matches the polynomial",
                n_tuples == g(m), f"{n_tuples} vs {g(m)}")
-    report.add("every transport map is a compatibility-preserving bijection",
-               not worst, worst)
+    # each table above checked, when it was built, that it is one
+    report.add("every transport map is a compatibility-preserving bijection", True)
     return report
 
 

@@ -1,9 +1,11 @@
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
 
 from excseq import build_diagram, category
-from excseq.shiftcat import _ids, compatible_subsets, decode, object_mask
+from excseq.shiftcat import (_ids, compatible_subsets, decode, encode, enumerate_clusters,
+                             object_mask)
 from excseq.wide import _pair_record
 
 
@@ -67,3 +69,11 @@ def compatible_tuples(cat, m, k):
 def braid_move(cat, x, t, inverse=False):
     """Y of the braid move (X, T) -> (T, Y) on roots, or X of (T, Y) -> (X, T) if inverse."""
     return cat.roots[_pair_record(cat, cat.root_id[x], cat.root_id[t], inverse).z]
+
+
+@lru_cache(maxsize=None)
+def cluster_ids(tag, m):
+    """`enumerate_clusters` of the shared category of tag, in its order, as id tuples; the
+    oracles that compare it with another search share one run per (tag, m)."""
+    cat = category(tag)
+    return tuple(encode(cat, c) for c in enumerate_clusters(cat, m))

@@ -13,11 +13,11 @@ from excseq import (build_diagram, category, count_closed_form,
                     count_complete_exc_sequences, fomin_reading_count,
                     m_count_identity_holds, m_sequence_poly, real_root_check,
                     rel_proj_poly, rel_proj_poly_enumerated)
-from excseq.bijection import (check_transport, m_exc_sequences,
-                              sequence_to_tuple, tuple_to_sequence)
+from excseq.bijection import (_build_table, m_exc_sequences, sequence_to_tuple,
+                              tuple_to_sequence)
 from excseq.configs import (_garside, _order, cluster_table, duality_frame, exchange_graph,
                             garside_configuration, mutation_moves, order_cluster)
-from excseq.shiftcat import ShiftedObject, _ids, decode, enumerate_clusters, object_mask
+from excseq.shiftcat import ShiftedObject, _ids, enumerate_clusters, object_mask
 from excseq.wide import (PairCase, ambient, classify_pair, marked_exc_sequences, perp,
                          relative_projectives)
 
@@ -107,13 +107,14 @@ def test_criterion_5_main_bijection_sweep():
 
 def test_criterion_6_transport_sweep():
     with criterion(6, "transport bijective and compatibility-preserving"):
-        # the chart and congruence routes are compared inside every transport
+        # building a table compares the chart and congruence routes on every entry, and
+        # checks that it is a bijection onto the compatible set preserving compatibility;
+        # it raises on any failure, and builds afresh even when the table is kept
         for tag in ("A2", "A3"):
             cat = category(tag)
             for m in (0, 1, 2):
-                for t_obj in decode(cat, _ids(object_mask(cat, None, m))):
-                    report = check_transport(cat, m, t_obj)
-                    assert report.ok, report.violations
+                for t in _ids(object_mask(cat, None, m)):
+                    _build_table(cat, m, t, ambient(cat))
 
 
 def test_criterion_7_real_root_location():

@@ -9,11 +9,10 @@ import pytest
 from excseq import InputError, InternalConsistencyError, category
 from excseq.configs import cluster_table
 from excseq.dynkin import build_diagram, build_quiver
-from excseq.bijection import (_build_table, _to_sequences, _to_tuples, check_transport,
-                              is_m_exc_sequence, m_exc_sequences, sequence_to_tuple,
-                              tuple_to_sequence)
+from excseq.bijection import (_build_table, _to_sequences, _to_tuples, is_m_exc_sequence,
+                              m_exc_sequences, sequence_to_tuple, tuple_to_sequence)
 from excseq.repengine import RepCategory
-from excseq.shiftcat import ShiftedObject, decode, encode
+from excseq.shiftcat import ShiftedObject, _compat_rows, decode, encode
 from excseq.wide import PairCase, _pair_record, _perp_of, ambient, perp
 
 from conftest import P1, S1, S2, braid_move, compatible_tuples, objects_at
@@ -73,7 +72,7 @@ def test_invariant_failure_names_the_category(a2):
     key = (cat.root_id[S2], cat.root_id[P1], False)
     cat.pair_mutations[key] = cat.pair_mutations[key]._replace(same=False, flip=False)
     with pytest.raises(InternalConsistencyError, match="placement of") as info:
-        check_transport(cat, 1, O(P1, 0))
+        table_of(cat, 1, O(P1, 0))
     assert "A2" in str(info.value) and "m=1" in str(info.value)
 
 
@@ -103,8 +102,8 @@ def test_tuple_to_sequence_validates(a2):
 
 def test_non_integral_levels_are_refused(a2):
     # int() would truncate each 0.5 below to 0
-    for call in (lambda: check_transport(a2, 1, O(P1, 0.5)),
-                 lambda: check_transport(a2, 1, O(P1, "0")),
+    for call in (lambda: tuple_to_sequence(a2, 1, (O(P1, 0.5),)),
+                 lambda: tuple_to_sequence(a2, 1, (O(P1, "0"),)),
                  lambda: tuple_to_sequence(a2, 1, (O(S1, 0), O(P1, 0.5))),
                  lambda: sequence_to_tuple(a2, 1, (O(S2, 1), O(P1, 0.5))),
                  lambda: sequence_to_tuple(a2, 1, (O(S2, "1"), O(P1, 0)))):
@@ -147,9 +146,8 @@ def test_is_m_exc_sequence(a2):
 
 
 def test_transport_domain_codomain_sizes(a2):
-    report = check_transport(a2, 1, O(P1, 0))
-    assert report.domain_size == report.codomain_size == 2
-    assert report.ok
+    table = table_of(a2, 1, O(P1, 0))
+    assert len(table.forward) == len(table.inverse) == 2
 
 
 @pytest.mark.parametrize("tag", ["A2", "A3"])
@@ -157,14 +155,16 @@ def test_transport_domain_codomain_sizes(a2):
 def test_transport_sweep(tag, m):
     cat = category(tag)
     # each table maps the objects of T's perpendicular onto those compatible with T[k]
-    # by `compatible`, and its inverse undoes it
+    # by `compatible`, preserving `compatible` on every pair, and its inverse undoes it
     for t_obj in objects_at(cat, m):
-        assert check_transport(cat, m, t_obj).ok
         table = table_of(cat, m, t_obj)
         assert decode(cat, table.forward) == objects_at(cat, m, perp(cat, [t_obj.root]))
         assert set(decode(cat, table.inverse)) == {
             y for y in objects_at(cat, m) if compatible(cat, y, t_obj)}
         assert {x: y for y, x in table.inverse.items()} == table.forward
+        pairs = [decode(cat, p) for p in table.forward.items()]
+        assert all(compatible(cat, a, b) == compatible(cat, ya, yb)
+                   for a, ya in pairs for b, yb in pairs)
 
 
 @pytest.mark.parametrize("tag", ["A2", "A3"])
@@ -312,4 +312,22 @@ def test_a_corrupted_pair_record_fails_the_table_checks(pair, change, message):
     key = (cat.root_id[pair[0]], cat.root_id[pair[1]], pair[2])
     cat.pair_mutations[key] = _pair_record(cat, *key)._replace(**change)
     with pytest.raises(InternalConsistencyError, match=f"^{re.escape('A2, m=1: ' + message)}$"):
-        check_transport(cat, 1, ShiftedObject(P1, 0))
+        table_of(cat, 1, ShiftedObject(P1, 0))
+
+
+@pytest.mark.parametrize("t_obj,pair,message", [
+    # over P1[0], S2[1] moves to S1[0] and S2[0] stays put
+    (O(P1, 0), (O(S2, 1), O(S2, 0)), "(0,1)[1], (0,1)[0] over (1,1)[0] (levels split/equal)"),
+    # over S2[0], S1[0] and S1[1] both move, to P1[0] and P1[1]
+    (O(S2, 0), (O(S1, 0), O(S1, 1)), "(1,0)[0], (1,0)[1] over (0,1)[0] (levels split/split)"),
+], ids=["moving_and_staying", "both_moving"])
+def test_a_table_that_breaks_compatibility_fails_its_check(t_obj, pair, message):
+    # a seeded fault in a fresh category: the two domain objects turn compatible in
+    # `_compat_rows`, both ways, while their images stay incompatible
+    cat = RepCategory(build_quiver(build_diagram("A2")))
+    rows, (a, b) = _compat_rows(cat, 1), encode(cat, pair)
+    rows[a] ^= 1 << b
+    rows[b] ^= 1 << a
+    with pytest.raises(InternalConsistencyError, match="^" + re.escape(
+            "A2, m=1: compatibility not preserved for " + message) + "$"):
+        _build_table(cat, 1, encode(cat, (t_obj,))[0], ambient(cat))

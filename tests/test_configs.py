@@ -1,5 +1,6 @@
 
 import re
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,8 +8,8 @@ import pytest
 
 from excseq import InputError, InternalConsistencyError, category, configs, verify
 from excseq.cli import main
-from excseq.configs import (_check_frame, _horizontal, _mutate, _recover, _valid_orders,
-                            _validate, cluster_table, duality_frame, exchange_graph,
+from excseq.configs import (_check_frame, _garside, _horizontal, _mutate, _order, _recover,
+                            _valid_orders, _validate, cluster_table, duality_frame, exchange_graph,
                             garside_configuration, g_vector_check, mutate, mutation_moves,
                             order_cluster, slope_vectors)
 from excseq.dynkin import build_diagram, build_quiver
@@ -16,9 +17,10 @@ from excseq.errors import VerificationError
 from excseq.bijection import is_m_exc_sequence, m_exc_sequences, sequence_to_tuple
 from excseq.repengine import RepCategory
 from excseq.shiftcat import ShiftedObject, _compat_rows, decode, encode, enumerate_clusters
+from excseq.wide import ambient
 
 import oracle
-from conftest import P1, S1, S2, objects_at
+from conftest import P1, S1, S2, cluster_ids, objects_at, tags_up_to_rank
 from oracle import c_vector, compatible, exchange_matrix, is_exceptional_sequence, signed_dim
 
 
@@ -430,10 +432,15 @@ def _short_duality_frame(a2):
     (lambda a2: mutate(a2, 1, [(S2, 0), (P1, 0)], 0, "-"),
      r"^\(0,1\)\[0\] must come after \(1,1\)\[0\]: the reversal of the ordered cluster "
      "is not an exceptional sequence$"),
+    # a level above m gave a negative slope, and one below 0 a slope above m
+    (lambda a2: slope_vectors(1, [(S2, 1), (S1, 5)]),
+     r"^component \(\(1, 0\), 5\) has a level outside 0..1$"),
+    (lambda a2: slope_vectors(2, [(S1, -1)]),
+     r"^component \(\(1, 0\), -1\) has a level outside 0..2$"),
 ], ids=["is_m_exc_sequence", "duality_frame", "duality_frame_root", "duality_frame_level",
         "duality_frame_component_level", "m_exc_sequences", "is_m_exc_sequence_term",
         "is_m_exc_sequence_root", "sequence_to_tuple_root", "mutate_incomplete",
-        "mutate_out_of_order"])
+        "mutate_out_of_order", "slope_vectors_level", "slope_vectors_negative_level"])
 def test_malformed_input_is_refused(a2, call, message):
     # the first two raised a raw TypeError or IndexError; the rest were
     # accepted or refused with a misleading verification or consistency error
@@ -523,6 +530,23 @@ def test_cluster_table_orders_and_configures_every_cluster(a3):
     for cluster, (ordered, comps) in table.items():
         assert ordered == order_cluster(a3, 2, cluster)
         assert comps == garside_configuration(a3, 2, ordered)
+
+
+@pytest.mark.parametrize("tag,m", [
+    (tag, m) for tag in [t for t in tags_up_to_rank(5) if "x" not in t] + ["A2xA1"]
+    for m in range(3)] + [("E6", 1)])
+def test_mutation_from_the_projectives_reaches_every_cluster(tag, m):
+    # breadth first over `mutation_moves` from the level-0 projectives: the exchange graph
+    # is connected, so its closure is the cluster set, found without the cluster search
+    cat = category(tag)
+    start = _order(cat, m, tuple(sorted(cat.root_id[p] for p in cat.projective_roots)))
+    seen, queue = {tuple(sorted(start))}, deque([(start, _garside(cat, m, start, ambient(cat)))])
+    while queue:
+        for _, _, comps, ordered in mutation_moves(cat, m, *queue.popleft()):
+            if tuple(sorted(ordered)) not in seen:
+                seen.add(tuple(sorted(ordered)))
+                queue.append((ordered, comps))
+    assert seen == set(cluster_ids(tag, m))
 
 
 @pytest.mark.parametrize("comps,message", [

@@ -12,11 +12,12 @@ from excseq.bijection import is_m_exc_sequence, sequence_to_tuple
 from excseq.configs import cluster_table, garside_configuration, order_cluster
 from excseq.repengine import RepCategory
 from excseq.verify import verify_all
-from excseq.shiftcat import (ShiftedObject, _compat_rows, check_objects, decode,
-                             enumerate_clusters)
+from excseq.shiftcat import (ShiftedObject, _compat_rows, _ids, check_objects, decode,
+                             enumerate_clusters, object_mask)
 from excseq.wide import ambient, perp, relative_projectives
 
-from conftest import P1, S1, S2, compatible_tuples, objects_at, orientations, tags_up_to_rank
+from conftest import (P1, S1, S2, cluster_ids, compatible_tuples, objects_at, orientations,
+                      tags_up_to_rank)
 from oracle import compatible
 
 
@@ -92,6 +93,9 @@ def test_clusters_a2_m1(a2):
         frozenset({ShiftedObject(P1, 1), ShiftedObject(S2, 1)}),
     }
     assert {frozenset(c) for c in clusters} == want
+    # not in id order: roots S2, S1, P1 have ids 0, 1, 2, so (3, 5) = (S2[1], P1[1]) comes
+    # before (1, 3) = (S1[0], S2[1]), and that before (1, 2) = (S1[0], P1[0])
+    assert cluster_ids("A2", 1) == ((0, 2), (0, 5), (3, 5), (1, 3), (1, 2))
 
 
 @pytest.mark.parametrize("tag,m", [("A2", 0), ("A2", 1), ("A2", 2),
@@ -117,6 +121,35 @@ def test_single_zero_cluster(a3):
     assert all(o.level == 0 and o.root in a3.projective_roots for o in clusters[0])
 
 
+# every tag of rank <= 5 at m <= 2, and E6 at m=1
+CLUSTER_CASES = [(tag, m) for tag in tags_up_to_rank(5) for m in range(3)] + [("E6", 1)]
+
+
+@pytest.mark.parametrize("tag,m", CLUSTER_CASES)
+def test_clusters_are_the_maximal_cliques_of_the_compatibility_graph(tag, m):
+    # networkx's clique search on the rows of the valid objects is independent of the
+    # cluster search; CI installs only pytest and skips this
+    nx = pytest.importorskip("networkx")
+    cat = category(tag)
+    objects = object_mask(cat, None, m)
+    rows, graph = _compat_rows(cat, m), nx.Graph()
+    graph.add_nodes_from(_ids(objects))
+    graph.add_edges_from((a, b) for a in _ids(objects) for b in _ids(rows[a] & objects))
+    clusters = cluster_ids(tag, m)
+    assert len(set(clusters)) == len(clusters)
+    assert set(clusters) == {tuple(sorted(c)) for c in nx.find_cliques(graph)}
+
+
+@pytest.mark.parametrize("tag,m", CLUSTER_CASES)
+def test_clusters_come_in_a_fixed_order(tag, m):
+    # each cluster in id order, and the list sorted entry by entry on (root id, level),
+    # which is how its objects compare; a faster search must keep this order
+    n = len(category(tag).roots)
+    clusters = cluster_ids(tag, m)
+    assert all(list(c) == sorted(c) for c in clusters)
+    assert list(clusters) == sorted(clusters, key=lambda c: [(x % n, x // n) for x in c])
+
+
 O = ShiftedObject
 
 # every public function with a parameter m in these modules, called on A2 with that m; the
@@ -134,7 +167,6 @@ M_CALLS = {
     "sequence_to_tuple": lambda a2, m: sequence_to_tuple(a2, m, []),
     "is_m_exc_sequence": lambda a2, m: is_m_exc_sequence(a2, m, []),
     "m_exc_sequences": lambda a2, m: bijection.m_exc_sequences(a2, m, 1),
-    "check_transport": lambda a2, m: bijection.check_transport(a2, m, O(P1, 0)),
     # configs
     "slope_vectors": lambda a2, m: configs.slope_vectors(m, []),
     "order_cluster": lambda a2, m: order_cluster(a2, m, []),

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from excseq import InputError, category, cli, verify
+from excseq import InputError, category, cli, fomin_reading_count, verify
 from excseq.bijection import _build_table
 from excseq.cli import main
 from excseq.configs import cluster_table, mutation_moves
 from excseq.dynkin import build_diagram, build_quiver
 from excseq.repengine import RepCategory
-from excseq.shiftcat import ShiftedObject, encode
+from excseq.shiftcat import ShiftedObject, _compat_rows, _ids, encode, object_mask
 from excseq.wide import ambient
 from excseq.verify import (SUITES, verify_all, verify_bijection, verify_counting,
                            verify_duality, verify_mutation)
@@ -46,6 +46,32 @@ def test_a_swapped_inverse_entry_fails_the_bijection_suite(monkeypatch, capsys):
     monkeypatch.setattr(cli, "category", lambda tag: cat)
     assert main(["verify", "A2", "--m", "1", "bijection"]) == 1
     assert "FAIL  k=2: inverse round trips\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tag", ["A3", "D4"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_every_reachable_transport_table_passes_its_checks(tag, m):
+    # the bijection is one if every table of a reachable (scope, T[k]) is a bijection that
+    # preserves compatibility.  Walk them from the ambient scope: each valid object t of a
+    # scope, then the perp of its table; building each table runs its checks
+    cat = RepCategory(build_quiver(build_diagram(tag)))
+    rows, todo, scopes = _compat_rows(cat, m), [ambient(cat)], set()
+    while todo:
+        scope = todo.pop()
+        if scope.mask not in scopes:
+            scopes.add(scope.mask)
+            todo += [_build_table(cat, m, t, scope).perp
+                     for t in _ids(object_mask(cat, scope, m))]
+    if m:  # every wide subcategory is reached, and they are W-Catalan many
+        assert len(scopes) == fomin_reading_count(cat.quiver.diagram, 1)
+    # every pair of every table, against the check's shortcut over the entries that stay put
+    for table in cat.transports.values():
+        pairs = list(table.forward.items())
+        assert all(rows[a] >> b & 1 == rows[ya] >> yb & 1 for a, ya in pairs for b, yb in pairs)
+    # the suite reads only tables of the walk
+    suite_cat = RepCategory(cat.quiver)
+    _assert_ok(verify_bijection(suite_cat, m))
+    assert set(suite_cat.transports) <= set(cat.transports)
 
 
 @pytest.mark.parametrize("tag,m", [("A3", 2), ("D4", 1)])
