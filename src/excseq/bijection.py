@@ -41,7 +41,8 @@ from .errors import InputError
 from .repengine import RepCategory
 from .shiftcat import (ShiftedObject, _compat_rows, _ids, _inconsistent, check_length,
                        check_objects, decode, encode, object_mask)
-from .wide import PairCase, PairRecord, WideSubcat, _pair_record, _perp_of, ambient
+from .wide import (PairCase, PairRecord, WideSubcat, _pair_record, _perp_of, ambient,
+                   check_scope)
 
 
 class _TransportTable(NamedTuple):
@@ -125,7 +126,7 @@ def tuple_to_sequence(cat: RepCategory, m: int, tup,
     """Ordered compatible tuple -> shifted exceptional sequence of equal length.
 
     The tuple is validated once (`check_objects`); `_to_sequences` then trusts it."""
-    m, scope = check_m(m), scope if scope is not None else ambient(cat)
+    m, scope = check_m(m), check_scope(cat, scope) if scope is not None else ambient(cat)
     return decode(cat, next(_to_sequences(cat, m, [check_objects(cat, scope, m, tup)], scope)))
 
 
@@ -133,8 +134,8 @@ def sequence_to_tuple(cat: RepCategory, m: int, terms,
                       scope: WideSubcat | None = None) -> tuple[ShiftedObject, ...]:
     """Shifted exceptional sequence -> ordered compatible tuple (inverse map).
 
-    The terms are validated once (`is_m_exc_sequence`, which parses each by `encode`);
-    `_to_tuples` then trusts them."""
+    The terms and the scope are validated once (`is_m_exc_sequence`, which parses each term
+    by `encode`); `_to_tuples` then trusts them."""
     m, scope = check_m(m), scope if scope is not None else ambient(cat)
     terms = tuple(terms)
     if not is_m_exc_sequence(cat, m, terms, scope):
@@ -189,7 +190,8 @@ def is_m_exc_sequence(cat: RepCategory, m: int, terms,
     """Levels within 0..m, underlying modules an exceptional sequence, and
     level-m terms relatively projective in the perpendicular of later terms;
     each term is parsed by `encode`."""
-    m, cur, n = check_m(m), scope if scope is not None else ambient(cat), len(cat.roots)
+    m, n = check_m(m), len(cat.roots)
+    cur = check_scope(cat, scope) if scope is not None else ambient(cat)
     for x in reversed(encode(cat, terms)):
         if x < 0 or not object_mask(cat, cur, m) >> x & 1:  # no level below 0 or above m
             return False

@@ -50,7 +50,7 @@ class SlopeVector(NamedTuple):
         return f"{root_str(self.root)}*t^{self.slope}"
 
 
-def slope_vectors(m: int, comps) -> tuple[SlopeVector, ...]:
+def _slope_vectors(m: int, comps) -> tuple[SlopeVector, ...]:
     """The slope vectors of components (root, level), each level in 0..m; roots unchecked."""
     m, out = check_m(m), []
     for root, level in map(check_pair, comps):
@@ -241,7 +241,7 @@ def _check_frame(cat: RepCategory, m: int, ordered, comps) -> None:
         if o // n - c // n not in (0, -1):
             o_obj, c_obj = decode(cat, (o, c))
             raise VerificationError(f"slope rule violated: entry {o_obj} against "
-                                    f"{slope_vectors(m, (c_obj,))[0]}")
+                                    f"{_slope_vectors(m, (c_obj,))[0]}")
 
 
 def g_vector_check(frame: DualityFrame) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .configs import slope_vectors
+from .configs import _slope_vectors
 from .errors import InputError
 from .repengine import RepCategory
 from .shiftcat import ShiftedObject, check_objects
@@ -68,7 +68,7 @@ def configuration_to_dict(m: int, comps) -> dict:
         "m": m,
         "objects": [object_to_dict(o) for o in comps],
         "tilde_c": [{"root": list(sv.root), "slope": sv.slope}
-                    for sv in slope_vectors(m, comps)],
+                    for sv in _slope_vectors(m, comps)],
     }
 
 

@@ -20,7 +20,7 @@ from .counting import check_level, check_m
 from .dynkin import Root, root_str
 from .errors import InputError, InternalConsistencyError
 from .repengine import RepCategory
-from .wide import WideSubcat, ambient, relative_projectives
+from .wide import WideSubcat, ambient
 
 
 class ShiftedObject(NamedTuple):
@@ -63,7 +63,7 @@ def object_mask(cat: RepCategory, scope: WideSubcat | None, m: int) -> int:
     under (m, mask)."""
     scope, n = scope if scope is not None else ambient(cat), len(cat.roots)
     if (m, scope.mask) not in cat.compat:
-        proj = sum(1 << cat.root_id[r] for r in relative_projectives(cat, scope))
+        proj = sum(1 << i for i in _ids(scope.mask) if not cat.ext_out[i] & scope.mask)
         cat.compat[m, scope.mask] = sum(scope.mask << j * n for j in range(m)) | proj << m * n
     return cat.compat[m, scope.mask]
 

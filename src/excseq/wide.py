@@ -5,7 +5,9 @@ hashes on its mask, carries its roots in id order and its rank, and is never
 re-quiverized.  Membership is one bit of the mask.  A perpendicular ANDs the
 scope's mask with per-root masks of the Hom/Ext table, once per (side,
 generator mask, scope mask) in the category's `perps`, and checks its span
-rank, taken on the integer root vectors by `linalg.rank`.
+rank, taken on the integer root vectors by `linalg.rank`.  A scope that a caller
+hands to a public function must lie within the category's roots (`check_scope`);
+the kernels trust theirs.
 An exceptional sequence "in W" is an ambient sequence whose terms all lie in
 W, and completeness means its length equals rank(W).  The enumeration of
 complete sequences picks each term from the perpendicular of its later
@@ -85,9 +87,22 @@ def ambient(cat: RepCategory) -> WideSubcat:
     return WideSubcat((1 << len(cat.roots)) - 1, cat.roots, cat.n)
 
 
+def _roots_at(cat: RepCategory, mask: int) -> tuple[Root, ...]:
+    return tuple(r for i, r in enumerate(cat.roots) if mask >> i & 1)
+
+
+def check_scope(cat: RepCategory, w) -> WideSubcat:
+    """w, if it is a subcategory of cat: a `WideSubcat` whose mask lies within cat's roots
+    and whose objects are the roots at the mask's bits."""
+    if (type(w) is not WideSubcat or w.mask >> len(cat.roots)
+            or w.objects != _roots_at(cat, w.mask)):
+        raise InputError(f"the scope is not a subcategory of {cat.quiver.diagram.type_tag}")
+    return w
+
+
 def perp(cat: RepCategory, generators, within: WideSubcat | None = None) -> WideSubcat:
     """Right perpendicular: objects X in scope with Hom(G, X) = 0 = Ext(G, X)."""
-    scope = within if within is not None else ambient(cat)
+    scope = check_scope(cat, within) if within is not None else ambient(cat)
     gens = 0
     for g in generators:
         gens |= 1 << cat.root_id[cat.check_root(g)]
@@ -106,7 +121,7 @@ def _perp_of(cat: RepCategory, gens: int, scope: WideSubcat, right: bool) -> Wid
             if gens >> i & 1:
                 mask &= ~nonzero[i]
                 gen_roots.append(g)
-        objs = tuple(r for i, r in enumerate(cat.roots) if mask >> i & 1)
+        objs = _roots_at(cat, mask)
         by_span = rank(objs)
         # one or two distinct roots are independent: no root is a multiple of another
         expected = scope.rank - (rank(gen_roots) if len(gen_roots) > 2 else len(gen_roots))
@@ -120,6 +135,7 @@ def _perp_of(cat: RepCategory, gens: int, scope: WideSubcat, right: bool) -> Wid
 
 def relative_projectives(cat: RepCategory, w: WideSubcat) -> tuple[Root, ...]:
     """Objects of W with no extensions into anything in W."""
+    check_scope(cat, w)
     return tuple(x for x in w.objects if not cat.ext_out[cat.root_id[x]] & w.mask)
 
 
@@ -152,7 +168,7 @@ def marked_exc_sequences(cat: RepCategory) -> tuple[ExcSequence, ...]:
                     raise InternalConsistencyError(
                         f"{tag}: first term of a complete sequence must be "
                         "relatively projective")
-                for terms, flags in sequences(perp(cat, (last,), w)):
+                for terms, flags in sequences(_perp_of(cat, 1 << root_id[last], w, True)):
                     out.append((terms + (last,), flags + (flag,)))
             result = tuple(out)
         memo[mask] = result

@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from excseq.configs import SlopeVector, slope_vectors
+from excseq.configs import SlopeVector, _slope_vectors
 from excseq.counting import check_m
 from excseq.dynkin import Quiver, Root, coxeter_for_tag
 from excseq.errors import InputError, InternalConsistencyError
@@ -459,7 +459,7 @@ def exchange_matrix(cat: RepCategory, m: int, comps) -> tuple[tuple[int, ...], .
     """Antisymmetrized Euler pairings of the c-vectors: b[k][j] = <c_j, c_k> - <c_k, c_j>.
     The strict-Euler reference that the exchange rows of `configs._mutate` are checked
     against."""
-    cs = [c_vector(sv) for sv in slope_vectors(m, comps)]
+    cs = [c_vector(sv) for sv in _slope_vectors(m, comps)]
     n = len(cs)
     return tuple(tuple(euler(cat, cs[j], cs[k]) - euler(cat, cs[k], cs[j])
                        for j in range(n)) for k in range(n))

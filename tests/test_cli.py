@@ -369,6 +369,53 @@ def test_the_cli_starts_without_dataclasses():
     assert out.splitlines() == ["False", "[]"]
 
 
+PACKAGE_NAMES = [
+    "CoxeterData", "DualityFrame", "DynkinDiagram", "ExcSequence", "ExcseqError",
+    "HorizontalSubcat", "InputError", "IntPoly", "InternalConsistencyError", "MutationResult",
+    "PairCase", "Quiver", "RepCategory", "ShiftedObject", "SlopeVector",
+    "UnsupportedFeatureError", "VerificationError", "WideSubcat", "ambient", "build_diagram",
+    "build_quiver", "category", "classify_pair", "count_closed_form",
+    "count_complete_exc_sequences", "delete_vertex", "duality_frame", "enumerate_clusters",
+    "euler_matrix", "exchange_graph", "fomin_reading_count", "fomin_reading_poly",
+    "g_vector_check", "garside_configuration", "m_count_identity_holds", "m_exc_sequences",
+    "m_sequence_poly", "marked_exc_sequences", "mutate", "order_cluster", "parse_type_tag",
+    "perp", "positive_roots", "real_root_check", "rel_proj_poly", "rel_proj_poly_enumerated",
+    "relative_projectives", "sequence_to_tuple", "tuple_to_sequence"]
+
+
+def test_the_package_loads_each_module_on_first_use():
+    # `import excseq` ran every module of the package, about 50 ms from source; each
+    # public name now imports its module when it is first read
+    code = "\n".join([
+        "import json, sys",
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('excseq.'))",
+        "import excseq",
+        "out = {'import': loaded(), 'dir': sorted(set(excseq.__all__) - set(dir(excseq)))}",
+        "excseq.category('A2')",
+        "out['category'] = loaded()",
+        "names = excseq.__all__",
+        "out['all'] = sorted(names)",
+        "out['foreign'] = [n for n in names",
+        "                  if getattr(sys.modules[getattr(excseq, n).__module__], n)",
+        "                  is not getattr(excseq, n)]",
+        "star = {}",
+        "exec('from excseq import *', star)",
+        "out['star'] = sorted(set(star) - {'__builtins__'})",
+        "out['star_differs'] = [n for n in names if star[n] is not getattr(excseq, n)]",
+        "try:",
+        "    excseq.nope",
+        "except AttributeError as exc:",
+        "    out['nope'] = str(exc)",
+        "print(json.dumps(out))"])
+    src = str(Path(excseq.__file__).parent.parent)
+    out = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    check=True, env={**os.environ, "PYTHONPATH": src}).stdout)
+    assert out == {"import": [], "dir": [],
+                   "category": ["excseq.dynkin", "excseq.errors", "excseq.repengine"],
+                   "all": PACKAGE_NAMES, "foreign": [], "star": PACKAGE_NAMES,
+                   "star_differs": [], "nope": "module 'excseq' has no attribute 'nope'"}
+
+
 def test_mutate_output_is_pinned(capsys):
     # every cluster of A3 at m=2 and D4 at m=1, every --k in 0..n+1 (the ends are
     # refused) and both directions: exit code, stdout and stderr of each call

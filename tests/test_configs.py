@@ -9,9 +9,9 @@ import pytest
 from excseq import InputError, InternalConsistencyError, category, configs, verify
 from excseq.cli import main
 from excseq.configs import (_check_frame, _garside, _horizontal, _mutate, _order, _recover,
-                            _valid_orders, _validate, cluster_table, duality_frame, exchange_graph,
-                            garside_configuration, g_vector_check, mutate, mutation_moves,
-                            order_cluster, slope_vectors)
+                            _slope_vectors, _valid_orders, _validate, cluster_table,
+                            duality_frame, exchange_graph, garside_configuration, g_vector_check,
+                            mutate, mutation_moves, order_cluster)
 from excseq.dynkin import build_diagram, build_quiver
 from excseq.errors import VerificationError
 from excseq.bijection import is_m_exc_sequence, m_exc_sequences, sequence_to_tuple
@@ -224,7 +224,7 @@ def test_mutation_other_direction(a2):
 def test_mutation_blocked_slopes(a2):
     ordered = (O(S1, 0), O(P1, 0))
     comps = garside_configuration(a2, 1, ordered)
-    svs = slope_vectors(1, comps)
+    svs = _slope_vectors(1, comps)
     assert svs[0].slope == 0 and svs[1].slope == 1
     with pytest.raises(InputError, match="^slope 0 cannot mutate downward$"):
         mutate(a2, 1, ordered, 0, "-")
@@ -238,7 +238,7 @@ def test_mutation_coherence_sweep(tag, m):
     for cluster in enumerate_clusters(cat, m):
         ordered = order_cluster(cat, m, cluster)
         comps = garside_configuration(cat, m, ordered)
-        svs = slope_vectors(m, comps)
+        svs = _slope_vectors(m, comps)
         for k in range(cat.n):
             for direction in ("+", "-"):
                 if direction == "+" and svs[k].slope + 1 > m:
@@ -340,9 +340,9 @@ def test_recover_cluster_matches_a_rational_solve(tag, m):
     for cluster in enumerate_clusters(cat, m):
         ordered = order_cluster(cat, m, cluster)
         comps = garside_configuration(cat, m, ordered)
-        svs = slope_vectors(m, comps)
+        svs = _slope_vectors(m, comps)
         for k, direction, new_comps, new_ordered in object_moves(cat, m, ordered, comps):
-            new_svs = slope_vectors(m, new_comps)
+            new_svs = _slope_vectors(m, new_comps)
             s = svs[k].slope - (direction == "-")
             window = [c_vector(sv) for sv in svs if sv.slope in (s, s + 1)]
             for sv, new_sv in zip(svs, new_svs):
@@ -433,9 +433,9 @@ def _short_duality_frame(a2):
      r"^\(0,1\)\[0\] must come after \(1,1\)\[0\]: the reversal of the ordered cluster "
      "is not an exceptional sequence$"),
     # a level above m gave a negative slope, and one below 0 a slope above m
-    (lambda a2: slope_vectors(1, [(S2, 1), (S1, 5)]),
+    (lambda a2: _slope_vectors(1, [(S2, 1), (S1, 5)]),
      r"^component \(\(1, 0\), 5\) has a level outside 0..1$"),
-    (lambda a2: slope_vectors(2, [(S1, -1)]),
+    (lambda a2: _slope_vectors(2, [(S1, -1)]),
      r"^component \(\(1, 0\), -1\) has a level outside 0..2$"),
 ], ids=["is_m_exc_sequence", "duality_frame", "duality_frame_root", "duality_frame_level",
         "duality_frame_component_level", "m_exc_sequences", "is_m_exc_sequence_term",
@@ -486,10 +486,10 @@ def test_exchange_row_matches_the_exchange_matrix(tag, m):
     cat = category(tag)
     moves = 0
     for ordered, comps in object_table(cat, m).values():
-        b, svs = exchange_matrix(cat, m, comps), slope_vectors(m, comps)
+        b, svs = exchange_matrix(cat, m, comps), _slope_vectors(m, comps)
         for k, direction, new_comps, _ in object_moves(cat, m, ordered, comps):
             s = svs[k].slope - (direction == "-")
-            for j, (sv, new_sv) in enumerate(zip(svs, slope_vectors(m, new_comps))):
+            for j, (sv, new_sv) in enumerate(zip(svs, _slope_vectors(m, new_comps))):
                 bkj = b[k][j]
                 if j != k and sv.slope in (s, s + 1) and (bkj > 0 if direction == "+"
                                                           else bkj < 0):
@@ -508,7 +508,7 @@ def test_mutation_moves_match_the_public_functions(tag, m):
     cat = category(tag)
     moves = 0
     for ordered, comps in object_table(cat, m).values():
-        svs = slope_vectors(m, comps)
+        svs = _slope_vectors(m, comps)
         legal = [(k, d) for k in range(cat.n) for d, step in (("+", 1), ("-", -1))
                  if 0 <= svs[k].slope + step <= m]
         found = []

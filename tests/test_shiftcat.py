@@ -168,7 +168,6 @@ M_CALLS = {
     "is_m_exc_sequence": lambda a2, m: is_m_exc_sequence(a2, m, []),
     "m_exc_sequences": lambda a2, m: bijection.m_exc_sequences(a2, m, 1),
     # configs
-    "slope_vectors": lambda a2, m: configs.slope_vectors(m, []),
     "order_cluster": lambda a2, m: order_cluster(a2, m, []),
     "garside_configuration": lambda a2, m: garside_configuration(a2, m, []),
     "duality_frame": lambda a2, m: configs.duality_frame(a2, m, [], []),

@@ -8,11 +8,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "excseq"
 
 # The kept entry points that nothing inside the package calls: the ordered-cluster <->
-# shifted-sequence bijection, the cluster, configuration, duality and mutation maps,
-# the verification suites and the command.  Every public function of `counting` and
-# `dynkin` has a caller inside the package, so neither module needs an entry here.
+# shifted-sequence bijection, the relative projectives of a scope, the cluster,
+# configuration, duality and mutation maps, the verification suites and the command.
+# Every public function of `counting` and `dynkin` has a caller inside the package, so
+# neither module needs an entry here.
 KEEP = {
-    "bijection.tuple_to_sequence", "bijection.sequence_to_tuple",
+    "bijection.tuple_to_sequence", "bijection.sequence_to_tuple", "wide.relative_projectives",
     "shiftcat.enumerate_clusters", "configs.order_cluster", "configs.garside_configuration",
     "configs.duality_frame", "configs.mutate", "configs.exchange_graph",
     "verify.verify_counting", "verify.verify_bijection", "verify.verify_duality",

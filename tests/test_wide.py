@@ -8,7 +8,8 @@ from excseq import (InputError, PairCase, ambient, category, classify_pair,
                     relative_projectives)
 from excseq import build_diagram, build_quiver, linalg
 from excseq.repengine import RepCategory
-from excseq.wide import _pair_record, _perp_of
+from excseq.bijection import is_m_exc_sequence, sequence_to_tuple, tuple_to_sequence
+from excseq.wide import WideSubcat, _pair_record, _perp_of
 
 import oracle
 from conftest import P1, S1, S2, braid_move, orientations, tags_up_to_rank
@@ -214,6 +215,30 @@ def test_relative_projectives_listing(a2):
     assert set(relative_projectives(a2, ambient(a2))) == {P1, S2}
     w = perp(a2, [P1])
     assert relative_projectives(a2, w) == (S2,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a2, w: perp(a2, [S1], within=w),
+    lambda a2, w: perp(a2, [], within=w),
+    lambda a2, w: relative_projectives(a2, w),
+    lambda a2, w: tuple_to_sequence(a2, 1, [(S1, 0)], w),
+    lambda a2, w: sequence_to_tuple(a2, 1, [(S1, 0)], w),
+    lambda a2, w: is_m_exc_sequence(a2, 1, [(S1, 0)], w),
+], ids=["perp", "perp_no_generators", "relative_projectives", "tuple_to_sequence",
+        "sequence_to_tuple", "is_m_exc_sequence"])
+@pytest.mark.parametrize("scope", [
+    lambda: ambient(category("A3")),
+    lambda: ambient(category("D4")),
+    # A3's perpendicular of two roots has mask 1, within A2's roots: only its object differs
+    lambda: perp(category("A3"), [(0, 1, 1), (1, 0, 0)]),
+    lambda: WideSubcat(0b11, (S1, S2), 2),  # A2's roots at these bits are S2, S1
+    lambda: 0b111,
+], ids=["A3", "D4", "A3_low_mask", "objects_out_of_order", "bare_mask"])
+def test_a_scope_from_another_category_is_refused(a2, call, scope):
+    # each raised an InternalConsistencyError or a bare KeyError, or answered for a
+    # subcategory of another category
+    with pytest.raises(InputError, match="^the scope is not a subcategory of A2$"):
+        call(a2, scope())
 
 
 def test_is_multiple_matches_a_search():
