@@ -41,7 +41,7 @@ from .errors import InputError
 from .repengine import RepCategory
 from .shiftcat import (ShiftedObject, _compat_rows, _ids, _inconsistent, check_length,
                        check_objects, decode, encode, object_mask)
-from .wide import (PairCase, PairRecord, WideSubcat, _pair_record, _perp_of, ambient,
+from .wide import (PairCase, PairRecord, WideSubcat, _edges, _pair_record, _perp_of, ambient,
                    check_scope)
 
 
@@ -206,15 +206,15 @@ def m_exc_sequences(cat: RepCategory, m: int, k: int) -> list[tuple[ShiftedObjec
 
 def _sequences(cat: RepCategory, m: int, k: int, scope: WideSubcat,
                memo: dict) -> list[tuple[int, ...]]:
-    """`m_exc_sequences` on ids, last terms by root then level; memo keys are (scope mask, k)."""
+    """`m_exc_sequences` on ids, read off the walk (`wide._edges`): each edge (X, W', flag) of
+    the scope ends the sequences of length k - 1 in W' with X at each level in range(m + flag);
+    last terms by root then level.  Memo keys are (scope mask, k)."""
     if k == 0:
         return [()]
     if (scope.mask, k) not in memo:
-        n, objects, seqs = len(cat.roots), object_mask(cat, scope, m), []
-        for i in _ids(scope.mask):
-            prefixes = _sequences(cat, m, k - 1, _perp_of(cat, 1 << i, scope, True), memo)
-            seqs += [s + (u,) for u in range(i, objects.bit_length(), n) if objects >> u & 1
-                     for s in prefixes]
+        n, seqs = len(cat.roots), []
+        for x, sub, proj in _edges(cat, scope):
+            prefixes = _sequences(cat, m, k - 1, sub, memo)
+            seqs += [s + (u,) for u in range(x, (m + proj) * n, n) for s in prefixes]
         memo[scope.mask, k] = seqs
     return memo[scope.mask, k]
-

@@ -20,7 +20,7 @@ from .counting import check_level, check_m
 from .dynkin import Root, root_str
 from .errors import InputError, InternalConsistencyError
 from .repengine import RepCategory
-from .wide import WideSubcat, ambient
+from .wide import WideSubcat, ambient, check_scope
 
 
 class ShiftedObject(NamedTuple):
@@ -131,7 +131,7 @@ def compatible_subsets(cat: RepCategory, m: int, k: int, scope: WideSubcat | Non
                        candidates: int = -1) -> list[tuple[int, ...]]:
     """The pairwise compatible k-subsets of the valid objects of the scope whose
     ids are in the mask candidates, as id tuples in canonical order."""
-    m = check_m(m)
+    m, scope = check_m(m), check_scope(cat, scope) if scope is not None else None
     rows = _compat_rows(cat, m)
 
     def subsets(mask: int, k: int) -> list[tuple[int, ...]]:  # x, then ids above x
@@ -145,7 +145,7 @@ def check_objects(cat: RepCategory, scope: WideSubcat | None, m: int, objects) -
     """The ids of objects, the one object parser: each is parsed by `encode`, must be a valid
     object of the scope at m, and they must be pairwise compatible (`_compat_rows`)."""
     m, ids = check_m(m), encode(cat, objects)
-    valid = object_mask(cat, scope, m)
+    valid = object_mask(cat, check_scope(cat, scope) if scope is not None else None, m)
     for x in ids:
         if x < 0 or not valid >> x & 1:
             raise InputError(f"{decode(cat, (x,))[0]} is not a valid shifted object here (m={m})")

@@ -28,7 +28,7 @@ from .dynkin import DynkinDiagram, build_quiver
 from .errors import VerificationError
 from .repengine import RepCategory
 from .shiftcat import _compat_rows, _ids, compatible_subsets, decode, object_mask
-from .wide import _perp_of, ambient, marked_exc_sequences, rel_proj_poly_enumerated
+from .wide import _edges, ambient, marked_exc_sequences, rel_proj_poly_enumerated
 
 
 class Check(NamedTuple):
@@ -79,8 +79,9 @@ def verify_counting(diagram: DynkinDiagram, cat: RepCategory | None = None) -> R
         seqs = marked_exc_sequences(cat)
         report.add("enumerated sequence count matches", len(seqs) == e_rec,
                    f"{len(seqs)} vs {e_rec}")
+        listed = tuple(map([sum(s.rel_proj_flags) for s in seqs].count, range(cat.n + 1)))
         report.add("enumerated refinement polynomial matches",
-                   rel_proj_poly_enumerated(cat, seqs).coeffs == f.coeffs)
+                   listed == f.coeffs == rel_proj_poly_enumerated(cat).coeffs)
     return report
 
 
@@ -89,13 +90,14 @@ def verify_bijection(cat: RepCategory, m: int) -> Report:
     report = Report(f"bijection suite for {cat.quiver.diagram.type_tag}, m={m}", [])
     scope = ambient(cat)
     rows, objects = _compat_rows(cat, m), object_mask(cat, scope, m)
+    perps = {x: sub for x, sub, _ in _edges(cat, scope)}
     # per k: tuple and sequence counts, then the verdicts injective, image is
     # the sequence set, inverse round trips and deletion, over all buckets
     tally = [[0, 0, True, True, True, True] for _ in range(cat.n)]
     for t in _ids(objects):
         # the bucket of the tuples and sequences ending in t: both maps keep
         # the last entry, so a check holds iff it holds in every bucket
-        t_perp, last, memo = _perp_of(cat, 1 << t % len(cat.roots), scope, True), {}, {}
+        t_perp, last, memo = perps[t % len(cat.roots)], {}, {}
         for k, counts in enumerate(tally, 1):
             tuples = [p + (t,) for s in compatible_subsets(cat, m, k - 1, scope, rows[t])
                       for p in permutations(s)]

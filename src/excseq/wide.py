@@ -1,18 +1,17 @@
-"""Wide subcategories, exceptional sequences, and exceptional-pair mutation.
+"""Wide subcategories, the walk over them, and exceptional-pair mutation.
 
-A wide subcategory is a bitmask over root ids: `WideSubcat` compares and
-hashes on its mask, carries its roots in id order and its rank, and is never
-re-quiverized.  Membership is one bit of the mask.  A perpendicular ANDs the
-scope's mask with per-root masks of the Hom/Ext table, once per (side,
-generator mask, scope mask) in the category's `perps`, and checks its span
-rank, taken on the integer root vectors by `linalg.rank`.  A scope that a caller
-hands to a public function must lie within the category's roots (`check_scope`);
-the kernels trust theirs.
-An exceptional sequence "in W" is an ambient sequence whose terms all lie in
-W, and completeness means its length equals rank(W).  The enumeration of
-complete sequences picks each term from the perpendicular of its later
-terms, so it flags the relatively projective terms as it goes, each by one
-bit test on its root id.
+A wide subcategory is a bitmask over root ids: `WideSubcat` compares and hashes
+on its mask, carries its roots in id order, its rank and the quiver that built
+it.  A perpendicular ANDs the scope's mask with per-root masks of the Hom/Ext
+table, once per (side, generator mask, scope mask) in the category's `perps`,
+and checks its span rank by `linalg.rank`.  A scope handed to a public function
+must be one that the category's quiver built (`check_scope`); the kernels trust
+theirs.  A complete exceptional sequence in W grows backwards from its last term
+X, whose earlier terms form one in perp(X) within W.  So the sequence questions
+walk the wide subcategories reachable from the ambient one, the noncrossing
+partitions (Ingalls-Thomas 2009): `_edges` gives each root X of W with perp(X)
+within W and X's relatively projective flag in W.  Both listings and the
+refinement polynomial, a sum over the edges, read it.
 The mutation of an exceptional pair (X, T) -> (T, Y) is found by a filtered
 search: Y is the unique exceptional module such that (T, Y) is exceptional,
 dim Y = +-dim X + s*dim T for an integer s, and X, T and Y, T span the same
@@ -39,11 +38,11 @@ from .repengine import RepCategory
 class WideSubcat:
     """The wide subcategory whose objects are the roots with ids in `mask`.
     It compares and hashes on the mask; `objects` (those roots in id order)
-    and `rank` are derived from it."""
-    __slots__ = ("mask", "objects", "rank", "__weakref__")
+    and `rank` are derived from it, and `quiver` is that of the category that built it."""
+    __slots__ = ("mask", "objects", "rank", "quiver", "__weakref__")
 
-    def __init__(self, mask: int, objects: tuple[Root, ...], rank: int):
-        self.mask, self.objects, self.rank = mask, objects, rank
+    def __init__(self, mask: int, objects: tuple[Root, ...], rank: int, quiver=None):
+        self.mask, self.objects, self.rank, self.quiver = mask, objects, rank, quiver
 
     def __eq__(self, other) -> bool:
         return self.mask == other.mask if type(other) is WideSubcat else NotImplemented
@@ -84,7 +83,7 @@ class PairRecord(NamedTuple):
 
 
 def ambient(cat: RepCategory) -> WideSubcat:
-    return WideSubcat((1 << len(cat.roots)) - 1, cat.roots, cat.n)
+    return WideSubcat((1 << len(cat.roots)) - 1, cat.roots, cat.n, cat.quiver)
 
 
 def _roots_at(cat: RepCategory, mask: int) -> tuple[Root, ...]:
@@ -92,9 +91,9 @@ def _roots_at(cat: RepCategory, mask: int) -> tuple[Root, ...]:
 
 
 def check_scope(cat: RepCategory, w) -> WideSubcat:
-    """w, if it is a subcategory of cat: a `WideSubcat` whose mask lies within cat's roots
-    and whose objects are the roots at the mask's bits."""
-    if (type(w) is not WideSubcat or w.mask >> len(cat.roots)
+    """w, if it is a subcategory of cat: a `WideSubcat` built by cat's quiver, whose mask
+    lies within cat's roots and whose objects are the roots at the mask's bits."""
+    if (type(w) is not WideSubcat or w.quiver != cat.quiver or w.mask >> len(cat.roots)
             or w.objects != _roots_at(cat, w.mask)):
         raise InputError(f"the scope is not a subcategory of {cat.quiver.diagram.type_tag}")
     return w
@@ -129,7 +128,7 @@ def _perp_of(cat: RepCategory, gens: int, scope: WideSubcat, right: bool) -> Wid
             raise InternalConsistencyError(
                 f"{cat.quiver.diagram.type_tag}: perpendicular of {tuple(gen_roots)} has "
                 f"span rank {by_span}, expected {expected}")
-        w = cat.perps[key] = WideSubcat(mask, objs, by_span)
+        w = cat.perps[key] = WideSubcat(mask, objs, by_span, cat.quiver)
     return w
 
 
@@ -139,53 +138,52 @@ def relative_projectives(cat: RepCategory, w: WideSubcat) -> tuple[Root, ...]:
     return tuple(x for x in w.objects if not cat.ext_out[cat.root_id[x]] & w.mask)
 
 
+def _edges(cat: RepCategory, w: WideSubcat) -> list[tuple[int, WideSubcat, bool]]:
+    """The walk's edges out of w: (x, perp(x) within w, x relatively projective in w) for each
+    root id x of w in id order; checks that a rank-0 w is empty and a rank-1 w's x is flagged."""
+    mask, tag = w.mask, cat.quiver.diagram.type_tag
+    if w.rank == 0 and mask:
+        raise InternalConsistencyError(f"{tag}: rank-0 subcategory with objects")
+    edges = [(x, _perp_of(cat, 1 << x, w, True), not cat.ext_out[x] & mask)
+             for x in range(mask.bit_length()) if mask >> x & 1]
+    if w.rank == 1 and not all(proj for _, _, proj in edges):
+        raise InternalConsistencyError(
+            f"{tag}: first term of a complete sequence must be relatively projective")
+    return edges
+
+
 def marked_exc_sequences(cat: RepCategory) -> tuple[ExcSequence, ...]:
     """All complete exceptional sequences, deterministically ordered, each term
     flagged when it is relatively projective in the perpendicular of its later terms.
 
-    A term is picked from that perpendicular, so its flag is one bit test on its root
-    id against the subcategory it was picked from.  The (terms, flags) of each visited
-    subcategory are memoised by mask for this call only.
+    Those ending in X extend those of X's edge (`_edges`), which gives X's flag; the
+    (terms, flags) of each visited subcategory are memoised by mask for this call only.
     """
-    tag, root_id, ext_out = cat.quiver.diagram.type_tag, cat.root_id, cat.ext_out
-    memo: dict[int, tuple] = {}
+    roots, memo = cat.roots, {0: (((), ()),)}
 
     def sequences(w: WideSubcat):
-        mask = w.mask
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        if w.rank == 0:
-            if mask:
-                raise InternalConsistencyError(f"{tag}: rank-0 subcategory with objects")
-            result = (((), ()),)
-        else:
-            out = []
-            for last in w.objects:
-                flag = not ext_out[root_id[last]] & mask
-                if w.rank == 1 and not flag:
-                    # `last` is then the first term of a complete sequence
-                    raise InternalConsistencyError(
-                        f"{tag}: first term of a complete sequence must be "
-                        "relatively projective")
-                for terms, flags in sequences(_perp_of(cat, 1 << root_id[last], w, True)):
-                    out.append((terms + (last,), flags + (flag,)))
-            result = tuple(out)
-        memo[mask] = result
-        return result
+        if w.mask not in memo:
+            memo[w.mask] = tuple([(terms + (roots[x],), flags + (proj,)) for x, sub, proj
+                                  in _edges(cat, w) for terms, flags in sequences(sub)])
+        return memo[w.mask]
 
     return tuple(ExcSequence(terms, flags) for terms, flags in sequences(ambient(cat)))
 
 
-def rel_proj_poly_enumerated(cat: RepCategory, marked=None) -> counting.IntPoly:
-    """Generating polynomial of complete sequences by relatively projective terms.
+def rel_proj_poly_enumerated(cat: RepCategory) -> counting.IntPoly:
+    """Generating polynomial of complete sequences by relatively projective terms, with no
+    listing: f_W(x) = sum over the edges (X, W', flag) of W of x^flag f_W'(x), f_0 = 1."""
+    memo = {0: [1]}
 
-    `marked` is `marked_exc_sequences(cat)`, for a caller that already has it.
-    """
-    coeffs = [0] * (cat.n + 1)
-    for s in marked if marked is not None else marked_exc_sequences(cat):
-        coeffs[sum(s.rel_proj_flags)] += 1
-    return counting.IntPoly(tuple(coeffs), "x")
+    def poly(w: WideSubcat) -> list[int]:
+        if w.mask not in memo:
+            coeffs = memo[w.mask] = [0] * (w.rank + 1)
+            for _, sub, proj in _edges(cat, w):
+                for k, c in enumerate(poly(sub)):
+                    coeffs[k + proj] += c
+        return memo[w.mask]
+
+    return counting.IntPoly(tuple(poly(ambient(cat))), "x")
 
 
 def classify_pair(cat: RepCategory, x, t) -> PairCase:

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from excseq import (IntPoly, build_diagram, category, count_closed_form,
+from excseq import (IntPoly, ambient, build_diagram, category, count_closed_form,
                     count_complete_exc_sequences, fomin_reading_count,
                     m_count_identity_holds, m_sequence_poly, marked_exc_sequences,
                     real_root_check, rel_proj_poly, rel_proj_poly_enumerated)
+from excseq.wide import _edges
 
 from oracle import mark_relative_projectives
 
@@ -38,10 +39,20 @@ def test_rel_proj_poly_small(tag, coeffs):
     assert rel_proj_poly(build_diagram(tag)).coeffs == coeffs
 
 
-@pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
+@pytest.mark.parametrize("tag", [f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(4, 8)]
+                         + ["E6", "E7", "A2xA1", "A1xA1xA1"])
 def test_recursive_poly_matches_enumeration(tag):
-    d = build_diagram(tag)
-    assert rel_proj_poly(d).coeffs == rel_proj_poly_enumerated(category(tag)).coeffs
+    # the polynomial summed over the walk, and the walk itself: the wide subcategories
+    # reachable along its edges are the noncrossing partitions, counted at m = 1
+    d, cat = build_diagram(tag), category(tag)
+    assert rel_proj_poly(d).coeffs == rel_proj_poly_enumerated(cat).coeffs
+    seen, todo = set(), [ambient(cat)]
+    while todo:
+        w = todo.pop()
+        if w.mask not in seen:
+            seen.add(w.mask)
+            todo.extend(sub for _, sub, _ in _edges(cat, w))
+    assert len(seen) == fomin_reading_count(d, 1)
 
 
 def test_f_at_one_is_the_count():

@@ -8,7 +8,10 @@ from excseq import (InputError, PairCase, ambient, category, classify_pair,
                     relative_projectives)
 from excseq import build_diagram, build_quiver, linalg
 from excseq.repengine import RepCategory
-from excseq.bijection import is_m_exc_sequence, sequence_to_tuple, tuple_to_sequence
+from excseq.bijection import (is_m_exc_sequence, m_exc_sequences, sequence_to_tuple,
+                              tuple_to_sequence)
+from excseq.errors import InternalConsistencyError
+from excseq.shiftcat import check_objects, compatible_subsets
 from excseq.wide import WideSubcat, _pair_record, _perp_of
 
 import oracle
@@ -103,6 +106,19 @@ def test_span_rank_matches_rational_rank(tag):
 def test_f_poly_enumerated(a2):
     assert rel_proj_poly_enumerated(a2).coeffs == (0, 1, 2)
     assert rel_proj_poly_enumerated(category("A1")).coeffs == (0, 1)
+
+
+@pytest.mark.parametrize("walker", [
+    marked_exc_sequences, rel_proj_poly_enumerated, lambda cat: m_exc_sequences(cat, 1, 2),
+], ids=["marked_exc_sequences", "rel_proj_poly_enumerated", "m_exc_sequences"])
+def test_the_walk_checks_its_first_terms(walker):
+    # a seeded self-extension of root 0: the rank-1 subcategory of that root reaches the
+    # walk with its one object not relatively projective
+    cat = RepCategory(build_quiver(build_diagram("A2")))
+    cat.ext_out[0] |= 1
+    with pytest.raises(InternalConsistencyError, match="^A2: first term of a complete sequence "
+                       "must be relatively projective$"):
+        walker(cat)
 
 
 def test_classify_cases(a2):
@@ -224,8 +240,10 @@ def test_relative_projectives_listing(a2):
     lambda a2, w: tuple_to_sequence(a2, 1, [(S1, 0)], w),
     lambda a2, w: sequence_to_tuple(a2, 1, [(S1, 0)], w),
     lambda a2, w: is_m_exc_sequence(a2, 1, [(S1, 0)], w),
+    lambda a2, w: compatible_subsets(a2, 1, 1, w),
+    lambda a2, w: check_objects(a2, w, 1, [(S1, 0)]),
 ], ids=["perp", "perp_no_generators", "relative_projectives", "tuple_to_sequence",
-        "sequence_to_tuple", "is_m_exc_sequence"])
+        "sequence_to_tuple", "is_m_exc_sequence", "compatible_subsets", "check_objects"])
 @pytest.mark.parametrize("scope", [
     lambda: ambient(category("A3")),
     lambda: ambient(category("D4")),
@@ -233,12 +251,24 @@ def test_relative_projectives_listing(a2):
     lambda: perp(category("A3"), [(0, 1, 1), (1, 0, 0)]),
     lambda: WideSubcat(0b11, (S1, S2), 2),  # A2's roots at these bits are S2, S1
     lambda: 0b111,
-], ids=["A3", "D4", "A3_low_mask", "objects_out_of_order", "bare_mask"])
+    # its roots are A2's roots at these bits, but A1xA1 is not A2
+    lambda: ambient(category("A1xA1")),
+], ids=["A3", "D4", "A3_low_mask", "objects_out_of_order", "bare_mask", "A1xA1_same_roots"])
 def test_a_scope_from_another_category_is_refused(a2, call, scope):
     # each raised an InternalConsistencyError or a bare KeyError, or answered for a
     # subcategory of another category
     with pytest.raises(InputError, match="^the scope is not a subcategory of A2$"):
         call(a2, scope())
+
+
+def test_a_scope_from_another_orientation_is_refused():
+    # 8 of these 36 raised an InternalConsistencyError: a perpendicular of one orientation
+    # has the other's roots at its bits, so only the quiver it was built by tells them apart
+    c1 = category("A3")
+    c2 = RepCategory(build_quiver(build_diagram("A3"), ((1, 0), (2, 1))))
+    for r, s in itertools.product(c1.roots, c2.roots):
+        with pytest.raises(InputError, match="^the scope is not a subcategory of A3$"):
+            perp(c2, [s], within=perp(c1, [r]))
 
 
 def test_is_multiple_matches_a_search():
